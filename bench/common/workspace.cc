@@ -313,12 +313,12 @@ measureSwDetectCost(Bundle &b, const path::ExtractionConfig &cfg,
     const double min_time = benchMinTime();
 
     SwDetectCost cost;
-    // Stage 1: the wide batched forward (one SGEMM per layer across the
-    // chunk), amortized per sample.
+    // Stage 1: the per-sample forward detectBatch serves with,
+    // amortized per sample.
     std::vector<nn::Network::Record> recs;
-    model.network().forwardBatchWide(xspan, recs); // warm + records
+    model.network().forwardBatch(xspan, recs); // warm + records
     cost.forwardUs =
-        secsPerCall([&] { model.network().forwardBatchWide(xspan, recs); },
+        secsPerCall([&] { model.network().forwardBatch(xspan, recs); },
                     min_time) /
         static_cast<double>(xs.size()) * 1e6;
 

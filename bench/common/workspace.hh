@@ -105,7 +105,7 @@ makeBuilder(Bundle &b, path::ExtractionConfig cfg,
 /**
  * Measured per-detection cost split of the optimized software serving
  * path (the detectBatch stages timed through their public seams):
- * the wide batched forward, branchless-workspace path extraction, and
+ * the per-sample forward, branchless-workspace path extraction, and
  * the similarity + forest scoring tail. This is the honest software
  * baseline the HW co-design benches normalize against — wall-clock of
  * the engine that actually serves, not a modeled pipeline.

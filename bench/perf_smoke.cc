@@ -651,8 +651,7 @@ benchAttack(double min_time)
 struct DetectBenchResult
 {
     double singleStreamPerSec = 0.0;
-    double batchPerSec = 0.0;      ///< serving default (fused per-sample)
-    double widePerSec = 0.0;       ///< opt-in wide-batch layer-major path
+    double batchPerSec = 0.0;      ///< serving path (fused per-sample)
     double legacyPerSec = 0.0;
     double forwardUsPerDetect = 0.0; ///< cost split: forward (median)
     double forwardUsPerDetectMin = 0.0; ///< spread (fastest trial)
@@ -661,7 +660,6 @@ struct DetectBenchResult
     double extractUsPerDetect = 0.0; ///< cost split: path extraction
     double scoreUsPerDetect = 0.0;   ///< cost split: similarity + forest
     std::size_t allocsPerBatch = 0;
-    std::size_t allocsPerBatchWide = 0;
     std::size_t chunk = 0;
 };
 
@@ -737,11 +735,9 @@ benchDetect(double min_time)
     const std::span<core::Decision> ospan(out.data(), out.size());
 
     // Warm until quiescent (pool-worker thread-locals settle on their
-    // own schedule, like the other benches), then measure one serving
-    // path; repeated for the fused per-sample default and the opt-in
-    // wide-batch layer-major path.
-    auto measureServing = [&](bool wide, std::size_t &allocs_out) {
-        sess.setWideBatch(wide);
+    // own schedule, like the other benches), then measure the serving
+    // path.
+    {
         int quiet = 0;
         for (int i = 0; i < 50 && quiet < 3; ++i) {
             const std::size_t before =
@@ -762,16 +758,14 @@ benchDetect(double min_time)
             min_time);
         const std::size_t allocs_after =
             g_allocs.load(std::memory_order_relaxed);
-        allocs_out = calls ? (allocs_after - allocs_before) / calls : 0;
-        return static_cast<double>(kChunk) / spc;
-    };
-    r.batchPerSec = measureServing(/*wide=*/false, r.allocsPerBatch);
-    r.widePerSec = measureServing(/*wide=*/true, r.allocsPerBatchWide);
+        r.allocsPerBatch = calls ? (allocs_after - allocs_before) / calls : 0;
+        r.batchPerSec = static_cast<double>(kChunk) / spc;
+    }
     {
-        // First-class cost split of one detection: the wide forward,
-        // the path extraction, and the similarity + forest scoring
-        // tail, each measured through the same public seams the serving
-        // path uses.
+        // First-class cost split of one detection: the per-sample
+        // forward (the schedule detectBatch serves with), the path
+        // extraction, and the similarity + forest scoring tail, each
+        // measured through the same public seams the serving path uses.
         // Packed vs per-call-packing on the same seam, measured with
         // interleaved trials so both arms see the same machine drift.
         // On this small probe net the two schedules land within noise
@@ -780,8 +774,8 @@ benchDetect(double min_time)
         // stable, hard-gated prepack ratio), so the forward ratio is
         // recorded for visibility but gated as informational.
         std::vector<nn::Network::Record> recs;
-        model.network().forwardBatchWide(xspan, recs); // warm + records
-        auto fwd = [&] { model.network().forwardBatchWide(xspan, recs); };
+        model.network().forwardBatch(xspan, recs); // warm + records
+        auto fwd = [&] { model.network().forwardBatch(xspan, recs); };
         const auto [fwd_spc, fwd_np] = interleavedABSecsPerCall(
             fwd, nn::prepackEnabled(), 2.0 * min_time);
         r.forwardUsPerDetect = fwd_spc.median / kChunk * 1e6;
@@ -1124,12 +1118,10 @@ main(int argc, char **argv)
     j.kv("chunk", det.chunk);
     j.kv("single_stream_per_sec", det.singleStreamPerSec);
     j.kv("batch_per_sec", det.batchPerSec);
-    j.kv("wide_batch_per_sec", det.widePerSec);
     j.kv("legacy_per_sec", det.legacyPerSec);
     j.kv("batch_speedup_vs_single_stream",
          det.batchPerSec / det.singleStreamPerSec);
     j.kv("batch_speedup_vs_legacy", det.batchPerSec / det.legacyPerSec);
-    j.kv("wide_speedup_vs_fused", det.widePerSec / det.batchPerSec);
     {
         const double total = det.forwardUsPerDetect + det.extractUsPerDetect +
                              det.scoreUsPerDetect;
@@ -1146,7 +1138,6 @@ main(int argc, char **argv)
         j.kv("score_frac", det.scoreUsPerDetect / total);
     }
     j.kv("allocs_per_batch", det.allocsPerBatch);
-    j.kv("allocs_per_batch_wide", det.allocsPerBatchWide);
     j.endObject();
     j.key("similarity").beginObject();
     j.kv("densities", "path ~5% vs class path ~30%");
@@ -1242,14 +1233,11 @@ main(int argc, char **argv)
               << atk.allocsPerBatchBim << "/" << atk.allocsPerBatchPgd
               << " allocs per batch\n"
               << "detect (chunk " << det.chunk << "): "
-              << det.batchPerSec << " detections/s fused vs "
-              << det.widePerSec << "/s wide-batch ("
-              << det.widePerSec / det.batchPerSec << "x), "
+              << det.batchPerSec << " detections/s fused, "
               << det.singleStreamPerSec << "/s single-stream, "
               << det.legacyPerSec << "/s legacy per-sample score ("
               << det.batchPerSec / det.legacyPerSec << "x), "
-              << det.allocsPerBatch << "/" << det.allocsPerBatchWide
-              << " allocs per batch (fused/wide)\n"
+              << det.allocsPerBatch << " allocs per batch\n"
               << "detect cost split: forward " << det.forwardUsPerDetect
               << " us packed (" << det.forwardNopackUsPerDetect
               << " us unpacked, "
@@ -1295,11 +1283,10 @@ main(int argc, char **argv)
                   << "per batch (expected 0)\n";
         return 1;
     }
-    if (det.allocsPerBatch != 0 || det.allocsPerBatchWide != 0) {
+    if (det.allocsPerBatch != 0) {
         std::cerr << "FAIL: steady-state detectBatch serving loop "
-                  << "performed " << det.allocsPerBatch << " (fused) / "
-                  << det.allocsPerBatchWide
-                  << " (wide) heap allocations per batch (expected 0)\n";
+                  << "performed " << det.allocsPerBatch
+                  << " heap allocations per batch (expected 0)\n";
         return 1;
     }
     return 0;

@@ -1,5 +1,6 @@
 #include "detector_model.hh"
 
+#include <cmath>
 #include <fstream>
 
 #include "util/serialize.hh"
@@ -11,6 +12,8 @@ namespace ptolemy::core
 namespace
 {
 const char *const kModelMagic = "ptolemy-detector-v1";
+/** Forest probability at or above which a sample is flagged. */
+constexpr double kAdversarialThreshold = 0.5;
 } // namespace
 
 DetectorModel::DetectorModel(const nn::Network &net_ref,
@@ -24,6 +27,12 @@ DetectorModel::DetectorModel(const nn::Network &net_ref,
     // filling the layers' packed-weight caches here is race-free; every
     // serving forward after this point is a pure read of the panels.
     net_ref.prepackForServing();
+}
+
+bool
+DetectorModel::isAdversarial(double score) const
+{
+    return !std::isfinite(score) || score >= kAdversarialThreshold;
 }
 
 bool
@@ -125,11 +134,7 @@ featuresBatch(const DetectorModel &mdl, const std::vector<nn::Tensor> &xs,
         scratch.xs.assign(xs.begin() + static_cast<std::ptrdiff_t>(base),
                           xs.begin() +
                               static_cast<std::ptrdiff_t>(base + n));
-        // Wide layer-major forward (bit-identical to forwardBatch, one
-        // wide SGEMM per conv layer); exact-resize afterwards because
-        // extractBatch walks the whole record vector.
-        mdl.network().forwardBatchWide(scratch.xs, scratch.recs, pool);
-        scratch.recs.resize(n);
+        mdl.network().forwardBatch(scratch.xs, scratch.recs, pool);
         ex.extractBatch(scratch.recs, scratch.paths, scratch.bws, pool);
         for (std::size_t i = 0; i < n; ++i) {
             const std::size_t pred = scratch.recs[i].predictedClass();
@@ -174,8 +179,7 @@ DetectorBuilder::profileClassPaths(const nn::Dataset &train,
     auto flush = [&] {
         if (scratch.xs.empty())
             return;
-        mdl.network().forwardBatchWide(scratch.xs, scratch.recs, pool);
-        scratch.recs.resize(scratch.xs.size());
+        mdl.network().forwardBatch(scratch.xs, scratch.recs, pool);
         mdl.pathExtractor.extractBatch(scratch.recs, scratch.paths,
                                        scratch.bws, pool);
         for (std::size_t i = 0; i < scratch.xs.size(); ++i) {

@@ -144,6 +144,15 @@ class DetectorModel
     std::string variantName() const { return config().variantName(); }
 
     /**
+     * The one adversarial cut every Decision is made with — the
+     * session, the functional simulator and the fault campaign all
+     * route through it. Fail-safe: a non-finite score (a NaN/Inf that
+     * propagated up from a poisoned activation) is adversarial, since
+     * `score >= cut` alone would wave a NaN through.
+     */
+    bool isAdversarial(double score) const;
+
+    /**
      * Serialize the fitted artifacts (architecture signature, extraction
      * config, class paths, forest) to @p path. The network weights are
      * not included — they are the training artifact, saved separately

@@ -1,56 +1,16 @@
 #include "detector_session.hh"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 #include "telemetry/hub.hh"
 #include "util/thread_pool.hh"
-#include "util/tuning.hh"
 
 namespace ptolemy::core
 {
 
-namespace
-{
-
-bool
-wideBatchDefault()
-{
-    ensureTuningApplied();
-    // Off by default: on a single core the fused pipeline extracts each
-    // Record while its activations are still cache-hot, and that
-    // locality is worth more than the wide path's batched SGEMMs (the
-    // bench-compare harness measures both; see wide_speedup_vs_fused).
-    // The wide path stays available as the layer-major seam for
-    // multi-sample offload, opt-in via env or setWideBatch().
-    if (const char *s = std::getenv("PTOLEMY_WIDE_BATCH")) {
-        const std::string v(s);
-        return !(v == "0" || v == "off");
-    }
-    return false;
-}
-
-std::size_t
-wideChunkDefault()
-{
-    ensureTuningApplied();
-    if (const char *s = std::getenv("PTOLEMY_WIDE_CHUNK")) {
-        const long v = std::atol(s);
-        if (v > 0)
-            return static_cast<std::size_t>(v);
-    }
-    return 64;
-}
-
-} // namespace
-
 DetectorSession::DetectorSession(const DetectorModel &model)
-    : mdl(&model), slots(1), wideBatch(wideBatchDefault()),
-      wideChunkSize(wideChunkDefault())
+    : mdl(&model), slots(1)
 {
 }
 
@@ -63,32 +23,18 @@ DetectorSession::detectInto(const nn::Tensor &x, Decision &d, Slot &s)
     // the extractor ranks them. Bit-identical to the historical
     // sequential pipeline: same float ops, same order.
     mdl->network().inferInto(x, s.rec);
-    finishDetect(s.rec, d, s);
-}
-
-void
-DetectorSession::finishDetect(const nn::Network::Record &rec, Decision &d,
-                              Slot &s)
-{
-    d.predictedClass = rec.predictedClass();
-    mdl->extractor().extractInto(rec, s.ws, s.path);
+    d.predictedClass = s.rec.predictedClass();
+    mdl->extractor().extractInto(s.rec, s.ws, s.path);
     path::computeSimilarityInto(
         s.path, mdl->classPaths().classPath(d.predictedClass),
         mdl->extractor().layout(), d.features);
     d.features.toVectorInto(s.feat);
     d.score = mdl->forest().predictProb(s.feat);
-    if (!std::isfinite(d.score)) {
-        // Poisoned activation: a NaN/Inf somewhere upstream propagated
-        // into the score. Every comparison against a NaN is false, so
-        // `score >= 0.5` would silently wave the sample through —
-        // fail SAFE instead and flag it. Telemetry below routes the
-        // non-finite score to its typed poison counter (never a bin),
-        // so sketches and quantiles stay uncorrupted and the drift
-        // detector reports the poisoning as its own event class.
-        d.adversarial = true;
-    } else {
-        d.adversarial = d.score >= 0.5;
-    }
+    // A poisoned (non-finite) score is flagged, fail-safe. Telemetry
+    // below routes it to its typed poison counter (never a bin), so
+    // sketches and quantiles stay uncorrupted and the drift detector
+    // reports the poisoning as its own event class.
+    d.adversarial = mdl->isAdversarial(d.score);
     if (hub != nullptr) {
         // Shard index = this slot's index, so concurrent loop bodies
         // (distinct slots by the pool's contract) write disjoint
@@ -130,27 +76,9 @@ DetectorSession::detectBatch(std::span<const nn::Tensor *const> xs,
     // buffers survive pool changes.
     if (slots.size() < pool->size())
         slots.resize(pool->size());
-    if (!wideBatch) {
-        pool->parallelForWithTid(xs.size(), [&](std::size_t i, unsigned tid) {
-            detectInto(*xs[i], out[i], slot(tid));
-        });
-        return;
-    }
-    // Wide-batch path: the forward pass runs layer-major over chunks —
-    // one wide SGEMM per conv layer, one weight stream per linear layer
-    // — then the per-sample tail (extraction onward) fans out over the
-    // slot scratch. The wide forward's Records are bit-identical to
-    // inferInto's and the tail is the same code either way, so
-    // Decisions match the fused path exactly at any chunk size or
-    // thread count. wideRecs is persistent session scratch: steady
-    // state allocates nothing.
-    for (std::size_t base = 0; base < xs.size(); base += wideChunkSize) {
-        const std::size_t n = std::min(wideChunkSize, xs.size() - base);
-        mdl->network().forwardBatchWide(xs.subspan(base, n), wideRecs, pool);
-        pool->parallelForWithTid(n, [&](std::size_t i, unsigned tid) {
-            finishDetect(wideRecs[i], out[base + i], slot(tid));
-        });
-    }
+    pool->parallelForWithTid(xs.size(), [&](std::size_t i, unsigned tid) {
+        detectInto(*xs[i], out[i], slot(tid));
+    });
 }
 
 void

@@ -17,9 +17,9 @@
  * session, over per-pool-slot scratch.
  *
  * Bit-identity guarantee: Decisions from detectBatch are bit-identical
- * to calling detect() on each input in order — at any batch size,
- * any chunking and any PTOLEMY_NUM_THREADS — and any two sessions over
- * the same model produce identical Decisions for identical inputs.
+ * to calling detect() on each input in order — at any batch size and
+ * any PTOLEMY_NUM_THREADS — and any two sessions over the same model
+ * produce identical Decisions for identical inputs.
  */
 
 #ifndef PTOLEMY_CORE_DETECTOR_SESSION_HH
@@ -92,26 +92,9 @@ class DetectorSession
                      ThreadPool *pool = nullptr);
 
     /**
-     * Select between the wide-batch serving path (default: chunks of
-     * wideChunk() samples run layer-major through
-     * Network::forwardBatchWide — one wide SGEMM per conv layer, one
-     * weight stream per linear layer — then finish per sample) and the
-     * fused per-sample reference path. Decisions are bit-identical
-     * either way (the wide forward's contract); the switch exists for
-     * benchmarking and the determinism cross-checks. Initialized from
-     * PTOLEMY_WIDE_BATCH ("0"/"off" disables; default on).
-     */
-    void setWideBatch(bool on) { wideBatch = on; }
-    bool wideBatchEnabled() const { return wideBatch; }
-
-    /** Samples per wide forward chunk (PTOLEMY_WIDE_CHUNK, default 64). */
-    std::size_t wideChunk() const { return wideChunkSize; }
-    void setWideChunk(std::size_t n) { wideChunkSize = n > 0 ? n : 1; }
-
-    /**
      * Attach (or detach with nullptr) a telemetry hub: every Decision
-     * this session produces — detect() and both detectBatch() paths —
-     * is ingested into the hub's shard for the executing pool slot.
+     * this session produces — detect() and detectBatch() — is
+     * ingested into the hub's shard for the executing pool slot.
      * Ingestion is a handful of integer counter bumps per record and
      * never changes a Decision; scores stay bit-identical with
      * telemetry attached or not. The hub is borrowed and must outlive
@@ -161,18 +144,10 @@ class DetectorSession
     /** The shared per-sample pipeline behind detect and detectBatch. */
     void detectInto(const nn::Tensor &x, Decision &d, Slot &s);
 
-    /** Post-inference tail of the pipeline (extraction, canary
-     *  comparison, forest scoring) over an already-recorded forward
-     *  pass; shared by detectInto and the wide-batch path. */
-    void finishDetect(const nn::Network::Record &rec, Decision &d, Slot &s);
-
     const DetectorModel *mdl;
     telemetry::TelemetryHub *hub = nullptr; ///< borrowed; may be null
     std::vector<Slot> slots;              ///< grown to pool width, kept warm
     detail::FeatureBatchScratch fbScratch; ///< featuresBatch only
-    bool wideBatch;                       ///< wide-batch serving path on?
-    std::size_t wideChunkSize;            ///< samples per wide chunk
-    std::vector<nn::Network::Record> wideRecs; ///< wide-chunk records, warm
 };
 
 } // namespace ptolemy::core

@@ -71,7 +71,7 @@ runFaultCampaign(DetectorSession &sess, const nn::Dataset &inputs,
         auto rec = forwardWithFault(net, sample.input, fault);
         ++result.injections;
         const bool mispredicts = rec.predictedClass() != clean_pred;
-        const bool flagged = sess.score(rec) >= 0.5;
+        const bool flagged = sess.model().isAdversarial(sess.score(rec));
         if (mispredicts) {
             ++result.mispredictions;
             if (flagged)

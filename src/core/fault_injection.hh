@@ -79,7 +79,8 @@ struct FaultCampaignResult
  * feature-map elements during inferences over @p inputs, and score each
  * faulty execution through @p sess. The session's model must already be
  * fitted (class paths + classifier); faults whose execution mispredicts
- * count as "detected" when the detector's score crosses 0.5.
+ * count as "detected" when DetectorModel::isAdversarial flags the
+ * score — the same cut the session serves with, non-finite included.
  */
 FaultCampaignResult runFaultCampaign(DetectorSession &sess,
                                      const nn::Dataset &inputs,

@@ -72,7 +72,7 @@ runFunctional(const isa::Program &prog, const core::DetectorModel &model,
             // construction instructions before it produced the recorded
             // activations and the selected path; realize them now
             // against the model and score exactly the way
-            // DetectorSession::finishDetect does.
+            // DetectorSession::detect does.
             if (next_input >= inputs.size())
                 return res; // batch program wider than the input set
             model.network().inferInto(*inputs[next_input++], rec);
@@ -85,7 +85,7 @@ runFunctional(const isa::Program &prog, const core::DetectorModel &model,
                 model.extractor().layout(), d.features);
             d.features.toVectorInto(feat);
             d.score = model.forest().predictProb(feat);
-            d.adversarial = d.score >= 0.5;
+            d.adversarial = model.isAdversarial(d.score);
             regs[ins.r2] = d.adversarial ? 1 : 0;
             res.paths.push_back(std::move(path));
             res.decisions.push_back(std::move(d));

@@ -1,6 +1,5 @@
 #include "conv.hh"
 
-#include <algorithm>
 #include <cassert>
 
 #include "nn/gemm.hh"
@@ -72,90 +71,6 @@ Conv2d::usePackedForward() const
 #else
     return false;
 #endif
-}
-
-void
-Conv2d::forwardBatchInto(std::span<const Tensor *const> ins,
-                         std::span<Tensor *const> outs) const
-{
-    const std::size_t S = ins.size();
-    if (S <= 1 || naiveConvFlag()) {
-        Layer::forwardBatchInto(ins, outs);
-        return;
-    }
-    if (usePackedForward()) {
-        // The fused packed path beats the concatenated wide SGEMM: the
-        // weights are already packed, the A panel never materializes,
-        // and the bias is folded into the kernel store — so there is
-        // nothing left for cross-sample batching to amortize. The
-        // per-sample loop lands in forwardGemm's packed branch and
-        // stays bit-identical by the same kernel contract.
-        Layer::forwardBatchInto(ins, outs);
-        return;
-    }
-    const Shape ishape = ins[0]->shape();
-    for (std::size_t s = 1; s < S; ++s) {
-        if (!(ins[s]->shape() == ishape)) {
-            Layer::forwardBatchInto(ins, outs);
-            return;
-        }
-    }
-    const int ih = ishape.h, iw = ishape.w;
-    const Shape oshape = outShapeFor(ishape);
-    const int oh = oshape.h, ow = oshape.w;
-    const std::size_t ohw = static_cast<std::size_t>(oh) * ow;
-    const int kdim = inC * kSize * kSize;
-
-    // Cache-block the concatenation: if the whole chunk's column matrix
-    // went to scratch at once, im2col would evict it before the SGEMM
-    // reads it back — doubling the RAM traffic and losing to the
-    // per-sample path outright. Group samples so colWide + outWide stay
-    // roughly L2-resident; any grouping is bit-identical (per-element
-    // SGEMM results are independent of column placement), so the block
-    // size is purely a throughput knob.
-    constexpr std::size_t kWideBytesBudget = 192 * 1024;
-    const std::size_t bytes_per_sample =
-        (static_cast<std::size_t>(kdim) + outC) * ohw * sizeof(float);
-    const std::size_t group =
-        std::max<std::size_t>(1, kWideBytesBudget / bytes_per_sample);
-    if (group <= 1) {
-        // A single sample's matrices already fill the budget: the
-        // per-sample path (whose col scratch is read back while hot)
-        // is the faster schedule.
-        Layer::forwardBatchInto(ins, outs);
-        return;
-    }
-
-    auto &scratch = gemmScratch();
-    for (std::size_t base = 0; base < S; base += group) {
-        const std::size_t n = std::min(group, S - base);
-        const std::size_t n_wide = n * ohw;
-        scratch.colWide.resize(static_cast<std::size_t>(kdim) * n_wide);
-        scratch.outWide.resize(static_cast<std::size_t>(outC) * n_wide);
-        for (std::size_t s = 0; s < n; ++s)
-            im2colInto(ins[base + s]->data(), inC, ih, iw, kSize, strd,
-                       padding, oh, ow, scratch.colWide.data() + s * ohw,
-                       n_wide);
-        sgemm(outC, static_cast<int>(n_wide), kdim, weight.data(),
-              scratch.colWide.data(), scratch.outWide.data());
-        // Scatter the wide output back per sample with the bias fused
-        // in: out[i] = gemm + b is the same single addition
-        // forwardGemm's in-place `row[i] += b` performs on the same
-        // gemm value.
-        for (std::size_t s = 0; s < n; ++s) {
-            Tensor &out = *outs[base + s];
-            out.resize(oshape);
-            for (int oc = 0; oc < outC; ++oc) {
-                const float b = bias[oc];
-                const float *src = scratch.outWide.data() +
-                                   static_cast<std::size_t>(oc) * n_wide +
-                                   s * ohw;
-                float *dst = out.data() + static_cast<std::size_t>(oc) * ohw;
-                for (std::size_t i = 0; i < ohw; ++i)
-                    dst[i] = src[i] + b;
-            }
-        }
-    }
 }
 
 void

@@ -37,19 +37,6 @@ class Conv2d : public Layer
     Shape outputShape(const std::vector<Shape> &ins) const override;
     void forwardInto(const std::vector<const Tensor *> &ins, Tensor &out,
                      bool train) const override;
-    bool supportsBatchedForward() const override { return true; }
-    /**
-     * Wide-batch forward: every sample's im2col columns land in one
-     * [inC*k*k x S*oh*ow] matrix (at column offset s*oh*ow), one SGEMM
-     * covers the chunk, and the bias-fused scatter splits the wide
-     * output back per sample. Bit-identical to S forwardInto calls —
-     * the SGEMM kernels' per-element results depend only on
-     * (row, column, K), never on column placement. Falls back to the
-     * per-sample loop for S <= 1, naive-conv mode, or mixed input
-     * shapes.
-     */
-    void forwardBatchInto(std::span<const Tensor *const> ins,
-                          std::span<Tensor *const> outs) const override;
     void backwardInto(const std::vector<const Tensor *> &ins,
                       const Tensor &grad_out,
                       const std::vector<GradSink> &sinks,

@@ -275,9 +275,8 @@ namespace
 /**
  * One scalar gemv row: bias-seeded sequential dot product (the
  * historical Linear-layer numerics). noinline pins a single codegen of
- * the accumulation chain, so the single-sample and batched entry
- * points below produce bit-identical results per (row, sample) — the
- * compiler cannot contract or unroll them differently per call site.
+ * the accumulation chain, so the compiler cannot contract or unroll it
+ * differently at the call site below.
  */
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((noinline))
@@ -306,28 +305,6 @@ sgemvBias(int M, int K, const float *A, const float *x, const float *bias,
     for (int i = 0; i < M; ++i)
         y[i] = scalarGemvRowDotBias(A + static_cast<std::size_t>(i) * K, x,
                                     K, bias[i]);
-}
-
-void
-sgemvBiasBatch(int M, int K, const float *A, const float *bias,
-               const float *const *xs, float *const *ys, int S)
-{
-#ifdef PTOLEMY_HAVE_AVX2
-    if (useAvx2()) {
-        detail::avx2GemvBiasBatch(M, K, A, bias, xs, ys, S);
-        return;
-    }
-#endif
-    // Weight-row loop outermost: A streams once per batch, the samples'
-    // input vectors stay cache-resident. Each cell runs the exact
-    // single-sample row kernel, so results are bit-identical to S
-    // sgemvBias calls.
-    for (int i = 0; i < M; ++i) {
-        const float *a = A + static_cast<std::size_t>(i) * K;
-        const float b = bias[i];
-        for (int s = 0; s < S; ++s)
-            ys[s][i] = scalarGemvRowDotBias(a, xs[s], K, b);
-    }
 }
 
 void
@@ -579,15 +556,8 @@ im2col(const float *in, int in_c, int ih, int iw, int k, int stride, int pad,
 {
     const std::size_t ohw = static_cast<std::size_t>(oh) * ow;
     col.resize(static_cast<std::size_t>(in_c) * k * k * ohw);
-    im2colInto(in, in_c, ih, iw, k, stride, pad, oh, ow, col.data(), ohw);
-}
-
-void
-im2colInto(const float *in, int in_c, int ih, int iw, int k, int stride,
-           int pad, int oh, int ow, float *col, std::size_t row_stride)
-{
-    im2colRowsInto(in, in_c, ih, iw, k, stride, pad, ow, 0, oh, col,
-                   row_stride);
+    im2colRowsInto(in, in_c, ih, iw, k, stride, pad, ow, 0, oh, col.data(),
+                   ohw);
 }
 
 void

@@ -24,7 +24,6 @@
 #define PTOLEMY_NN_GEMM_HH
 
 #include <cstddef>
-#include <vector>
 
 #include "util/aligned.hh"
 #include "util/simd.hh"
@@ -126,10 +125,10 @@ void convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
 /**
  * Emit the im2col columns of output rows [oy0, oy1) as a row-major
  * [K x (oy1-oy0)*ow] matrix at leading dimension @p row_stride (tap
- * row order (ic, ky, kx) as im2col). This is im2colInto restricted to
- * a row range — the same contiguous-run memcpy inner loop — and is the
+ * row order (ic, ky, kx) as im2col). This is im2col restricted to a
+ * row range — the same contiguous-run memcpy inner loop — and is the
  * fused per-block A-panel emission behind convForwardPacked, exposed
- * for tests and reuse. im2colInto delegates here with the full range.
+ * for tests and reuse. im2col delegates here with the full range.
  */
 void im2colRowsInto(const float *in, int in_c, int ih, int iw, int k,
                     int stride, int pad, int ow, int oy0, int oy1,
@@ -180,18 +179,6 @@ void sgemmNT(int M, int N, int K, const float *A, const float *B, float *C,
 void sgemvBias(int M, int K, const float *A, const float *x,
                const float *bias, float *y);
 
-/**
- * Batched Linear forward: ys[s][i] = bias[i] + dot(A row i, xs[s]) for
- * @p S samples. The weight-row loop is outermost, so A streams from
- * memory once per batch instead of once per sample — the dominant
- * memory-traffic win for wide fully-connected layers. Each
- * (row, sample) cell runs the exact sgemvBias row kernel of the active
- * SIMD mode, so results are bit-identical to S independent sgemvBias
- * calls at any batch size.
- */
-void sgemvBiasBatch(int M, int K, const float *A, const float *bias,
-                    const float *const *xs, float *const *ys, int S);
-
 /** y[K] = A^T * x where A is [MxK] row-major (+= when @p accumulate). */
 void sgemvT(int M, int K, const float *A, const float *x, float *y,
             bool accumulate = false);
@@ -205,10 +192,6 @@ struct GemmScratch
 {
     util::AlignedF32 col;     ///< im2col matrix [inC*k*k x oh*ow]
     util::AlignedF32 colGrad; ///< col-space gradient for backward
-    util::AlignedF32 colWide; ///< wide-batch im2col [inC*k*k x S*oh*ow]
-    util::AlignedF32 outWide; ///< wide-batch output [outC x S*oh*ow]
-    std::vector<const float *> xsWide; ///< batched-gemv input pointers
-    std::vector<float *> ysWide;       ///< batched-gemv output pointers
 };
 
 /** Thread-local scratch shared by every conv layer on this thread. */
@@ -222,17 +205,6 @@ GemmScratch &gemmScratch();
  */
 void im2col(const float *in, int in_c, int ih, int iw, int k, int stride,
             int pad, int oh, int ow, util::AlignedF32 &col);
-
-/**
- * im2col into caller-owned storage with an arbitrary row stride
- * (@p row_stride >= oh*ow floats between consecutive matrix rows).
- * This is the wide-batch building block: each sample of a serving
- * chunk unrolls into the same [in_c*k*k x S*oh*ow] matrix at column
- * offset s*oh*ow, so one SGEMM covers the whole chunk. Tap values and
- * their in-row order are identical to im2col.
- */
-void im2colInto(const float *in, int in_c, int ih, int iw, int k, int stride,
-                int pad, int oh, int ow, float *col, std::size_t row_stride);
 
 /**
  * Inverse scatter-add of im2col: accumulate the col-space gradient

@@ -142,9 +142,8 @@ kernelRx8(int K, const APanel &a, const float *B, int ldb, float *c,
  * chain identical to one SIMD lane of kernelRx16/kernelRx8: every AVX2
  * column — vector or tail — computes fold(fma(a_k, b_kj, acc)) over k
  * ascending from zero. Per-element results therefore depend only on
- * (i, j, K), never on where the 16/8-column blocking lands, which is
- * what lets wide-batch GEMM concatenate sample columns at arbitrary
- * offsets and stay bit-identical to the per-sample products.
+ * (i, j, K), never on where the 16/8-column blocking lands, so any
+ * tile or block partition of a product is bit-identical to the whole.
  */
 inline void
 kernelScalarCols(int rows, int j0, int jmax, int K, const APanel &a,
@@ -609,9 +608,7 @@ namespace
 
 /**
  * One gemv row: 8-wide FMA accumulation, horizontal sum, bias, scalar
- * remainder. Shared by the single-sample and batched entry points so
- * both produce the exact same float chain per (row, sample) — that is
- * the batched path's bit-identity guarantee.
+ * remainder.
  */
 inline float
 gemvRowDotBias(const float *a, const float *x, int K, float bias)
@@ -641,60 +638,6 @@ avx2GemvBias(int M, int K, const float *A, const float *x, const float *bias,
     for (int i = 0; i < M; ++i)
         y[i] = gemvRowDotBias(A + static_cast<std::ptrdiff_t>(i) * K, x, K,
                               bias[i]);
-}
-
-void
-avx2GemvBiasBatch(int M, int K, const float *A, const float *bias,
-                  const float *const *xs, float *const *ys, int S)
-{
-    // Loop interchange + 4-sample interleave. The weight row is the
-    // outer loop so the matrix streams from memory once per *batch*
-    // instead of once per sample, and four samples share each loaded
-    // weight vector with four *independent* accumulator chains — the
-    // single-sample kernel is FMA-latency-bound (one serial chain), so
-    // the interleave is where the batched speedup actually comes from.
-    // Each sample's chain performs gemvRowDotBias's exact op sequence
-    // (same 8-wide fmadd fold, same horizontal sum, same scalar
-    // remainder), so per-element results are bit-identical to S calls
-    // of avx2GemvBias.
-    for (int i = 0; i < M; ++i) {
-        const float *a = A + static_cast<std::ptrdiff_t>(i) * K;
-        const float b = bias[i];
-        int s = 0;
-        for (; s + 4 <= S; s += 4) {
-            const float *x0 = xs[s], *x1 = xs[s + 1];
-            const float *x2 = xs[s + 2], *x3 = xs[s + 3];
-            __m256 acc0 = _mm256_setzero_ps();
-            __m256 acc1 = _mm256_setzero_ps();
-            __m256 acc2 = _mm256_setzero_ps();
-            __m256 acc3 = _mm256_setzero_ps();
-            int k = 0;
-            for (; k + 8 <= K; k += 8) {
-                const __m256 av = _mm256_loadu_ps(a + k);
-                acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(x0 + k), acc0);
-                acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(x1 + k), acc1);
-                acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(x2 + k), acc2);
-                acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(x3 + k), acc3);
-            }
-            auto finish = [&](__m256 acc, const float *x) {
-                __m128 lo = _mm256_castps256_ps128(acc);
-                __m128 hi = _mm256_extractf128_ps(acc, 1);
-                lo = _mm_add_ps(lo, hi);
-                lo = _mm_hadd_ps(lo, lo);
-                lo = _mm_hadd_ps(lo, lo);
-                float v = b + _mm_cvtss_f32(lo);
-                for (int t = k; t < K; ++t)
-                    v += a[t] * x[t];
-                return v;
-            };
-            ys[s][i] = finish(acc0, x0);
-            ys[s + 1][i] = finish(acc1, x1);
-            ys[s + 2][i] = finish(acc2, x2);
-            ys[s + 3][i] = finish(acc3, x3);
-        }
-        for (; s < S; ++s)
-            ys[s][i] = gemvRowDotBias(a, xs[s], K, b);
-    }
 }
 
 } // namespace ptolemy::nn::detail

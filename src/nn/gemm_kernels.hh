@@ -89,10 +89,7 @@ packedBLayout(int K, int N)
  * partition or where the 16/8-column blocking lands: every column
  * (vector lane or scalar tail) computes the same fold of
  * fma(a_k, b_kj, acc) over k ascending. Outputs are therefore
- * bit-identical across thread counts AND across column placement,
- * which is what lets the wide-batch forward concatenate per-sample
- * im2col columns at arbitrary offsets and reproduce the standalone
- * per-sample product exactly.
+ * bit-identical across thread counts AND across column placement.
  */
 void avx2GemmTile(int i0, int i1, int j0, int j1, int K,
                   const float *a_base, std::ptrdiff_t a_row_stride,
@@ -163,16 +160,6 @@ void avx2GemmNTRows(int i0, int i1, int N, int K, const float *A,
  */
 void avx2GemvBias(int M, int K, const float *A, const float *x,
                   const float *bias, float *y);
-
-/**
- * Batched gemv: ys[s][i] = bias[i] + dot(A row i, xs[s]) for S
- * samples, with the weight-row loop outermost so A streams from memory
- * once per batch instead of once per sample. Each (row, sample) cell
- * runs the exact avx2GemvBias row kernel — results are bit-identical
- * to S independent avx2GemvBias calls.
- */
-void avx2GemvBiasBatch(int M, int K, const float *A, const float *bias,
-                       const float *const *xs, float *const *ys, int S);
 
 #endif // PTOLEMY_HAVE_AVX2
 

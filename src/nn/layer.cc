@@ -49,20 +49,6 @@ Layer::forward(const std::vector<const Tensor *> &ins, bool train)
     return out;
 }
 
-void
-Layer::forwardBatchInto(std::span<const Tensor *const> ins,
-                        std::span<Tensor *const> outs) const
-{
-    // Reference implementation: per-sample forwardInto. The thread_local
-    // ins vector keeps a warmed-up call allocation-free.
-    thread_local std::vector<const Tensor *> one;
-    one.resize(1);
-    for (std::size_t s = 0; s < ins.size(); ++s) {
-        one[0] = ins[s];
-        forwardInto(one, *outs[s], /*train=*/false);
-    }
-}
-
 std::vector<Tensor>
 Layer::backward(const std::vector<const Tensor *> &ins,
                 const Tensor &grad_out)

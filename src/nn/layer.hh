@@ -30,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -144,31 +143,6 @@ class Layer
      */
     virtual void forwardInto(const std::vector<const Tensor *> &ins,
                              Tensor &out, bool train) const = 0;
-
-    /**
-     * True when this layer overrides forwardBatchInto with a genuinely
-     * batched implementation (one wide SGEMM / one weight stream for
-     * the whole sample set). Network::forwardBatchWide consults this
-     * per node; layers answering false run per sample.
-     */
-    virtual bool supportsBatchedForward() const { return false; }
-
-    /**
-     * Inference forward over @p S samples at once: ins[s] is sample s's
-     * input tensor, outs[s] its caller-owned output. Single-input
-     * layers only (numInputs() == 1). Const and state-free like
-     * forwardInto.
-     *
-     * Contract: outs[s] must be bit-identical to what
-     * forwardInto({ins[s]}, *outs[s], false) produces, for every s, at
-     * any batch size — batching is a throughput lever, never a numerics
-     * change. The default implementation just loops forwardInto;
-     * batched overrides (Conv2d's wide-im2col SGEMM, Linear's
-     * weight-streaming gemv) uphold the contract via the kernel-level
-     * bit-identity guarantees in gemm_kernels.hh.
-     */
-    virtual void forwardBatchInto(std::span<const Tensor *const> ins,
-                                  std::span<Tensor *const> outs) const;
 
     /**
      * Convenience wrapper around forwardInto() that allocates the output.

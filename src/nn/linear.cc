@@ -51,29 +51,6 @@ Linear::forwardInto(const std::vector<const Tensor *> &ins, Tensor &out,
 }
 
 void
-Linear::forwardBatchInto(std::span<const Tensor *const> ins,
-                         std::span<Tensor *const> outs) const
-{
-    const std::size_t S = ins.size();
-    if (S <= 1) {
-        Layer::forwardBatchInto(ins, outs);
-        return;
-    }
-    auto &scratch = gemmScratch();
-    scratch.xsWide.resize(S);
-    scratch.ysWide.resize(S);
-    for (std::size_t s = 0; s < S; ++s) {
-        assert(static_cast<int>(ins[s]->size()) == inN);
-        outs[s]->resize(flatShape(outN));
-        scratch.xsWide[s] = ins[s]->data();
-        scratch.ysWide[s] = outs[s]->data();
-    }
-    sgemvBiasBatch(outN, inN, servingWeights(), bias.data(),
-                   scratch.xsWide.data(), scratch.ysWide.data(),
-                   static_cast<int>(S));
-}
-
-void
 Linear::backwardInto(const std::vector<const Tensor *> &ins,
                      const Tensor &grad_out,
                      const std::vector<GradSink> &sinks,

@@ -26,16 +26,6 @@ class Linear : public Layer
     Shape outputShape(const std::vector<Shape> &ins) const override;
     void forwardInto(const std::vector<const Tensor *> &ins, Tensor &out,
                      bool train) const override;
-    bool supportsBatchedForward() const override { return true; }
-    /**
-     * Batched forward via sgemvBiasBatch: the weight matrix streams
-     * from memory once per chunk instead of once per sample (for wide
-     * fc layers the weight stream dominates single-sample latency).
-     * Each (row, sample) cell runs the exact sgemvBias row kernel, so
-     * outputs are bit-identical to S forwardInto calls.
-     */
-    void forwardBatchInto(std::span<const Tensor *const> ins,
-                          std::span<Tensor *const> outs) const override;
     void backwardInto(const std::vector<const Tensor *> &ins,
                       const Tensor &grad_out,
                       const std::vector<GradSink> &sinks,

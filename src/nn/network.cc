@@ -139,77 +139,6 @@ Network::forwardBatch(std::span<const Tensor *const> xs,
         inferInto(*xs[i], recs[i]);
 }
 
-void
-Network::forwardBatchWide(const std::vector<Tensor> &xs,
-                          std::vector<Record> &recs, ThreadPool *pool) const
-{
-    thread_local std::vector<const Tensor *> ptrs;
-    ptrs.clear();
-    for (const Tensor &x : xs)
-        ptrs.push_back(&x);
-    forwardBatchWide(std::span<const Tensor *const>(ptrs.data(), ptrs.size()),
-                     recs, pool);
-}
-
-void
-Network::forwardBatchWide(std::span<const Tensor *const> xs,
-                          std::vector<Record> &recs, ThreadPool *pool) const
-{
-    const std::size_t S = xs.size();
-    // Grow-only: a short tail chunk must not destroy the warm Records
-    // a full chunk built up (steady-state serving allocates nothing).
-    // Only recs[0..S) are written this call.
-    if (recs.size() < S)
-        recs.resize(S);
-    if (S == 1) {
-        inferInto(*xs[0], recs[0]);
-        return;
-    }
-    if (S == 0)
-        return;
-    for (std::size_t s = 0; s < S; ++s) {
-        assert(xs[s]->shape() == inShape);
-        recs[s].input = *xs[s]; // copy-assign reuses the record's buffer
-        recs[s].outputs.resize(nodes.size());
-    }
-    // Layer-major sweep: node by node, whole batch per node. All views
-    // into the records are resolved per node; thread-local scratch
-    // keeps a warmed-up loop allocation-free.
-    thread_local std::vector<const Tensor *> ins_wide;
-    thread_local std::vector<Tensor *> outs_wide;
-    for (std::size_t id = 0; id < nodes.size(); ++id) {
-        const auto &n = nodes[id];
-        if (n.layer->supportsBatchedForward() && n.inputs.size() == 1) {
-            const int in_id = n.inputs[0];
-            ins_wide.clear();
-            outs_wide.clear();
-            for (std::size_t s = 0; s < S; ++s) {
-                ins_wide.push_back(in_id < 0 ? &recs[s].input
-                                             : &recs[s].outputs[in_id]);
-                outs_wide.push_back(&recs[s].outputs[id]);
-            }
-            n.layer->forwardBatchInto(
-                std::span<const Tensor *const>(ins_wide.data(), S),
-                std::span<Tensor *const>(outs_wide.data(), S));
-            continue;
-        }
-        auto run_one = [&](std::size_t s) {
-            thread_local std::vector<const Tensor *> ins;
-            ins.clear();
-            for (int in_id : n.inputs)
-                ins.push_back(in_id < 0 ? &recs[s].input
-                                        : &recs[s].outputs[in_id]);
-            n.layer->forwardInto(ins, recs[s].outputs[id], false);
-        };
-        if (pool && pool->size() > 1) {
-            pool->parallelFor(S, run_one);
-        } else {
-            for (std::size_t s = 0; s < S; ++s)
-                run_one(s);
-        }
-    }
-}
-
 const Tensor &
 Network::backward(const Record &rec, const Tensor &grad_logits)
 {

@@ -192,34 +192,6 @@ class Network
                       ThreadPool *pool = nullptr) const;
 
     /**
-     * Layer-major ("wide") batched inference: instead of running each
-     * sample through the whole graph independently, every node runs
-     * over the whole batch before the next node starts. Layers that
-     * answer supportsBatchedForward() — conv and linear, the arithmetic
-     * bulk — process the batch in one wide SGEMM / one weight stream
-     * (see their forwardBatchInto contracts); the rest loop per sample
-     * (fanned out on @p pool when provided).
-     *
-     * Every Record is a full record, bit-identical to what
-     * forwardBatch/inferInto produce for the same sample at any batch
-     * size, chunking, or thread count — wide mode is a throughput
-     * lever, never a numerics change. Inference-only (train=false
-     * semantics); records may still be handed to backward().
-     *
-     * Unlike forwardBatch, @p recs is grown but never shrunk (only the
-     * first xs.size() records are written), so a chunked serving loop
-     * with a short tail keeps its warm record buffers.
-     */
-    void forwardBatchWide(std::span<const Tensor *const> xs,
-                          std::vector<Record> &recs,
-                          ThreadPool *pool = nullptr) const;
-
-    /** As above, over owned tensors. */
-    void forwardBatchWide(const std::vector<Tensor> &xs,
-                          std::vector<Record> &recs,
-                          ThreadPool *pool = nullptr) const;
-
-    /**
      * Back-propagate from the logits of a recorded pass.
      * @param rec the record produced by the matching forward pass on
      *        this network; throws std::logic_error if it does not cover

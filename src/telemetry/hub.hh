@@ -6,8 +6,8 @@
  * A million-user deployment has to watch its own score and path-bit
  * distributions without keeping per-request state. The hub holds one
  * WindowStats shard per pool slot; the serving hot path
- * (DetectorSession::finishDetect) ingests each Decision into the shard
- * of the executing slot — integer counter updates only, no locks, no
+ * (DetectorSession::detect/detectBatch) ingests each Decision into the
+ * shard of the executing slot — integer counter updates only, no locks, no
  * allocation. Sealing a window merges the shards in fixed slot order
  * into a preallocated ring of sealed windows, evaluates drift against
  * the reference profile, and resets the shards; steady state performs

@@ -20,8 +20,9 @@ unsigned g_applied = 0;
 
 /** The only knobs a tuning file may set (see header). */
 const char *const kKnobs[] = {
-    "PTOLEMY_NUM_THREADS", "PTOLEMY_SIMD", "PTOLEMY_WIDE_BATCH",
-    "PTOLEMY_WIDE_CHUNK",  "PTOLEMY_PREPACK",
+    "PTOLEMY_NUM_THREADS",
+    "PTOLEMY_SIMD",
+    "PTOLEMY_PREPACK",
 };
 
 bool

@@ -2,15 +2,17 @@
  * @file
  * Serving-API tests for the Engine/Session split: batched-vs-sequential
  * Decision bit-identity across thread counts, concurrent sessions over
- * one shared DetectorModel, allocation-free session steady state, and
- * the DetectorModel save/load round trip.
+ * one shared DetectorModel, allocation-free session steady state, the
+ * fail-safe adversarial cut, and the DetectorModel save/load round trip.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <thread>
@@ -259,6 +261,23 @@ TEST(DetectorApi, EmptyBatchIsANoOp)
     std::vector<Decision> out(3);
     sess.detectBatch(xs, out);
     EXPECT_TRUE(out.empty());
+}
+
+TEST(DetectorApi, AdversarialCutIsFailSafeOnNonFiniteScores)
+{
+    // One cut for every Decision site (session, functional simulator,
+    // fault campaign): non-finite scores are adversarial, finite ones
+    // split exactly at 0.5.
+    const auto &model = fittedModel();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(model.isAdversarial(nan));
+    EXPECT_TRUE(model.isAdversarial(inf));
+    EXPECT_TRUE(model.isAdversarial(-inf));
+    EXPECT_TRUE(model.isAdversarial(0.5));
+    EXPECT_FALSE(model.isAdversarial(std::nextafter(0.5, 0.0)));
+    EXPECT_FALSE(model.isAdversarial(0.0));
+    EXPECT_TRUE(model.isAdversarial(1.0));
 }
 
 TEST(DetectorApi, MismatchedSpanLengthsAreRejected)

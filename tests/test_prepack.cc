@@ -269,50 +269,6 @@ TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
     }
 }
 
-TEST(Prepack, FusedConvBatchForwardBitIdenticalPerSample)
-{
-    // The batched entry point routes through the fused per-sample path
-    // when packing is engaged; every sample must equal its standalone
-    // forward exactly.
-    if (!avx2Available())
-        GTEST_SKIP() << "fused packed forward is AVX2-only";
-    SimdModeGuard mode_guard;
-    GemmPoolGuard pool_guard;
-    PrepackGuard prepack_guard;
-    gemmPool() = nullptr;
-    simdMode() = SimdMode::Avx2;
-    prepackEnabled() = true;
-    Rng rng(45);
-
-    Conv2d conv("c", 3, 16, 3, 1, 1);
-    fillRandom(conv.weights(), rng);
-    fillRandom(conv.biases(), rng);
-    conv.prepackWeights();
-
-    constexpr int S = 5;
-    std::vector<Tensor> xs;
-    for (int s = 0; s < S; ++s)
-        xs.push_back(randomTensor(mapShape(3, 8, 8), rng));
-    std::vector<const Tensor *> ins;
-    std::vector<Tensor> outs(S);
-    std::vector<Tensor *> out_ptrs;
-    for (int s = 0; s < S; ++s) {
-        ins.push_back(&xs[s]);
-        conv.forwardInto({&xs[s]}, outs[s], false); // pre-size
-        out_ptrs.push_back(&outs[s]);
-    }
-    std::vector<Tensor> refs(S);
-    for (int s = 0; s < S; ++s)
-        conv.forwardInto({&xs[s]}, refs[s], false);
-
-    conv.forwardBatchInto(std::span<const Tensor *const>(ins),
-                          std::span<Tensor *const>(out_ptrs));
-    for (int s = 0; s < S; ++s)
-        ASSERT_EQ(0, std::memcmp(outs[s].data(), refs[s].data(),
-                                 refs[s].size() * sizeof(float)))
-            << "sample " << s;
-}
-
 TEST(Prepack, InlineAndPooledSchedulingBitIdentical)
 {
     // The inline-below-cutoff dispatch is scheduling only: forcing the

@@ -3,29 +3,23 @@
  * Bit-identity tests for the single-core fast-path kernels: AVX2 vs
  * scalar BitVector popcount family (unaligned ranges, widths that are
  * not lane multiples, degenerate all-zero/all-ones words), AVX2 vs
- * scalar partial-sum construction and ranked-argmax selection, the
- * batched gemv against its per-sample reference, and the wide-batch
- * layer-major forward against per-sample inference across chunk sizes,
- * thread counts and SIMD modes. Everything here asserts exact equality:
- * the fast paths are drop-in replacements, not approximations.
+ * scalar partial-sum construction and ranked-argmax selection.
+ * Everything here asserts exact equality: the fast paths are drop-in
+ * replacements, not approximations.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "common/test_models.hh"
-#include "core/detector_model.hh"
-#include "core/detector_session.hh"
 #include "nn/conv.hh"
-#include "nn/gemm.hh"
 #include "nn/linear.hh"
 #include "nn/network.hh"
 #include "path/extractor.hh"
 #include "util/bitvector.hh"
 #include "util/rng.hh"
-#include "util/thread_pool.hh"
+#include "util/simd.hh"
 
 namespace ptolemy
 {
@@ -103,57 +97,6 @@ TEST(BitVectorSimd, RangeKernelsMatchScalarOnUnalignedRanges)
             << "[" << lo << ", " << hi << ")";
         EXPECT_EQ(a.andPopcountRange(b, lo, hi), and_s)
             << "[" << lo << ", " << hi << ")";
-    }
-}
-
-TEST(SgemvBiasBatch, BitIdenticalToPerSampleAcrossLaneRemainders)
-{
-    SimdModeGuard guard;
-    Rng rng(0x6E3);
-    // S sweeps the 4-sample interleave plus remainder lanes; K sweeps
-    // the 8-wide FMA blocking remainders.
-    const int Ms[] = {1, 3, 10, 64};
-    const int Ks[] = {1, 7, 8, 9, 33, 2048};
-    std::vector<SimdMode> modes = {SimdMode::Scalar};
-    if (avx2Available())
-        modes.push_back(SimdMode::Avx2);
-    for (SimdMode mode : modes) {
-        simdMode() = mode;
-        for (int M : Ms) {
-            for (int K : Ks) {
-                std::vector<float> A(static_cast<std::size_t>(M) * K);
-                std::vector<float> b(static_cast<std::size_t>(M));
-                for (auto &v : A)
-                    v = static_cast<float>(rng.uniform(-1.0, 1.0));
-                for (auto &v : b)
-                    v = static_cast<float>(rng.uniform(-1.0, 1.0));
-                for (std::size_t S : {1u, 2u, 3u, 4u, 5u, 9u}) {
-                    std::vector<std::vector<float>> xs(S), ys(S), ref(S);
-                    std::vector<const float *> xp(S);
-                    std::vector<float *> yp(S);
-                    for (std::size_t s = 0; s < S; ++s) {
-                        xs[s].resize(static_cast<std::size_t>(K));
-                        for (auto &v : xs[s])
-                            v = static_cast<float>(rng.uniform(-1.0, 1.0));
-                        ys[s].assign(static_cast<std::size_t>(M), -9.0f);
-                        ref[s].assign(static_cast<std::size_t>(M), -9.0f);
-                        xp[s] = xs[s].data();
-                        yp[s] = ys[s].data();
-                        nn::sgemvBias(M, K, A.data(), xs[s].data(),
-                                      b.data(), ref[s].data());
-                    }
-                    nn::sgemvBiasBatch(M, K, A.data(), b.data(), xp.data(),
-                                       yp.data(), S);
-                    for (std::size_t s = 0; s < S; ++s)
-                        ASSERT_EQ(0, std::memcmp(ys[s].data(),
-                                                 ref[s].data(),
-                                                 ys[s].size() *
-                                                     sizeof(float)))
-                            << "mode=" << simdModeName() << " M=" << M
-                            << " K=" << K << " S=" << S << " s=" << s;
-                }
-            }
-        }
     }
 }
 
@@ -254,122 +197,6 @@ TEST(ExtractionSimd, PathBitsInvariantAcrossSelectionAndSimdModes)
                 << label[i] << " vs " << label[0] << " theta=" << theta;
             EXPECT_EQ(got[i].andPopcount(got[0]), got[0].popcount())
                 << label[i] << " vs " << label[0] << " theta=" << theta;
-        }
-    }
-}
-
-TEST(ForwardBatchWide, BitIdenticalToPerSampleAcrossChunksAndThreads)
-{
-    SimdModeGuard guard;
-    auto &w = testing::world();
-    std::vector<const nn::Tensor *> xs;
-    for (std::size_t i = 0; i < 64; ++i)
-        xs.push_back(&w.dataset.test[i % w.dataset.test.size()].input);
-
-    std::vector<SimdMode> modes = {SimdMode::Scalar};
-    if (avx2Available())
-        modes.push_back(SimdMode::Avx2);
-    for (SimdMode mode : modes) {
-        simdMode() = mode;
-        // Per-sample reference records under the same SIMD mode (the
-        // wide path promises identity to *this mode's* per-sample
-        // forward, not across modes — GEMM accumulation orders differ).
-        std::vector<nn::Network::Record> ref(64);
-        for (std::size_t i = 0; i < 64; ++i)
-            w.net.inferInto(*xs[i], ref[i]);
-        for (std::size_t chunk : {1u, 2u, 64u}) {
-            for (unsigned threads : {1u, 2u, 8u}) {
-                ThreadPool pool(threads);
-                std::vector<nn::Network::Record> recs;
-                for (std::size_t base = 0; base < 64; base += chunk) {
-                    const std::size_t n = std::min<std::size_t>(
-                        chunk, 64 - base);
-                    const std::span<const nn::Tensor *const> span(
-                        xs.data() + base, n);
-                    w.net.forwardBatchWide(span, recs, &pool);
-                    for (std::size_t i = 0; i < n; ++i) {
-                        const auto &got = recs[i].outputs;
-                        const auto &want = ref[base + i].outputs;
-                        ASSERT_EQ(got.size(), want.size());
-                        for (std::size_t l = 0; l < got.size(); ++l) {
-                            ASSERT_EQ(got[l].size(), want[l].size());
-                            ASSERT_EQ(0,
-                                      std::memcmp(got[l].data(),
-                                                  want[l].data(),
-                                                  got[l].size() *
-                                                      sizeof(float)))
-                                << "mode=" << simdModeName()
-                                << " chunk=" << chunk
-                                << " threads=" << threads << " sample "
-                                << base + i << " layer " << l;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-TEST(DetectorSessionWide, DecisionsMatchFusedAcrossChunkSizes)
-{
-    auto &w = testing::world();
-    static const core::DetectorModel model = [&] {
-        core::DetectorBuilder bld(
-            w.net,
-            path::ExtractionConfig::bwCu(
-                static_cast<int>(w.net.weightedNodes().size()), 0.5),
-            10);
-        bld.profileClassPaths(w.dataset.train, 20);
-        Rng rng(0x51AB);
-        std::vector<nn::Tensor> clean, noisy;
-        for (std::size_t i = 0; i < 16; ++i) {
-            const auto &s = w.dataset.test[i];
-            clean.push_back(s.input);
-            nn::Tensor x = s.input;
-            for (std::size_t e = 0; e < x.size(); ++e)
-                x[e] += static_cast<float>(rng.uniform(-0.1, 0.1));
-            noisy.push_back(std::move(x));
-        }
-        classify::FeatureMatrix benign, adversarial;
-        bld.featuresBatch(clean, benign);
-        bld.featuresBatch(noisy, adversarial);
-        bld.fitClassifier(benign, adversarial);
-        return std::move(bld).build();
-    }();
-
-    std::vector<nn::Tensor> xs;
-    for (std::size_t i = 0; i < 13; ++i)
-        xs.push_back(w.dataset.test[i].input);
-
-    core::DetectorSession sess(model);
-    sess.setWideBatch(false);
-    std::vector<core::Decision> fused;
-    sess.detectBatch(xs, fused);
-
-    for (std::size_t chunk : {1u, 2u, 5u, 64u}) {
-        for (unsigned threads : {1u, 2u}) {
-            ThreadPool pool(threads);
-            core::DetectorSession wide_sess(model);
-            wide_sess.setWideBatch(true);
-            wide_sess.setWideChunk(chunk);
-            std::vector<core::Decision> out;
-            wide_sess.detectBatch(xs, out, &pool);
-            ASSERT_EQ(out.size(), fused.size());
-            for (std::size_t i = 0; i < out.size(); ++i) {
-                EXPECT_EQ(out[i].predictedClass, fused[i].predictedClass);
-                EXPECT_EQ(out[i].adversarial, fused[i].adversarial);
-                EXPECT_EQ(out[i].score, fused[i].score)
-                    << "chunk=" << chunk << " threads=" << threads
-                    << " sample " << i;
-                EXPECT_EQ(out[i].features.overall,
-                          fused[i].features.overall);
-                ASSERT_EQ(out[i].features.perLayer.size(),
-                          fused[i].features.perLayer.size());
-                for (std::size_t l = 0;
-                     l < out[i].features.perLayer.size(); ++l)
-                    EXPECT_EQ(out[i].features.perLayer[l],
-                              fused[i].features.perLayer[l]);
-            }
         }
     }
 }

@@ -52,40 +52,48 @@ writeFile(const std::string &path, const std::string &text)
 
 TEST(Tuning, PicksFileAppliesOnlyUnsetKnownKnobs)
 {
-    EnvGuard g1("PTOLEMY_WIDE_CHUNK"), g2("PTOLEMY_PREPACK"),
-        g3("PTOLEMY_SIMD"), g4("PTOLEMY_EVIL_INJECTION");
+    // A knob older bench_sweep.py picks files carry but the whitelist
+    // retired with the layer-major forward. Assembled from parts so the
+    // retired name never appears in the tree as if it were live.
+    const std::string retired = std::string("PTOLEMY_") + "WIDE_CHUNK";
+    EnvGuard g1("PTOLEMY_NUM_THREADS"), g2("PTOLEMY_PREPACK"),
+        g3("PTOLEMY_SIMD"), g4("PTOLEMY_EVIL_INJECTION"),
+        g5(retired.c_str());
     ::setenv("PTOLEMY_PREPACK", "1", 1); // explicitly pinned: must win
 
     const std::string path = "tuning_picks_test.json";
     // Shape matches tools/bench_sweep.py output: string AND bare-number
-    // values, plus a knob the whitelist must refuse.
+    // values, plus knobs the whitelist must refuse.
     writeFile(path, R"({
   "select_key": "detect.batch_per_sec",
   "picked_env": {
-    "PTOLEMY_WIDE_CHUNK": 48,
+    "PTOLEMY_NUM_THREADS": 3,
     "PTOLEMY_PREPACK": "0",
     "PTOLEMY_SIMD": "scalar",
+    ")" + retired + R"(": 48,
     "PTOLEMY_EVIL_INJECTION": "1"
   },
-  "picked_knobs": {"threads": 1}
+  "picked_knobs": {"threads": 3}
 })");
 
     const unsigned applied = ptolemy::applyTuningFile(path.c_str());
-    EXPECT_EQ(applied, 2u) << "WIDE_CHUNK + SIMD (PREPACK was pinned, "
-                              "EVIL is not a knob)";
-    ASSERT_NE(std::getenv("PTOLEMY_WIDE_CHUNK"), nullptr);
-    EXPECT_STREQ(std::getenv("PTOLEMY_WIDE_CHUNK"), "48");
+    EXPECT_EQ(applied, 2u) << "NUM_THREADS + SIMD (PREPACK was pinned, "
+                              "EVIL and the retired knob are not knobs)";
+    ASSERT_NE(std::getenv("PTOLEMY_NUM_THREADS"), nullptr);
+    EXPECT_STREQ(std::getenv("PTOLEMY_NUM_THREADS"), "3");
     EXPECT_STREQ(std::getenv("PTOLEMY_SIMD"), "scalar");
     EXPECT_STREQ(std::getenv("PTOLEMY_PREPACK"), "1")
         << "explicit environment must beat the tuning file";
     EXPECT_EQ(std::getenv("PTOLEMY_EVIL_INJECTION"), nullptr)
         << "a tuning file must never inject arbitrary environment";
+    EXPECT_EQ(std::getenv(retired.c_str()), nullptr)
+        << "a retired knob from an old picks file must not be injected";
     std::remove(path.c_str());
 }
 
 TEST(Tuning, MalformedAndMissingFilesAreIgnored)
 {
-    EnvGuard g1("PTOLEMY_WIDE_CHUNK");
+    EnvGuard g1("PTOLEMY_NUM_THREADS");
     EXPECT_EQ(ptolemy::applyTuningFile("tuning_no_such_file.json"), 0u);
 
     const std::string path = "tuning_bad_test.json";
@@ -93,9 +101,9 @@ TEST(Tuning, MalformedAndMissingFilesAreIgnored)
     EXPECT_EQ(ptolemy::applyTuningFile(path.c_str()), 0u);
     writeFile(path, "not json at all");
     EXPECT_EQ(ptolemy::applyTuningFile(path.c_str()), 0u);
-    writeFile(path, "{\"picked_env\": {\"PTOLEMY_WIDE_CHUNK\": }");
+    writeFile(path, "{\"picked_env\": {\"PTOLEMY_NUM_THREADS\": }");
     EXPECT_EQ(ptolemy::applyTuningFile(path.c_str()), 0u);
-    EXPECT_EQ(std::getenv("PTOLEMY_WIDE_CHUNK"), nullptr);
+    EXPECT_EQ(std::getenv("PTOLEMY_NUM_THREADS"), nullptr);
     std::remove(path.c_str());
 }
 

@@ -59,11 +59,8 @@ RATIO_MARKERS = ("speedup", "avx2_vs_scalar")
 
 # Ratios that compare two near-equal schedules and jitter with cache
 # state; they are reported but gated only as absolutes (warn-only in
-# CI).  wide-vs-fused in particular is expected to hover around 1.0 on
-# a single core, where the fused pipeline's cache locality offsets the
-# wide path's batched GEMMs.
+# CI).
 INFORMATIONAL_RATIOS = (
-    "detect.wide_speedup_vs_fused",
     "detect.batch_speedup_vs_single_stream",
     "train.speedup_vs_1thread",
     # Packed-vs-per-call forward on the small serving probe: the two

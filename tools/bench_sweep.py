@@ -2,10 +2,9 @@
 """Sweep the compute-core knobs over perf_smoke and pick defaults.
 
 Runs the perf_smoke binary once per point of a small knob grid --
-thread count (PTOLEMY_NUM_THREADS), SIMD mode (PTOLEMY_SIMD), the
-wide-batch serving chunk (PTOLEMY_WIDE_CHUNK) and the persistent
-packed-weight path (PTOLEMY_PREPACK) -- parses each run's
-BENCH_micro.json, and emits:
+thread count (PTOLEMY_NUM_THREADS), SIMD mode (PTOLEMY_SIMD) and the
+persistent packed-weight path (PTOLEMY_PREPACK), 12 points in full --
+parses each run's BENCH_micro.json, and emits:
 
 * a Markdown summary table (one row per grid point, ranked by the
   selection metric) for humans and CI artifacts, and
@@ -46,7 +45,6 @@ import tempfile
 SELECT_KEY = "detect.batch_per_sec"
 REPORT_KEYS = (
     SELECT_KEY,
-    "detect.wide_batch_per_sec",
     "detect.forward_us_per_detect",
     "conv_fwd.gemm_gflops",
     "conv_fwd.prepack_speedup",
@@ -69,18 +67,15 @@ def grid_points(smoke):
     if smoke:
         threads = [None]
         simd = [None, "scalar"]
-        chunks = [None]
         prepack = ["1", "0"]
     else:
         threads = ["1", "2", "4"]
         simd = [None, "scalar"]
-        chunks = ["32", "64", "128"]
         prepack = ["1", "0"]
-    for t, s, c, p in itertools.product(threads, simd, chunks, prepack):
+    for t, s, p in itertools.product(threads, simd, prepack):
         yield {
             "PTOLEMY_NUM_THREADS": t,
             "PTOLEMY_SIMD": s,
-            "PTOLEMY_WIDE_CHUNK": c,
             "PTOLEMY_PREPACK": p,
         }
 
@@ -90,7 +85,6 @@ def shown(knobs):
     return {
         "threads": knobs["PTOLEMY_NUM_THREADS"] or "auto",
         "simd": knobs["PTOLEMY_SIMD"] or "avx2",
-        "wide_chunk": knobs["PTOLEMY_WIDE_CHUNK"] or "64",
         "prepack": knobs["PTOLEMY_PREPACK"],
     }
 
@@ -131,7 +125,7 @@ def fmt(v):
 
 
 def write_markdown(path, rows, pick, smoke, min_time):
-    cols = ["threads", "simd", "wide_chunk", "prepack"]
+    cols = ["threads", "simd", "prepack"]
     metrics = [k.split(".", 1)[1] for k in REPORT_KEYS]
     with open(path, "w") as fh:
         fh.write("# perf_smoke knob sweep\n\n")
@@ -214,8 +208,7 @@ def main(argv):
           f"best {SELECT_KEY} = "
           f"{fmt(pick['metrics'].get(SELECT_KEY))} with "
           + ", ".join(f"{c}={pick['knobs'][c]}"
-                      for c in ("threads", "simd", "wide_chunk",
-                                "prepack")))
+                      for c in ("threads", "simd", "prepack")))
     return 1 if failures else 0
 
 

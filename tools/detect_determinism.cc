@@ -144,25 +144,10 @@ main()
 
     core::DetectorSession sess(model);
     std::vector<core::Decision> batch;
-    sess.setWideBatch(true);
-    sess.detectBatch(inputs, batch); // process-wide pool, wide forward
+    sess.detectBatch(inputs, batch); // process-wide pool
     std::uint64_t h = 0xcbf29ce484222325ull;
     h = hashDecisions(h, batch);
     const std::uint64_t batch_hash = h;
-
-    // Wide-vs-per-sample cross-check: the fused reference path must
-    // produce identical Decisions (the wide forward's bit-identity
-    // contract), checked in-process so a violation fails this run
-    // directly instead of relying on the CI hash diff.
-    std::vector<core::Decision> fused;
-    sess.setWideBatch(false);
-    sess.detectBatch(inputs, fused);
-    std::uint64_t wide_ok = 1;
-    std::uint64_t fh = 0xcbf29ce484222325ull;
-    if (hashDecisions(fh, fused) != batch_hash)
-        wide_ok = 0;
-    sess.setWideBatch(true);
-    h = fnv1a(h, &wide_ok, sizeof(wide_ok));
 
     // Sequential pass through the same session.
     std::vector<core::Decision> serial;
@@ -190,21 +175,15 @@ main()
     std::remove(path);
     h = fnv1a(h, &roundtrip_ok, sizeof(roundtrip_ok));
 
-    std::printf("threads=%u roundtrip=%llu wide=%llu batch_hash=%016llx "
+    std::printf("threads=%u roundtrip=%llu batch_hash=%016llx "
                 "full_hash=%016llx\n",
                 globalPool().size(),
                 static_cast<unsigned long long>(roundtrip_ok),
-                static_cast<unsigned long long>(wide_ok),
                 static_cast<unsigned long long>(batch_hash),
                 static_cast<unsigned long long>(h));
     if (!roundtrip_ok) {
         std::fprintf(stderr,
                      "FAIL: DetectorModel save->load round trip broke\n");
-        return 1;
-    }
-    if (!wide_ok) {
-        std::fprintf(stderr, "FAIL: wide-batch Decisions diverge from the "
-                             "fused per-sample path\n");
         return 1;
     }
     return 0;
