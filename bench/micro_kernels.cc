@@ -1,13 +1,17 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the hot kernels: path bit-vector
- * ops (the online similarity computation), important-neuron extraction,
- * random-forest classification and the cycle-level simulator itself.
+ * ops (the online similarity computation), important-neuron extraction
+ * and its per-row ranked-prefix selection, random-forest classification
+ * and the cycle-level simulator itself.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "classify/random_forest.hh"
 #include "compiler/compiler.hh"
@@ -17,6 +21,7 @@
 #include "nn/init.hh"
 #include "nn/linear.hh"
 #include "path/extractor.hh"
+#include "path/prefix_select.hh"
 #include "util/bitvector.hh"
 #include "util/rng.hh"
 
@@ -113,6 +118,47 @@ BM_BackwardCumulativeExtraction(benchmark::State &state)
         benchmark::DoNotOptimize(ex.extract(rec));
 }
 BENCHMARK(BM_BackwardCumulativeExtraction)->Arg(1)->Arg(5)->Arg(9);
+
+/**
+ * Ranked-prefix selection of one partial-sum row: row length n (27, 144
+ * and 288 are 3x3 conv receptive fields at 3, 16 and 32 input channels;
+ * 2048 an fc row) x prefix length k (capped at n). The target is the
+ * exact sum of the k largest values, so the selection stops at the k-th
+ * pick; k = 32 is the last all-pass prefix, k = 64 runs into the pivot
+ * blocks. Each iteration also restores the row the selection clobbers.
+ */
+void
+BM_PrefixSelect(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto k = std::min(n, static_cast<std::size_t>(state.range(1)));
+    Rng rng(11 + n);
+    nn::PsumRow pristine;
+    for (std::size_t i = 0; i < n; ++i)
+        pristine.push(static_cast<std::uint32_t>(i),
+                      static_cast<float>(rng.uniform()));
+    std::vector<float> ranked = pristine.value;
+    std::sort(ranked.begin(), ranked.end(), std::greater<float>());
+    double target = 0.0;
+    for (std::size_t i = 0; i < k; ++i)
+        target += ranked[i];
+
+    nn::PsumRow row = pristine;
+    path::PrefixScratch scratch;
+    std::vector<std::size_t> selected;
+    for (auto _ : state) {
+        std::copy(pristine.value.begin(), pristine.value.end(),
+                  row.value.begin());
+        selected.clear();
+        path::prefixSelect(row, target, path::PrefixMass::Signed, scratch,
+                           selected);
+        benchmark::DoNotOptimize(selected.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["k"] = static_cast<double>(selected.size());
+    state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
+}
+BENCHMARK(BM_PrefixSelect)->ArgsProduct({{27, 144, 288, 2048}, {1, 4, 32, 64}});
 
 void
 BM_ForwardAbsoluteExtraction(benchmark::State &state)

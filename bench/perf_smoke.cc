@@ -289,8 +289,8 @@ benchExtraction(double min_time)
     ExtractBenchResult r;
     r.numSamples = kSamples;
 
-    // New strategy: persistent workspace + reused BitVector + heap-prefix
-    // selection.
+    // New strategy: persistent workspace + reused BitVector + ranked-
+    // prefix selection.
     path::ExtractionWorkspace ws;
     BitVector bits;
     std::size_t cursor = 0;

@@ -34,8 +34,8 @@ runFunctional(const isa::Program &prog, const core::DetectorModel &model,
 
     // Detection scratch, reused across the batch. The reference
     // full-sort selection is deliberately a *different* code path than
-    // the branchless argmax scan DetectorSession uses — both pick the
-    // identical ranked prefix, so agreement here is a genuine
+    // the max/pivot prefix selection DetectorSession uses — both pick
+    // the identical ranked prefix, so agreement here is a genuine
     // cross-check rather than the same code run twice.
     path::ExtractionWorkspace ws;
     ws.referenceSort = true;

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "nn/gemm.hh"
+#include "nn/psum_kernels.hh"
 
 namespace ptolemy::nn
 {
@@ -243,11 +244,9 @@ Conv2d::params()
 }
 
 void
-Conv2d::partialSums(const Tensor &input, std::size_t out_index,
-                    std::vector<PartialSum> &out) const
+Conv2d::partialSums(const Tensor &input, std::size_t out_index, PsumRow &out,
+                    const std::uint32_t *rf_offsets) const
 {
-    out.clear();
-    out.reserve(receptiveFieldSize());
     const int ih = input.shape().h, iw = input.shape().w;
     const int oh = (ih + 2 * padding - kSize) / strd + 1;
     const int ow = (iw + 2 * padding - kSize) / strd + 1;
@@ -260,32 +259,34 @@ Conv2d::partialSums(const Tensor &input, std::size_t out_index,
     const int iy0 = oy * strd - padding;
     const int ix0 = ox * strd - padding;
 
-    if (iy0 >= 0 && ix0 >= 0 && iy0 + kSize <= ih && ix0 + kSize <= iw) {
-        // Interior neuron: the whole receptive field is in-image, so
-        // the per-tap bounds checks vanish and every tap emits. Same
-        // (ic, ky, kx) emission order and the same single-rounding
-        // products as the general loop below.
-        out.resize(static_cast<std::size_t>(inC) * kSize * kSize);
-        const float *w = &weight[(static_cast<std::size_t>(oc) * inC) *
-                                 kSize * kSize];
+    if (rf_offsets && iy0 >= 0 && ix0 >= 0 && iy0 + kSize <= ih &&
+        ix0 + kSize <= iw) {
+        // Interior neuron: the whole receptive field is in-image, so the
+        // row is the weight row times the input gathered at base +
+        // offset — the same taps, order and single-rounding products as
+        // the clipped loop below.
+        const std::size_t n = receptiveFieldSize();
+        out.resize(n);
+        const float *w = &weight[static_cast<std::size_t>(oc) * n];
+        const auto base =
+            static_cast<std::uint32_t>(static_cast<std::size_t>(iy0) * iw +
+                                       static_cast<std::size_t>(ix0));
+#ifdef PTOLEMY_HAVE_AVX2
+        if (simdMode() == SimdMode::Avx2) {
+            detail::avx2GatherProducts(w, input.data(), base, rf_offsets, n,
+                                       out.value.data(), out.index.data());
+            return;
+        }
+#endif
         const float *in = input.data();
-        PartialSum *dst = out.data();
-        for (int ic = 0; ic < inC; ++ic) {
-            const std::size_t plane0 =
-                (static_cast<std::size_t>(ic) * ih + iy0) * iw + ix0;
-            for (int ky = 0; ky < kSize; ++ky) {
-                const float *row = in + plane0 + static_cast<std::size_t>(ky) * iw;
-                const std::uint32_t idx0 =
-                    static_cast<std::uint32_t>(plane0 + static_cast<std::size_t>(ky) * iw);
-                for (int kx = 0; kx < kSize; ++kx)
-                    *dst++ = {idx0 + static_cast<std::uint32_t>(kx),
-                              w[kx] * row[kx]};
-                w += kSize;
-            }
+        for (std::size_t j = 0; j < n; ++j) {
+            out.index[j] = base + rf_offsets[j];
+            out.value[j] = w[j] * in[out.index[j]];
         }
         return;
     }
 
+    out.clear();
     for (int ic = 0; ic < inC; ++ic) {
         for (int ky = 0; ky < kSize; ++ky) {
             const int iy = iy0 + ky;
@@ -295,12 +296,24 @@ Conv2d::partialSums(const Tensor &input, std::size_t out_index,
                 const int ix = ix0 + kx;
                 if (ix < 0 || ix >= iw)
                     continue;
-                const float v = wAt(oc, ic, ky, kx) * input.at(ic, iy, ix);
-                out.push_back(
-                    {static_cast<std::uint32_t>(input.index(ic, iy, ix)), v});
+                out.push(static_cast<std::uint32_t>(input.index(ic, iy, ix)),
+                         wAt(oc, ic, ky, kx) * input.at(ic, iy, ix));
             }
         }
     }
+}
+
+std::vector<std::uint32_t>
+Conv2d::receptiveFieldOffsets(const Shape &in) const
+{
+    std::vector<std::uint32_t> off;
+    off.reserve(receptiveFieldSize());
+    for (int ic = 0; ic < inC; ++ic)
+        for (int ky = 0; ky < kSize; ++ky)
+            for (int kx = 0; kx < kSize; ++kx)
+                off.push_back(static_cast<std::uint32_t>(
+                    (static_cast<std::size_t>(ic) * in.h + ky) * in.w + kx));
+    return off;
 }
 
 std::size_t

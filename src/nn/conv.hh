@@ -43,8 +43,15 @@ class Conv2d : public Layer
                       std::vector<float> *const *param_grads) override;
     std::vector<Param> params() override;
     bool weighted() const override { return true; }
+    /** Interior neurons gather through @p rf_offsets when given (see
+     *  receptiveFieldOffsets); border neurons, and every neuron when
+     *  the table is null, take the clipped (ic, ky, kx) loop. */
     void partialSums(const Tensor &input, std::size_t out_index,
-                     std::vector<PartialSum> &out) const override;
+                     PsumRow &out,
+                     const std::uint32_t *rf_offsets = nullptr) const override;
+    /** {(ic*ih + ky)*iw + kx} over (ic, ky, kx) in row order. */
+    std::vector<std::uint32_t>
+    receptiveFieldOffsets(const Shape &in) const override;
     std::size_t receptiveFieldSize() const override;
 
     /**

@@ -65,16 +65,43 @@ struct Param
 };
 
 /**
- * One partial-sum term of an output neuron: (input flat index, value).
- * The index is 32-bit on purpose: no layer input comes near 2^32
- * elements, and halving the struct to 8 bytes doubles the density of
- * the extractor's heap-ranking working set — partial-sum construction
- * and ranking is the single hottest extraction loop.
+ * The partial-sum row of one output neuron: value[i] = input[index[i]]
+ * * w, the terms the MAC array generates (paper Fig. 3). Two flat
+ * arrays rather than {index, value} structs so row construction is
+ * plain vector stores and selection sweeps read only the values.
+ *
+ * Invariant: rows are emitted in strictly ascending input-index order
+ * (Conv2d walks (ic, ky, kx), Linear walks i). Ranked-prefix selection
+ * relies on it: "first position holding the maximum" is then exactly
+ * the lower-input-index tie-break of the extraction total order.
+ * Indices are 32-bit on purpose: no layer input comes near 2^32
+ * elements.
  */
-struct PartialSum
+struct PsumRow
 {
-    std::uint32_t inputIndex;
-    float value;
+    std::vector<float> value;
+    std::vector<std::uint32_t> index;
+
+    std::size_t size() const { return value.size(); }
+    bool empty() const { return value.empty(); }
+    void
+    resize(std::size_t n)
+    {
+        value.resize(n);
+        index.resize(n);
+    }
+    void
+    clear()
+    {
+        value.clear();
+        index.clear();
+    }
+    void
+    push(std::uint32_t i, float v)
+    {
+        index.push_back(i);
+        value.push_back(v);
+    }
 };
 
 /**
@@ -246,19 +273,39 @@ class Layer
     virtual bool weighted() const { return false; }
 
     /**
-     * Partial sums of output neuron @p out_index given recorded input
-     * @p input: the terms input[i] * w that the MAC array generates.
-     * Only meaningful when weighted(). Bias is excluded: it is not
-     * attributable to any input neuron (consistent with paper Fig. 3,
-     * which ranks input-element contributions only).
+     * Partial-sum row of output neuron @p out_index given recorded input
+     * @p input: the terms input[i] * w that the MAC array generates, in
+     * ascending input-index order (see PsumRow). Only meaningful when
+     * weighted(). Bias is excluded: it is not attributable to any input
+     * neuron (consistent with paper Fig. 3, which ranks input-element
+     * contributions only).
+     *
+     * @param rf_offsets optional receptive-field offset table from
+     *        receptiveFieldOffsets() for @p input's shape; layers that
+     *        publish one build interior rows by gathering through it.
+     *        Null is always valid (same row, built without the table).
      */
     virtual void
-    partialSums(const Tensor &input, std::size_t out_index,
-                std::vector<PartialSum> &out) const
+    partialSums(const Tensor &input, std::size_t out_index, PsumRow &out,
+                const std::uint32_t *rf_offsets = nullptr) const
     {
         (void)input;
         (void)out_index;
+        (void)rf_offsets;
         out.clear();
+    }
+
+    /**
+     * Flat input offsets of one interior receptive field relative to
+     * its top-left tap, for inputs of shape @p in, in row order. Empty
+     * for layers whose rows need no table (Linear, non-weighted).
+     * Computed once per extractor and read-only afterwards.
+     */
+    virtual std::vector<std::uint32_t>
+    receptiveFieldOffsets(const Shape &in) const
+    {
+        (void)in;
+        return {};
     }
 
     /** Receptive-field size (partial sums per output neuron), 0 if not

@@ -1,6 +1,7 @@
 #include "linear.hh"
 
 #include <cassert>
+#include <numeric>
 
 #include "nn/gemm.hh"
 #include "nn/psum_kernels.hh"
@@ -87,25 +88,22 @@ Linear::params()
 }
 
 void
-Linear::partialSums(const Tensor &input, std::size_t out_index,
-                    std::vector<PartialSum> &out) const
+Linear::partialSums(const Tensor &input, std::size_t out_index, PsumRow &out,
+                    const std::uint32_t *rf_offsets) const
 {
-    const float *wrow = &weight[out_index * inN];
+    (void)rf_offsets;
+    const std::size_t n = static_cast<std::size_t>(inN);
+    const float *wrow = &weight[out_index * n];
+    out.resize(n);
+    std::iota(out.index.begin(), out.index.end(), 0u);
 #ifdef PTOLEMY_HAVE_AVX2
     if (simdMode() == SimdMode::Avx2) {
-        // Values are single products (one rounding each), so the vector
-        // kernel is bit-identical to the scalar loop below.
-        out.resize(static_cast<std::size_t>(inN));
-        detail::avx2PartialProducts(wrow, input.data(),
-                                    static_cast<std::uint32_t>(inN),
-                                    out.data());
+        detail::avx2Products(wrow, input.data(), n, out.value.data());
         return;
     }
 #endif
-    out.clear();
-    out.reserve(inN);
-    for (int i = 0; i < inN; ++i)
-        out.push_back({static_cast<std::uint32_t>(i), wrow[i] * input[i]});
+    for (std::size_t i = 0; i < n; ++i)
+        out.value[i] = wrow[i] * input[i];
 }
 
 std::size_t

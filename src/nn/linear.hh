@@ -33,7 +33,8 @@ class Linear : public Layer
     std::vector<Param> params() override;
     bool weighted() const override { return true; }
     void partialSums(const Tensor &input, std::size_t out_index,
-                     std::vector<PartialSum> &out) const override;
+                     PsumRow &out,
+                     const std::uint32_t *rf_offsets = nullptr) const override;
     std::size_t receptiveFieldSize() const override;
 
     /**

@@ -1,11 +1,11 @@
 /**
  * @file
- * AVX2 partial-sum construction kernel (compiled with -mavx2 -mfma;
- * empty TU otherwise). Extraction's hottest loop is building the
- * per-neuron (input index, w*x) rows that feed the ranking heap — for
- * the fc1 layer that is inN products per important neuron. Each value
- * is a single multiply (one rounding), so this path is bit-identical
- * to the scalar loop it replaces.
+ * AVX2 partial-sum row kernels (compiled with -mavx2 -mfma; empty TU
+ * otherwise): row construction for Linear and interior Conv2d neurons,
+ * and the max / first-equal / finiteness sweeps ranked-prefix
+ * selection runs over a row. Values are single multiplies (one
+ * rounding) and the sweeps are comparisons over NaN-free rows, so each
+ * kernel is bit-identical to the scalar loop it replaces.
  */
 
 #include "psum_kernels.hh"
@@ -14,112 +14,162 @@
 
 #include <immintrin.h>
 
-#include "nn/layer.hh"
+#include <cfloat>
+#include <cmath>
 
 namespace ptolemy::nn::detail
 {
 
-static_assert(sizeof(PartialSum) == 8,
-              "interleaved stores assume packed {u32 index, f32 value}");
+namespace
+{
+
+/** Load mask selecting the first @p rem (1..7) lanes. */
+inline __m256i
+tailMask(std::size_t rem)
+{
+    return _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<std::int32_t>(rem)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+} // namespace
 
 void
-avx2PartialProducts(const float *w, const float *x, std::uint32_t n,
-                    PartialSum *out)
+avx2Products(const float *w, const float *x, std::size_t n, float *value)
 {
-    const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    const __m256i step = _mm256_set1_epi32(8);
-    __m256i iv = iota;
-    std::uint32_t i = 0;
-    auto *dst = reinterpret_cast<__m256i *>(out);
-    for (; i + 8 <= n; i += 8) {
-        const __m256 pv = _mm256_mul_ps(_mm256_loadu_ps(w + i),
-                                        _mm256_loadu_ps(x + i));
-        const __m256i pvi = _mm256_castps_si256(pv);
-        // Interleave indices and values into (index, value) pairs:
-        // unpack works per 128-bit half, the permutes stitch the halves
-        // back into memory order.
-        const __m256i lo = _mm256_unpacklo_epi32(iv, pvi);
-        const __m256i hi = _mm256_unpackhi_epi32(iv, pvi);
-        _mm256_storeu_si256(dst++, _mm256_permute2x128_si256(lo, hi, 0x20));
-        _mm256_storeu_si256(dst++, _mm256_permute2x128_si256(lo, hi, 0x31));
-        iv = _mm256_add_epi32(iv, step);
-    }
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(value + i, _mm256_mul_ps(_mm256_loadu_ps(w + i),
+                                                  _mm256_loadu_ps(x + i)));
     for (; i < n; ++i)
-        out[i] = {i, w[i] * x[i]};
+        value[i] = w[i] * x[i];
+}
+
+void
+avx2GatherProducts(const float *w, const float *in, std::uint32_t base,
+                   const std::uint32_t *off, std::size_t n, float *value,
+                   std::uint32_t *index)
+{
+    const __m256i vbase = _mm256_set1_epi32(static_cast<std::int32_t>(base));
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        const __m256i ix = _mm256_add_epi32(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(off + j)),
+            vbase);
+        const __m256 x = _mm256_i32gather_ps(in, ix, 4);
+        _mm256_storeu_ps(value + j,
+                         _mm256_mul_ps(_mm256_loadu_ps(w + j), x));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(index + j), ix);
+    }
+    for (; j < n; ++j) {
+        index[j] = base + off[j];
+        value[j] = w[j] * in[index[j]];
+    }
+}
+
+bool
+avx2AllFinite(const float *v, std::size_t n)
+{
+    // |x| <= FLT_MAX is false for ±Inf and (ordered compare) for NaN;
+    // masked-off tail lanes load as 0.0, which passes.
+    const __m256 abs_mask =
+        _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+    const __m256 fmax = _mm256_set1_ps(FLT_MAX);
+    __m256 ok = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        ok = _mm256_and_ps(
+            ok, _mm256_cmp_ps(_mm256_and_ps(_mm256_loadu_ps(v + i), abs_mask),
+                              fmax, _CMP_LE_OQ));
+    if (i < n) {
+        const __m256 x = _mm256_maskload_ps(v + i, tailMask(n - i));
+        ok = _mm256_and_ps(ok, _mm256_cmp_ps(_mm256_and_ps(x, abs_mask),
+                                             fmax, _CMP_LE_OQ));
+    }
+    return _mm256_movemask_ps(ok) == 0xff;
+}
+
+float
+avx2RowMax(const float *v, std::size_t n)
+{
+    // Four independent accumulators hide the vmaxps latency; max over a
+    // NaN-free set is order-independent, so the lane split cannot change
+    // the result (only, for an all-zero maximum, the sign of the zero,
+    // which callers compare with ==). The tail is a masked load with
+    // the masked-off lanes forced to -Inf.
+    const __m256 ninf = _mm256_set1_ps(-INFINITY);
+    __m256 m0 = ninf, m1 = ninf, m2 = ninf, m3 = ninf;
+    std::size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        m0 = _mm256_max_ps(m0, _mm256_loadu_ps(v + i));
+        m1 = _mm256_max_ps(m1, _mm256_loadu_ps(v + i + 8));
+        m2 = _mm256_max_ps(m2, _mm256_loadu_ps(v + i + 16));
+        m3 = _mm256_max_ps(m3, _mm256_loadu_ps(v + i + 24));
+    }
+    for (; i + 8 <= n; i += 8)
+        m0 = _mm256_max_ps(m0, _mm256_loadu_ps(v + i));
+    if (i < n) {
+        const __m256i mask = tailMask(n - i);
+        m1 = _mm256_max_ps(
+            m1, _mm256_blendv_ps(ninf, _mm256_maskload_ps(v + i, mask),
+                                 _mm256_castsi256_ps(mask)));
+    }
+    const __m256 a = _mm256_max_ps(_mm256_max_ps(m0, m1),
+                                   _mm256_max_ps(m2, m3));
+    __m128 r = _mm_max_ps(_mm256_castps256_ps128(a),
+                          _mm256_extractf128_ps(a, 1));
+    r = _mm_max_ps(r, _mm_movehl_ps(r, r));
+    r = _mm_max_ss(r, _mm_shuffle_ps(r, r, 1));
+    return _mm_cvtss_f32(r);
+}
+
+float
+avx2MassAtLeast(const float *v, std::size_t n, float p)
+{
+    const __m256 pv = _mm256_set1_ps(p);
+    __m256 s0 = _mm256_setzero_ps(), s1 = s0;
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        const __m256 a = _mm256_loadu_ps(v + i);
+        const __m256 b = _mm256_loadu_ps(v + i + 8);
+        s0 = _mm256_add_ps(s0, _mm256_and_ps(a, _mm256_cmp_ps(a, pv,
+                                                              _CMP_GE_OQ)));
+        s1 = _mm256_add_ps(s1, _mm256_and_ps(b, _mm256_cmp_ps(b, pv,
+                                                              _CMP_GE_OQ)));
+    }
+    alignas(32) float lanes[8];
+    _mm256_store_ps(lanes, _mm256_add_ps(s0, s1));
+    float sum = 0.0f;
+    for (float l : lanes)
+        sum += l;
+    for (; i < n; ++i)
+        sum += v[i] >= p ? v[i] : 0.0f;
+    return sum;
 }
 
 std::size_t
-avx2ArgmaxRanked(const PartialSum *p, std::size_t n)
+avx2FirstEqual(const float *v, std::size_t n, float m)
 {
-    // Scalar reference order: best if value greater, or equal value and
-    // smaller inputIndex. Lanes additionally track the array position so
-    // the winner can be swapped into place by the caller.
-    std::size_t best = 0;
-    std::size_t i = 1;
-    if (n >= 16) {
-        const auto *words = reinterpret_cast<const __m256i *>(p);
-        // Each 64-byte pair of loads covers structs [i, i+8):
-        // v0 = {i0 f0 i1 f1 | i2 f2 i3 f3}, v1 = {i4 f4 ... f7}.
-        // shuffle_ps picks (per 128-bit half) the value or index slots;
-        // the resulting lane order is scrambled but identical between
-        // the value, index and position vectors, which is all the
-        // max-tracking needs.
-        __m256 bval = _mm256_set1_ps(p[0].value);
-        __m256i bidx = _mm256_set1_epi32(
-            static_cast<std::int32_t>(p[0].inputIndex));
-        __m256i bpos = _mm256_setzero_si256();
-        const __m256i lane_pos =
-            _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
-        const __m256i step = _mm256_set1_epi32(8);
-        __m256i pos = lane_pos;
-        i = 0;
-        for (; i + 8 <= n; i += 8) {
-            const __m256 v0 = _mm256_castsi256_ps(
-                _mm256_loadu_si256(words + i / 4));
-            const __m256 v1 = _mm256_castsi256_ps(
-                _mm256_loadu_si256(words + i / 4 + 1));
-            const __m256 val = _mm256_shuffle_ps(v0, v1, 0xDD);
-            const __m256i idx =
-                _mm256_castps_si256(_mm256_shuffle_ps(v0, v1, 0x88));
-            const __m256 gt = _mm256_cmp_ps(val, bval, _CMP_GT_OQ);
-            const __m256 eq = _mm256_cmp_ps(val, bval, _CMP_EQ_OQ);
-            const __m256i smaller = _mm256_cmpgt_epi32(bidx, idx);
-            const __m256 take = _mm256_or_ps(
-                gt, _mm256_and_ps(eq, _mm256_castsi256_ps(smaller)));
-            bval = _mm256_blendv_ps(bval, val, take);
-            bidx = _mm256_castps_si256(
-                _mm256_blendv_ps(_mm256_castsi256_ps(bidx),
-                                 _mm256_castsi256_ps(idx), take));
-            bpos = _mm256_castps_si256(
-                _mm256_blendv_ps(_mm256_castsi256_ps(bpos),
-                                 _mm256_castsi256_ps(pos), take));
-            pos = _mm256_add_epi32(pos, step);
-        }
-        alignas(32) float vals[8];
-        alignas(32) std::uint32_t idxs[8];
-        alignas(32) std::uint32_t poss[8];
-        _mm256_store_ps(vals, bval);
-        _mm256_store_si256(reinterpret_cast<__m256i *>(idxs), bidx);
-        _mm256_store_si256(reinterpret_cast<__m256i *>(poss), bpos);
-        best = poss[0];
-        float bv = vals[0];
-        std::uint32_t bi = idxs[0];
-        for (int l = 1; l < 8; ++l) {
-            if (vals[l] > bv || (vals[l] == bv && idxs[l] < bi)) {
-                bv = vals[l];
-                bi = idxs[l];
-                best = poss[l];
-            }
-        }
+    const __m256 mv = _mm256_set1_ps(m);
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const int hit = _mm256_movemask_ps(
+            _mm256_cmp_ps(_mm256_loadu_ps(v + i), mv, _CMP_EQ_OQ));
+        if (hit)
+            return i + static_cast<std::size_t>(
+                           __builtin_ctz(static_cast<unsigned>(hit)));
     }
-    for (; i < n; ++i) {
-        const bool better =
-            p[i].value > p[best].value ||
-            (p[i].value == p[best].value &&
-             p[i].inputIndex < p[best].inputIndex);
-        best = better ? i : best;
+    if (i < n) {
+        const std::size_t rem = n - i;
+        const unsigned hit =
+            static_cast<unsigned>(_mm256_movemask_ps(_mm256_cmp_ps(
+                _mm256_maskload_ps(v + i, tailMask(rem)), mv,
+                _CMP_EQ_OQ))) &
+            ((1u << rem) - 1u);
+        if (hit)
+            return i + static_cast<std::size_t>(__builtin_ctz(hit));
     }
-    return best;
+    return n;
 }
 
 } // namespace ptolemy::nn::detail

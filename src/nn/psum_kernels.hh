@@ -1,13 +1,16 @@
 /**
  * @file
- * Internal AVX2 kernel interface for partial-sum construction, shared
- * between the dispatching layers (linear.cc, conv.cc) and the AVX2 TU
- * (psum_avx2.cc). Same arrangement as gemm_kernels.hh: only
+ * Internal AVX2 kernel interface for partial-sum rows (nn::PsumRow):
+ * row construction, shared by the dispatching layers (linear.cc,
+ * conv.cc), and the row sweeps of ranked-prefix selection, used by
+ * path/prefix_select.cc. Same arrangement as gemm_kernels.hh: only
  * psum_avx2.cc is compiled with -mavx2 -mfma.
  *
- * Partial-sum values are single products w[i] * x[i] — one rounding
- * each — so the vector kernels are bit-identical to the scalar loops
- * by construction; there is no accumulation order to preserve.
+ * Every kernel is bit-identical to its scalar loop by construction.
+ * Partial-sum values are single products w * x (one rounding each, no
+ * accumulation order to preserve), and the selection sweeps are pure
+ * comparisons and max over NaN-free rows, which do not depend on lane
+ * order.
  */
 
 #ifndef PTOLEMY_NN_PSUM_KERNELS_HH
@@ -16,32 +19,38 @@
 #include <cstddef>
 #include <cstdint>
 
-namespace ptolemy::nn
-{
-struct PartialSum;
-}
-
 namespace ptolemy::nn::detail
 {
 
 #ifdef PTOLEMY_HAVE_AVX2
 
-/**
- * out[i] = { i, w[i] * x[i] } for i in [0, n): the full partial-sum
- * row of one Linear output neuron. @p out must already hold n entries.
- * 8 products per iteration, index iota and product vectors interleaved
- * into (index, value) pairs with unpack/permute; scalar tail.
- */
-void avx2PartialProducts(const float *w, const float *x, std::uint32_t n,
-                         PartialSum *out);
+/** value[i] = w[i] * x[i] for i in [0, n): one Linear row's values. */
+void avx2Products(const float *w, const float *x, std::size_t n,
+                  float *value);
 
 /**
- * Array position of the ranked-first entry of p[0, n): highest value,
- * ties broken by the smaller inputIndex (the extraction total order).
- * Pure comparisons — no float arithmetic — so the result is exactly
- * the scalar scan's, independent of lane count. n must be >= 1.
+ * One interior conv row through a receptive-field offset table:
+ * index[j] = base + off[j], value[j] = w[j] * in[index[j]] for j in
+ * [0, n). 8 taps per vgatherdps; scalar tail.
  */
-std::size_t avx2ArgmaxRanked(const PartialSum *p, std::size_t n);
+void avx2GatherProducts(const float *w, const float *in, std::uint32_t base,
+                        const std::uint32_t *off, std::size_t n,
+                        float *value, std::uint32_t *index);
+
+/** True when every v[i], i in [0, n), is finite (no NaN, no ±Inf). */
+bool avx2AllFinite(const float *v, std::size_t n);
+
+/** Maximum of v[0, n); n >= 1 and no NaN in the row. */
+float avx2RowMax(const float *v, std::size_t n);
+
+/** Sum, in float, of the entries of v[0, n) that are >= p (p > 0, no
+ *  NaN in the row). A pivot-choice estimate only: lane order changes
+ *  its rounding, so callers never decide membership by it. */
+float avx2MassAtLeast(const float *v, std::size_t n, float p);
+
+/** First position i in [0, n) with v[i] == m (so -0.0 matches +0.0),
+ *  or n when there is none. */
+std::size_t avx2FirstEqual(const float *v, std::size_t n, float m);
 
 #endif // PTOLEMY_HAVE_AVX2
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "nn/psum_kernels.hh"
 #include "util/rng.hh"
-#include "util/simd.hh"
 #include "util/thread_pool.hh"
 
 namespace ptolemy::path
@@ -14,51 +12,16 @@ namespace ptolemy::path
 namespace
 {
 
-/** Total order for partial-sum ranking: value descending, input index
- *  ascending on ties. A total order (rather than value-only) makes the
- *  heap-prefix and full-sort selection strategies pick identical sets
- *  even when equal values straddle the theta cut. */
-inline bool
-rankedBefore(const nn::PartialSum &a, const nn::PartialSum &b)
+/** Append the ranked prefix of ws.row reaching @p target to
+ *  ws.selected, by the workspace's selection strategy. */
+void
+selectPrefix(ExtractionWorkspace &ws, double target, PrefixMass mass)
 {
-    if (a.value != b.value)
-        return a.value > b.value;
-    return a.inputIndex < b.inputIndex;
+    if (ws.referenceSort)
+        referencePrefixSelect(ws.row, target, mass, ws.select, ws.selected);
+    else
+        prefixSelect(ws.row, target, mass, ws.select, ws.selected);
 }
-
-/** make_heap/pop_heap comparator: "less" = ranked after. */
-inline bool
-heapLess(const nn::PartialSum &a, const nn::PartialSum &b)
-{
-    return rankedBefore(b, a);
-}
-
-/** Array position of the rankedBefore-first entry of p[0, n). Pure
- *  comparisons under the same total order as the sort/heap paths, so
- *  all three selection strategies pick identical elements. The scan is
- *  branchless (conditional moves / AVX2 blends) where the heap walk
- *  mispredicts on essentially every random float comparison. */
-inline std::size_t
-argmaxRanked(const nn::PartialSum *p, std::size_t n)
-{
-#ifdef PTOLEMY_HAVE_AVX2
-    if (n >= 16 && simdMode() == SimdMode::Avx2)
-        return nn::detail::avx2ArgmaxRanked(p, n);
-#endif
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-        const bool better = rankedBefore(p[i], p[best]);
-        best = better ? i : best;
-    }
-    return best;
-}
-
-/** Selection prefixes are typically a handful of elements, so a few
- *  successive argmax scans beat heapifying the whole receptive field;
- *  past this many passes the remainder falls back to the heap so a
- *  pathological wide prefix stays O(n + k log n). The constant lives in
- *  trace.hh so the compiler can mirror it in static trip counts. */
-constexpr int kMaxScanPasses = kMaxSelectScanPasses;
 
 } // namespace
 
@@ -69,8 +32,12 @@ PathExtractor::PathExtractor(const nn::Network &net_ref,
 {
     const auto &weighted = net->weightedNodes();
     assert(cfg.numLayers() == static_cast<int>(weighted.size()));
-    for (int w = 0; w < static_cast<int>(weighted.size()); ++w)
+    rfOffsets.resize(weighted.size());
+    for (int w = 0; w < static_cast<int>(weighted.size()); ++w) {
         weightedIndexOfNode[weighted[w]] = w;
+        rfOffsets[w] = net->layerAt(weighted[w]).receptiveFieldOffsets(
+            net->nodeInputShape(weighted[w]));
+    }
 }
 
 BitVector
@@ -187,19 +154,20 @@ PathExtractor::selectImportantInputs(const nn::Layer &layer,
                                      const nn::Tensor &input,
                                      std::size_t out_idx, float out_val,
                                      const LayerPolicy &policy,
+                                     const std::uint32_t *rf_offsets,
                                      ExtractionWorkspace &ws) const
 {
-    auto &scratch = ws.scratch;
+    auto &row = ws.row;
     auto &selected = ws.selected;
     selected.clear();
-    layer.partialSums(input, out_idx, scratch);
-    if (scratch.empty())
+    layer.partialSums(input, out_idx, row, rf_offsets);
+    if (row.empty())
         return;
 
     if (policy.kind == ThresholdKind::Absolute) {
-        for (const auto &ps : scratch)
-            if (ps.value >= policy.phi)
-                selected.push_back(ps.inputIndex);
+        for (std::size_t i = 0; i < row.size(); ++i)
+            if (row.value[i] >= policy.phi)
+                selected.push_back(row.index[i]);
         return;
     }
 
@@ -207,55 +175,10 @@ PathExtractor::selectImportantInputs(const nn::Layer &layer,
     // reaches theta * output. A non-positive output has no meaningful
     // coverage target; keep the single largest contributor (minimal set).
     if (out_val <= 0.0f) {
-        selected.push_back(
-            scratch[argmaxRanked(scratch.data(), scratch.size())]
-                .inputIndex);
+        selected.push_back(rankedFirst(row));
         return;
     }
-    const double target = policy.theta * out_val;
-    if (ws.referenceSort) {
-        std::sort(scratch.begin(), scratch.end(), rankedBefore);
-        double cum = 0.0;
-        for (const auto &ps : scratch) {
-            selected.push_back(ps.inputIndex);
-            cum += ps.value;
-            if (cum >= target)
-                break;
-        }
-        return;
-    }
-    // Successive argmax scans: each pass swaps the ranked-next element
-    // to the front of the unselected region, so elements are emitted —
-    // and cum accumulated — in exactly the reference sort's order.
-    const std::size_t n = scratch.size();
-    std::size_t head = 0;
-    double cum = 0.0;
-    for (int pass = 0; pass < kMaxScanPasses && head < n; ++pass) {
-        const std::size_t best =
-            head + argmaxRanked(scratch.data() + head, n - head);
-        std::swap(scratch[head], scratch[best]);
-        selected.push_back(scratch[head].inputIndex);
-        cum += scratch[head].value;
-        ++head;
-        if (cum >= target)
-            return;
-    }
-    // Wide prefix: heapify the remaining elements and pop until
-    // coverage (n + k log n worst case). The heap pops continue the
-    // same ranked order, so the selection stays identical.
-    std::make_heap(scratch.begin() + static_cast<std::ptrdiff_t>(head),
-                   scratch.end(), heapLess);
-    auto end = scratch.end();
-    const auto heap_begin =
-        scratch.begin() + static_cast<std::ptrdiff_t>(head);
-    while (end != heap_begin) {
-        std::pop_heap(heap_begin, end, heapLess);
-        --end;
-        selected.push_back(end->inputIndex);
-        cum += end->value;
-        if (cum >= target)
-            break;
-    }
+    selectPrefix(ws, policy.theta * out_val, PrefixMass::Signed);
 }
 
 void
@@ -323,26 +246,37 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
             lt.macs = weightedLayerMacs(*net, id);
             lt.importantOut = ws.important[id].size();
 
+            // The table holds for the shape it was built from; any other
+            // input takes the table-free rows.
+            const std::uint32_t *rf_offsets =
+                !rfOffsets[w].empty() &&
+                        input.shape() == net->nodeInputShape(id)
+                    ? rfOffsets[w].data()
+                    : nullptr;
             for (std::size_t o : ws.important[id]) {
                 selectImportantInputs(*node.layer, input, o,
-                                      rec.outputs[id][o], policy, ws);
-                lt.psumsConsidered += ws.scratch.size();
+                                      rec.outputs[id][o], policy,
+                                      rf_offsets, ws);
+                lt.psumsConsidered += ws.row.size();
                 if (policy.kind == ThresholdKind::Cumulative) {
-                    lt.sortedElems += ws.scratch.size();
-                    // Selection shape: the scan path emits exactly one
-                    // element per pass, so the pass/pop counts follow
-                    // from the selected prefix length (identical for
-                    // the reference-sort strategy, which picks the same
-                    // set).
+                    lt.sortedElems += ws.row.size();
+                    // Selection shape, in the units of the hardware
+                    // sort unit's cost model: one argmax pass per
+                    // selected element up to kMaxSelectScanPasses, one
+                    // heap pop per element past it. Derived from the
+                    // prefix length alone, which every selection
+                    // strategy agrees on, so compiler trip counts do
+                    // not depend on how software found the prefix.
                     const std::size_t k = ws.selected.size();
-                    lt.selectScanPasses += std::min<std::size_t>(
-                        k, static_cast<std::size_t>(kMaxScanPasses));
-                    if (k > static_cast<std::size_t>(kMaxScanPasses)) {
+                    constexpr auto kPasses =
+                        static_cast<std::size_t>(kMaxSelectScanPasses);
+                    lt.selectScanPasses += std::min(k, kPasses);
+                    if (k > kPasses) {
                         ++lt.heapFallbackNeurons;
-                        lt.heapPops += k - kMaxScanPasses;
+                        lt.heapPops += k - kPasses;
                     }
                 } else {
-                    lt.thresholdCmps += ws.scratch.size();
+                    lt.thresholdCmps += ws.row.size();
                 }
                 for (std::size_t in_idx : ws.selected) {
                     if (!bits.test(seg->bitOffset + in_idx)) {
@@ -383,7 +317,6 @@ PathExtractor::extractForward(const nn::Network::Record &rec,
                               ExtractionTrace *trace) const
 {
     const auto &weighted = net->weightedNodes();
-    auto &order = ws.order; // ranked indices of extracted elements
 
     for (int w = 0; w < cfg.numLayers(); ++w) {
         const LayerPolicy &policy = cfg.layers[w];
@@ -421,50 +354,24 @@ PathExtractor::extractForward(const nn::Network::Record &rec,
             // Forward cumulative (paper Fig. 6, last layer): rank the
             // feature-map elements and keep the minimal prefix covering
             // theta of the total activation mass.
-            const auto idx_ranked_before = [&](std::size_t a,
-                                               std::size_t b) {
-                if (input[a] != input[b])
-                    return input[a] > input[b];
-                return a < b;
-            };
-            const auto idx_heap_less = [&](std::size_t a, std::size_t b) {
-                return idx_ranked_before(b, a);
-            };
-            order.resize(input.size());
-            for (std::size_t i = 0; i < input.size(); ++i)
-                order[i] = i;
+            auto &row = ws.row;
+            row.resize(input.size());
             double total = 0.0;
-            for (std::size_t i = 0; i < input.size(); ++i)
+            for (std::size_t i = 0; i < input.size(); ++i) {
+                row.index[i] = static_cast<std::uint32_t>(i);
+                row.value[i] = input[i];
                 total += std::max(0.0f, input[i]);
-            const double target = policy.theta * total;
-            lt.sortedElems = input.size();
-            double cum = 0.0;
-            if (ws.referenceSort) {
-                std::sort(order.begin(), order.end(), idx_ranked_before);
-                for (std::size_t i : order) {
-                    bits.set(seg->bitOffset + i);
-                    ++lt.importantIn;
-                    cum += std::max(0.0f, input[i]);
-                    if (cum >= target)
-                        break;
-                }
-            } else {
-                std::make_heap(order.begin(), order.end(), idx_heap_less);
-                auto end = order.end();
-                while (end != order.begin()) {
-                    std::pop_heap(order.begin(), end, idx_heap_less);
-                    --end;
-                    bits.set(seg->bitOffset + *end);
-                    ++lt.importantIn;
-                    cum += std::max(0.0f, input[*end]);
-                    if (cum >= target)
-                        break;
-                }
             }
-            // Forward cumulative ranks the whole feature map in one
-            // heapified pass (one "neuron", importantIn pops) — the
-            // ranked-prefix scan rewrite applies to the backward
-            // per-neuron receptive fields only.
+            lt.sortedElems = input.size();
+            ws.selected.clear();
+            selectPrefix(ws, policy.theta * total, PrefixMass::ClampAtZero);
+            for (std::size_t i : ws.selected)
+                bits.set(seg->bitOffset + i);
+            lt.importantIn = ws.selected.size();
+            // Forward cumulative is costed as one heapified ranking of
+            // the whole feature map (one "neuron", importantIn pops);
+            // the per-neuron argmax-pass model covers the backward
+            // receptive fields only.
             lt.heapFallbackNeurons = 1;
             lt.heapPops = lt.importantIn;
         }
@@ -481,7 +388,7 @@ calibrateAbsoluteThresholds(nn::Network &net, ExtractionConfig &cfg,
     const auto &weighted = net.weightedNodes();
     std::vector<std::vector<float>> pools(cfg.numLayers());
     Rng rng(0xCA11B8A7Eull);
-    std::vector<nn::PartialSum> scratch;
+    nn::PsumRow row;
 
     // Record the calibration samples in pool-parallel chunks (bounded
     // memory: a Record holds every intermediate feature map); the
@@ -519,9 +426,9 @@ calibrateAbsoluteThresholds(nn::Network &net, ExtractionConfig &cfg,
                         std::min<std::size_t>(32, n_out);
                     for (std::size_t p = 0; p < n_probe; ++p) {
                         const std::size_t o = rng.below(n_out);
-                        net.layerAt(id).partialSums(input, o, scratch);
-                        for (const auto &ps : scratch)
-                            pools[w].push_back(ps.value);
+                        net.layerAt(id).partialSums(input, o, row);
+                        pools[w].insert(pools[w].end(), row.value.begin(),
+                                        row.value.end());
                     }
                 }
             }

@@ -23,6 +23,7 @@
 #include "nn/network.hh"
 #include "path/extraction_config.hh"
 #include "path/path_layout.hh"
+#include "path/prefix_select.hh"
 #include "path/trace.hh"
 #include "util/bitvector.hh"
 
@@ -44,19 +45,20 @@ namespace ptolemy::path
 struct ExtractionWorkspace
 {
     /** Selection strategy for cumulative-threshold layers. When true,
-     *  fully sort every partial-sum list (the pre-workspace reference
-     *  behavior); when false (default), pop a max-heap only until theta
-     *  coverage is reached, which is O(n + k log n) for a k-element
-     *  prefix instead of O(n log n). Both orders rank by value with
-     *  input-index tie-breaks, so the selected sets are identical. */
+     *  fully sort every partial-sum row (the reference oracle the
+     *  functional simulator runs); when false (default), prefixSelect
+     *  finds the ranked prefix by max/first-equal passes and pivot
+     *  blocks, sorting only what the prefix reaches. Both rank by value
+     *  with input-index tie-breaks, so the selected sets are
+     *  identical. */
     bool referenceSort = false;
 
     std::vector<std::vector<std::size_t>> important; ///< per node
     std::vector<std::vector<std::uint8_t>> seen;     ///< per-node flags
     std::vector<int> touched;              ///< nodes dirtied last call
-    std::vector<nn::PartialSum> scratch;   ///< partial sums of one neuron
+    nn::PsumRow row;                       ///< partial sums of one neuron
+    PrefixScratch select;                  ///< ranked-prefix scratch
     std::vector<std::size_t> selected;     ///< selected input indices
-    std::vector<std::size_t> order;        ///< forward-cumulative ranking
     std::vector<std::vector<std::size_t>> perInput; ///< backmap results
     std::vector<const nn::Tensor *> insScratch;     ///< backmap input views
 };
@@ -160,12 +162,17 @@ class PathExtractor
     void selectImportantInputs(const nn::Layer &layer,
                                const nn::Tensor &input, std::size_t out_idx,
                                float out_val, const LayerPolicy &policy,
+                               const std::uint32_t *rf_offsets,
                                ExtractionWorkspace &ws) const;
 
     const nn::Network *net;
     ExtractionConfig cfg;
     PathLayout lay;
     std::vector<int> weightedIndexOfNode; ///< node id -> weighted idx or -1
+    /** Per weighted layer: receptive-field offset table for interior
+     *  conv rows (empty for Linear). Built once here, read-only after,
+     *  so every pool slot shares it. */
+    std::vector<std::vector<std::uint32_t>> rfOffsets;
 };
 
 /**

@@ -26,9 +26,11 @@ class Network;
 namespace ptolemy::path
 {
 
-/** Ranked-prefix selection runs this many successive argmax scans per
- *  neuron before falling back to a heap (see PathExtractor); the
- *  compiler reads the same constant to bound its static trip counts. */
+/** Ranked-prefix selection runs this many max/first-equal passes per
+ *  neuron before switching to pivot blocks (see path::prefixSelect).
+ *  The trace costs a prefix as up to this many argmax passes plus one
+ *  heap pop per further element, the hardware sort unit's model, and
+ *  the compiler reads the same constant to bound its trip counts. */
 inline constexpr int kMaxSelectScanPasses = 32;
 
 /** Per-weighted-layer extraction work counts. */
@@ -48,10 +50,10 @@ struct LayerTrace
     std::size_t masksWritten = 0;    ///< single-bit masks stored
     std::size_t importantIn = 0;     ///< path bits set at this layer
 
-    // Ranked-prefix selection shape (cumulative layers): how the theta
-    // prefix was actually found. Each scan pass is one full argmax sweep
-    // of the remaining candidates; neurons whose prefix outgrows
-    // kMaxSelectScanPasses fall back to a heap and pay heapPops pops.
+    // Ranked-prefix selection shape (cumulative layers), derived from
+    // each neuron's prefix length k: min(k, kMaxSelectScanPasses) argmax
+    // sweeps of the remaining candidates; neurons whose prefix outgrows
+    // the cap count as heap-fallback neurons paying k - cap heapPops.
     std::size_t selectScanPasses = 0;   ///< argmax sweeps across neurons
     std::size_t heapFallbackNeurons = 0; ///< neurons that hit the fallback
     std::size_t heapPops = 0;           ///< fallback heap pops

@@ -3,7 +3,7 @@
  * Batched forward + workspace-reuse equivalence: forwardBatch records
  * must match per-sample forward() records bitwise, extraction from
  * either must produce identical paths, a reused ExtractionWorkspace
- * must behave exactly like a fresh one, and the heap-prefix cumulative
+ * must behave exactly like a fresh one, and ranked-prefix cumulative
  * selection must pick the same sets as the full-sort reference.
  */
 
@@ -147,7 +147,7 @@ TEST(ExtractionWorkspace, ReuseProducesIdenticalBitVectorsAcrossCalls)
     }
 }
 
-TEST(ExtractionWorkspace, HeapPrefixSelectionMatchesReferenceSort)
+TEST(ExtractionWorkspace, PrefixSelectionMatchesReferenceSort)
 {
     auto net = ptolemy::testing::makeTinyNet(10);
     nn::heInit(net, 8);
@@ -156,7 +156,7 @@ TEST(ExtractionWorkspace, HeapPrefixSelectionMatchesReferenceSort)
     std::vector<nn::Network::Record> recs;
     net.forwardBatch(xs, recs);
 
-    // Backward cumulative plus a forward-cumulative config (the heap
+    // Backward cumulative plus a forward-cumulative config (prefixSelect
     // also serves the forward direction's activation-mass ranking).
     ExtractionConfig fw_cu;
     fw_cu.direction = Direction::Forward;
@@ -167,10 +167,10 @@ TEST(ExtractionWorkspace, HeapPrefixSelectionMatchesReferenceSort)
     for (auto cfg : {ExtractionConfig::bwCu(n_w, 0.5),
                      ExtractionConfig::bwCu(n_w, 0.9), fw_cu}) {
         PathExtractor ex(net, cfg);
-        ExtractionWorkspace heap_ws, sort_ws;
+        ExtractionWorkspace prefix_ws, sort_ws;
         sort_ws.referenceSort = true;
         for (std::size_t s = 0; s < recs.size(); ++s) {
-            const BitVector a = ex.extract(recs[s], heap_ws);
+            const BitVector a = ex.extract(recs[s], prefix_ws);
             const BitVector b = ex.extract(recs[s], sort_ws);
             EXPECT_EQ(a, b) << "sample " << s;
         }

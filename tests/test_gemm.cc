@@ -214,12 +214,12 @@ TEST(ConvGemm, PartialSumsStillMatchForwardOutput)
     Tensor out;
     conv.forwardInto({&x}, out, false);
 
-    std::vector<PartialSum> psums;
+    PsumRow psums;
     for (std::size_t o = 0; o < out.size(); ++o) {
         conv.partialSums(x, o, psums);
         double s = conv.biases()[o / (out.shape().numel() / 3)];
-        for (const auto &ps : psums)
-            s += ps.value;
+        for (float v : psums.value)
+            s += v;
         ASSERT_NEAR(s, out[o], 1e-4);
     }
 }

@@ -94,14 +94,14 @@ TEST(LinearLayer, PartialSumsMatchPaperFig3FcExample)
     auto y = lin.forward({&x}, false);
     EXPECT_NEAR(y[0], 0.46f, 1e-6);
 
-    std::vector<PartialSum> ps;
+    PsumRow ps;
     lin.partialSums(x, 0, ps);
     ASSERT_EQ(ps.size(), 5u);
-    EXPECT_NEAR(ps[0].value, 0.21f, 1e-6);
-    EXPECT_NEAR(ps[1].value, 0.09f, 1e-6);
+    EXPECT_NEAR(ps.value[0], 0.21f, 1e-6);
+    EXPECT_NEAR(ps.value[1], 0.09f, 1e-6);
     double total = 0.0;
-    for (const auto &p : ps)
-        total += p.value;
+    for (float v : ps.value)
+        total += v;
     EXPECT_NEAR(total, 0.46, 1e-6);
 }
 
@@ -147,12 +147,12 @@ TEST(ConvLayer, PartialSumsSumToOutputMinusBias)
     const Tensor x = randomTensor(mapShape(2, 5, 5), 21);
     auto y = conv.forward({&x}, false);
 
-    std::vector<PartialSum> ps;
+    PsumRow ps;
     for (std::size_t o = 0; o < y.size(); o += 7) {
         conv.partialSums(x, o, ps);
         double total = 0.0;
-        for (const auto &p : ps)
-            total += p.value;
+        for (float v : ps.value)
+            total += v;
         const int oc = static_cast<int>(o / (5 * 5));
         EXPECT_NEAR(total, y[o] - conv.biases()[oc], 1e-4);
     }

@@ -3,13 +3,17 @@
  * Bit-identity tests for the single-core fast-path kernels: AVX2 vs
  * scalar BitVector popcount family (unaligned ranges, widths that are
  * not lane multiples, degenerate all-zero/all-ones words), AVX2 vs
- * scalar partial-sum construction and ranked-argmax selection.
+ * scalar partial-sum row construction, and extraction's path bits and
+ * trace counts across selection strategies and SIMD modes.
  * Everything here asserts exact equality: the fast paths are drop-in
  * replacements, not approximations.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/test_models.hh"
@@ -101,14 +105,15 @@ TEST(BitVectorSimd, RangeKernelsMatchScalarOnUnalignedRanges)
 }
 
 void
-expectPartialSumsEqual(const std::vector<nn::PartialSum> &a,
-                       const std::vector<nn::PartialSum> &b,
-                       const std::string &what)
+expectRowsEqual(const nn::PsumRow &a, const nn::PsumRow &b,
+                const std::string &what)
 {
     ASSERT_EQ(a.size(), b.size()) << what;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].inputIndex, b[i].inputIndex) << what << " i=" << i;
-        EXPECT_EQ(a[i].value, b[i].value) << what << " i=" << i;
+        EXPECT_EQ(a.index[i], b.index[i]) << what << " i=" << i;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(a.value[i]),
+                  std::bit_cast<std::uint32_t>(b.value[i]))
+            << what << " i=" << i;
     }
 }
 
@@ -119,7 +124,7 @@ TEST(PartialSumsSimd, LinearAndConvRowsMatchScalarBitwise)
     SimdModeGuard guard;
     Rng rng(0x75);
 
-    // Odd fan-in exercises the 8-wide interleave tail.
+    // Odd fan-in exercises the 8-wide product tail.
     nn::Linear fc("fc", 333, 5);
     for (auto &w : fc.weights())
         w = static_cast<float>(rng.uniform(-1.0, 1.0));
@@ -127,49 +132,66 @@ TEST(PartialSumsSimd, LinearAndConvRowsMatchScalarBitwise)
     for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
 
-    // Padded conv: interior neurons take the pointer-walk fast path,
-    // border neurons the clamped general path.
+    // Padded conv: interior neurons gather through the offset table
+    // (36 taps: four 8-wide gathers and a tail), border neurons take
+    // the clipped loop. The reference is the scalar clipped loop with
+    // no table at all.
     nn::Conv2d conv("c", 4, 3, 3, 1, 1);
     for (auto &w : conv.weights())
         w = static_cast<float>(rng.uniform(-1.0, 1.0));
     nn::Tensor cx(nn::mapShape(4, 7, 7));
     for (std::size_t i = 0; i < cx.size(); ++i)
         cx[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const auto offsets = conv.receptiveFieldOffsets(cx.shape());
+    ASSERT_EQ(offsets.size(), conv.receptiveFieldSize());
 
-    std::vector<nn::PartialSum> s, v;
+    nn::PsumRow s, v;
     for (std::size_t o = 0; o < 5; ++o) {
         simdMode() = SimdMode::Scalar;
         fc.partialSums(x, o, s);
         simdMode() = SimdMode::Avx2;
         fc.partialSums(x, o, v);
-        expectPartialSumsEqual(s, v, "fc o=" + std::to_string(o));
+        expectRowsEqual(s, v, "fc o=" + std::to_string(o));
     }
     for (std::size_t o = 0; o < static_cast<std::size_t>(3 * 7 * 7); ++o) {
         simdMode() = SimdMode::Scalar;
         conv.partialSums(cx, o, s);
-        simdMode() = SimdMode::Avx2;
-        conv.partialSums(cx, o, v);
-        expectPartialSumsEqual(s, v, "conv o=" + std::to_string(o));
+        for (SimdMode mode : {SimdMode::Scalar, SimdMode::Avx2}) {
+            simdMode() = mode;
+            conv.partialSums(cx, o, v, offsets.data());
+            expectRowsEqual(s, v,
+                            "conv o=" + std::to_string(o) + " " +
+                                simdModeName());
+        }
     }
 }
 
 /** Extraction over the shared trained world: every selection strategy
- *  (reference full sort, scan/heap hybrid, AVX2 argmax) and SIMD mode
- *  must produce the same path bits. theta=0.98 forces prefixes past the
- *  scan-pass cap so the heap fallback is exercised too. */
+ *  (reference full sort, max/pivot prefix selection) and SIMD mode must
+ *  produce the same path bits and the same per-layer trace counts for
+ *  every sample. This trained world's prefixes stay under the
+ *  scan-pass cap even at theta=0.98 (its partial sums are concentrated);
+ *  PrefixSelect.WidePrefixesPastTheScanPassCap covers the pivot blocks
+ *  at row level. */
 TEST(ExtractionSimd, PathBitsInvariantAcrossSelectionAndSimdModes)
 {
     SimdModeGuard guard;
     auto &w = testing::world();
     const int layers = static_cast<int>(w.net.weightedNodes().size());
+    constexpr int kSamples = 6;
     for (double theta : {0.5, 0.98}) {
         path::PathExtractor ex(w.net,
                                path::ExtractionConfig::bwCu(layers, theta));
         nn::Network::Record rec;
         path::ExtractionWorkspace ws;
 
-        std::vector<BitVector> got;
-        std::vector<std::string> label;
+        struct Run
+        {
+            std::string label;
+            std::vector<BitVector> bits;
+            std::vector<path::ExtractionTrace> traces;
+        };
+        std::vector<Run> runs;
         std::vector<SimdMode> modes = {SimdMode::Scalar};
         if (avx2Available())
             modes.push_back(SimdMode::Avx2);
@@ -177,26 +199,47 @@ TEST(ExtractionSimd, PathBitsInvariantAcrossSelectionAndSimdModes)
             for (bool reference : {false, true}) {
                 simdMode() = mode;
                 ws.referenceSort = reference;
-                BitVector bits;
-                for (int i = 0; i < 6; ++i) {
+                Run run;
+                run.label = std::string(simdModeName()) +
+                            (reference ? "+refsort" : "+prefix");
+                run.bits.resize(kSamples);
+                run.traces.resize(kSamples);
+                for (int i = 0; i < kSamples; ++i) {
                     w.net.inferInto(w.dataset.test[i].input, rec);
-                    BitVector one;
-                    ex.extractInto(rec, ws, one);
-                    if (bits.size() == 0)
-                        bits = BitVector(one.size());
-                    bits |= one;
+                    ex.extractInto(rec, ws, run.bits[i], &run.traces[i]);
                 }
-                got.push_back(std::move(bits));
-                label.push_back(std::string(simdModeName()) +
-                                (reference ? "+refsort" : "+scan"));
+                runs.push_back(std::move(run));
             }
         }
-        for (std::size_t i = 1; i < got.size(); ++i) {
-            ASSERT_EQ(got[i].size(), got[0].size());
-            EXPECT_EQ(got[i].popcount(), got[0].popcount())
-                << label[i] << " vs " << label[0] << " theta=" << theta;
-            EXPECT_EQ(got[i].andPopcount(got[0]), got[0].popcount())
-                << label[i] << " vs " << label[0] << " theta=" << theta;
+        const Run &ref = runs[0];
+        for (std::size_t r = 1; r < runs.size(); ++r) {
+            const Run &run = runs[r];
+            for (int i = 0; i < kSamples; ++i) {
+                const std::string what = run.label + " vs " + ref.label +
+                                         " theta=" + std::to_string(theta) +
+                                         " sample " + std::to_string(i);
+                EXPECT_EQ(run.bits[i], ref.bits[i]) << what;
+                const auto &a = run.traces[i].layers;
+                const auto &b = ref.traces[i].layers;
+                ASSERT_EQ(a.size(), b.size()) << what;
+                EXPECT_EQ(run.traces[i].pathBits, ref.traces[i].pathBits)
+                    << what;
+                for (std::size_t l = 0; l < a.size(); ++l) {
+                    const std::string at = what + " layer " +
+                                           std::to_string(l);
+                    EXPECT_EQ(a[l].importantOut, b[l].importantOut) << at;
+                    EXPECT_EQ(a[l].importantIn, b[l].importantIn) << at;
+                    EXPECT_EQ(a[l].psumsConsidered, b[l].psumsConsidered)
+                        << at;
+                    EXPECT_EQ(a[l].sortedElems, b[l].sortedElems) << at;
+                    EXPECT_EQ(a[l].selectScanPasses, b[l].selectScanPasses)
+                        << at;
+                    EXPECT_EQ(a[l].heapFallbackNeurons,
+                              b[l].heapFallbackNeurons)
+                        << at;
+                    EXPECT_EQ(a[l].heapPops, b[l].heapPops) << at;
+                }
+            }
         }
     }
 }
