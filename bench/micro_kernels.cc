@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "classify/random_forest.hh"
@@ -18,6 +19,7 @@
 #include "hw/simulator.hh"
 #include "nn/common_layers.hh"
 #include "nn/conv.hh"
+#include "nn/gemm.hh"
 #include "nn/init.hh"
 #include "nn/linear.hh"
 #include "path/extractor.hh"
@@ -100,6 +102,54 @@ BM_ForwardPass(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ForwardPass);
+
+/**
+ * Fused packed conv forward (the serving path's conv kernel) on one
+ * thread, per 3x3 / stride 1 / pad 1 layer shape: the nine conv layers
+ * of the end-to-end benchmark's worlds (detect_full 3->16@32,
+ * 16->32@16, 32->32@8; detect_early 3->32@32, 32->32@16, 32->64@8,
+ * 64->64@8; serve 3->8@16, 8->12@8) plus a larger 64->64@32 layer.
+ * Reports MAC/s; skipped unless the AVX2 path is active.
+ */
+void
+BM_ConvForward(benchmark::State &state)
+{
+    // {in_c, out_c, h (= w)}
+    static constexpr int kShapes[][3] = {
+        {3, 16, 32}, {16, 32, 16}, {32, 32, 8}, {3, 32, 32}, {32, 32, 16},
+        {32, 64, 8}, {64, 64, 8},  {3, 8, 16},  {8, 12, 8},  {64, 64, 32}};
+    const auto &sh = kShapes[state.range(0)];
+    const int in_c = sh[0], out_c = sh[1], hw = sh[2];
+    state.SetLabel(std::to_string(in_c) + "->" + std::to_string(out_c) +
+                   "@" + std::to_string(hw));
+    if (nn::simdMode() != nn::SimdMode::Avx2) {
+        state.SkipWithError("fused packed conv forward is AVX2-only");
+        return;
+    }
+    const int K = in_c * 9;
+    Rng rng(10);
+    std::vector<float> w(static_cast<std::size_t>(out_c) * K);
+    std::vector<float> b(out_c);
+    std::vector<float> x(static_cast<std::size_t>(in_c) * hw * hw);
+    std::vector<float> y(static_cast<std::size_t>(out_c) * hw * hw);
+    for (auto *v : {&w, &b, &x})
+        for (auto &e : *v)
+            e = static_cast<float>(rng.uniform()) - 0.5f;
+    nn::PackedB wt;
+    nn::packBMatrixStrided(w.data(), 1, K, K, out_c, wt);
+    ThreadPool *saved = nn::gemmPool();
+    nn::gemmPool() = nullptr;
+    for (auto _ : state) {
+        nn::convForwardPacked(x.data(), in_c, hw, hw, 3, 1, 1, hw, hw, wt,
+                              b.data(), y.data());
+        benchmark::DoNotOptimize(y.data());
+    }
+    nn::gemmPool() = saved;
+    state.counters["MAC/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * out_c * K * hw * hw,
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ConvForward)->DenseRange(0, 9);
 
 void
 BM_BackwardCumulativeExtraction(benchmark::State &state)

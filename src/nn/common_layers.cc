@@ -55,29 +55,54 @@ MaxPool2d::outputShape(const std::vector<Shape> &ins) const
     return mapShape(ins[0].c, ins[0].h / kSize, ins[0].w / kSize);
 }
 
+namespace
+{
+
+/**
+ * One output row of max pooling: each window's taps in (ky, kx) scan
+ * order through the branchless `v > best ? v : best`, which keeps the
+ * first maximum and skips NaN exactly like a branchy `if (v > best)`
+ * but never mispredicts on post-ReLU data. KS > 0 fixes the window
+ * size at compile time so the common 2x2 case vectorizes.
+ */
+template <int KS>
+inline void
+maxPoolRow(const float *__restrict in, int iw, int ks_rt, int ow,
+           float *__restrict out)
+{
+    const int ks = KS > 0 ? KS : ks_rt;
+    for (int ox = 0; ox < ow; ++ox) {
+        const float *win = in + ox * ks;
+        float best = -INFINITY;
+        for (int ky = 0; ky < ks; ++ky) {
+            for (int kx = 0; kx < ks; ++kx) {
+                const float v = win[ky * iw + kx];
+                best = v > best ? v : best;
+            }
+        }
+        out[ox] = best;
+    }
+}
+
+} // namespace
+
 void
 MaxPool2d::forwardInto(const std::vector<const Tensor *> &ins, Tensor &out,
                        bool train) const
 {
     (void)train;
     const Tensor &in = *ins[0];
-    out.resize(mapShape(in.shape().c, in.shape().h / kSize,
-                        in.shape().w / kSize));
+    const int iw = in.shape().w;
+    out.resize(mapShape(in.shape().c, in.shape().h / kSize, iw / kSize));
     const int oh = out.shape().h, ow = out.shape().w;
     for (int c = 0; c < out.shape().c; ++c) {
         for (int oy = 0; oy < oh; ++oy) {
-            for (int ox = 0; ox < ow; ++ox) {
-                float best = -1e30f;
-                for (int ky = 0; ky < kSize; ++ky) {
-                    for (int kx = 0; kx < kSize; ++kx) {
-                        const float v =
-                            in.at(c, oy * kSize + ky, ox * kSize + kx);
-                        if (v > best)
-                            best = v;
-                    }
-                }
-                out.at(c, oy, ox) = best;
-            }
+            const float *rows = in.data() + in.index(c, oy * kSize, 0);
+            float *o = out.data() + out.index(c, oy, 0);
+            if (kSize == 2)
+                maxPoolRow<2>(rows, iw, 2, ow, o);
+            else
+                maxPoolRow<0>(rows, iw, kSize, ow, o);
         }
     }
 }
@@ -99,8 +124,9 @@ MaxPool2d::backwardInto(const std::vector<const Tensor *> &ins,
     for (int c = 0; c < grad_out.shape().c; ++c) {
         for (int oy = 0; oy < oh; ++oy) {
             for (int ox = 0; ox < ow; ++ox) {
-                float best = -1e30f;
-                std::size_t best_idx = 0;
+                float best = -INFINITY;
+                std::size_t best_idx =
+                    in.index(c, oy * kSize, ox * kSize);
                 for (int ky = 0; ky < kSize; ++ky) {
                     for (int kx = 0; kx < kSize; ++kx) {
                         const int iy = oy * kSize + ky;
@@ -137,8 +163,8 @@ MaxPool2d::backmapImportant(
         const std::size_t rem = o % (static_cast<std::size_t>(oh) * ow);
         const int oy = static_cast<int>(rem / ow);
         const int ox = static_cast<int>(rem % ow);
-        float best = -1e30f;
-        std::size_t best_idx = 0;
+        float best = -INFINITY;
+        std::size_t best_idx = in.index(c, oy * kSize, ox * kSize);
         for (int ky = 0; ky < kSize; ++ky) {
             for (int kx = 0; kx < kSize; ++kx) {
                 const float v = in.at(c, oy * kSize + ky, ox * kSize + kx);

@@ -81,11 +81,12 @@ Conv2d::forwardGemm(const Tensor &in, Tensor &out) const
     const int oh = out.shape().h, ow = out.shape().w;
     const std::size_t ohw = static_cast<std::size_t>(oh) * ow;
     if (usePackedForward()) {
-        // Fused serving path: the im2col A panel is emitted strip by
-        // strip straight into the microkernel's broadcast operand, so
-        // the [K x oh*ow] column matrix never materializes. Bias is
-        // added once to the accumulators — the same single addition as
-        // the `row[i] += b` pass below. Bit-identical per the
+        // Fused serving path, an implicit GEMM: the microkernel
+        // broadcasts each im2col element straight from a zero-padded
+        // copy of the input through tap and position offset tables, so
+        // no column matrix or A panel is ever written. Bias is added
+        // once to the accumulators — the same single addition as the
+        // `row[i] += b` pass below. Bit-identical per the
         // gemm_kernels.hh contract.
         convForwardPacked(in.data(), inC, ih, iw, kSize, strd, padding, oh,
                           ow, packedWt, bias.data(), out.data());

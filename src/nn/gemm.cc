@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "nn/gemm_kernels.hh"
 #include "util/thread_pool.hh"
@@ -477,12 +478,19 @@ sgemmPrepacked(int M, const float *A, const PackedB &B, float *C,
 namespace
 {
 
-/** Per-thread fused A-panel scratch (6 x K floats, cache-aligned). */
-util::AlignedF32 &
-convPanelScratch()
+/** Per-thread implicit-GEMM scratch: padded input plane + offset tables. */
+struct ConvImplicitScratch
 {
-    thread_local util::AlignedF32 panel;
-    return panel;
+    util::AlignedF32 plane; ///< in_c x (ih+2p) x (iw+2p), zero border
+    std::vector<int> koff;  ///< per tap (ic, ky, kx): offset into plane
+    std::vector<int> poff;  ///< per output position: offset into plane
+};
+
+ConvImplicitScratch &
+convImplicitScratch()
+{
+    thread_local ConvImplicitScratch scratch;
+    return scratch;
 }
 
 } // namespace
@@ -512,33 +520,58 @@ convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
     const int outC = wt.N;
     const int ohw = oh * ow;
     assert(K == in_c * k * k);
-    // Block whole output rows so one fused A panel covers ~96 output
-    // positions. Row-aligned blocks keep the panel emission on
-    // im2colRowsInto's contiguous-run memcpys (the exact im2col inner
-    // loop — just restricted to the block's rows, so only a [K x P]
-    // slice ever materializes, L2-resident and consumed immediately),
-    // and the blocked kernel then reuses each K x 16 weight panel
-    // across every strip of the block. One block is also the pool-task
-    // grain. Positions are independent and per-element results
-    // partition-invariant, so the blocking is scheduling-only.
-    constexpr int kTargetBlockPositions = 96;
-    const int rows_per_block = std::max(
-        1, std::min(oh, (kTargetBlockPositions + ow - 1) / ow));
-    const std::size_t n_tasks = static_cast<std::size_t>(
-        (oh + rows_per_block - 1) / rows_per_block);
+    auto &scratch = convImplicitScratch();
+    // Copy the input once into a zero-padded plane so every tap of every
+    // output position is an in-bounds load: xp[koff[k] + poff[p]] is the
+    // im2col element (k, p), border zeros included. Unpadded convs read
+    // the input in place.
+    const int ihp = ih + 2 * pad, iwp = iw + 2 * pad;
+    const float *xp = in;
+    if (pad > 0) {
+        scratch.plane.resize(static_cast<std::size_t>(in_c) * ihp * iwp);
+        float *dst = scratch.plane.data();
+        const std::size_t border_rows = static_cast<std::size_t>(pad) * iwp;
+        for (int ic = 0; ic < in_c; ++ic) {
+            const float *src = in + static_cast<std::size_t>(ic) * ih * iw;
+            std::fill_n(dst, border_rows, 0.0f);
+            dst += border_rows;
+            for (int y = 0; y < ih; ++y, src += iw) {
+                std::fill_n(dst, pad, 0.0f);
+                std::memcpy(dst + pad, src, sizeof(float) * iw);
+                std::fill_n(dst + pad + iw, pad, 0.0f);
+                dst += iwp;
+            }
+            std::fill_n(dst, border_rows, 0.0f);
+            dst += border_rows;
+        }
+        xp = scratch.plane.data();
+    }
+    // Raw pointers into this thread's scratch: inside the pool lambda a
+    // convImplicitScratch() call would name the worker's instance.
+    scratch.koff.resize(static_cast<std::size_t>(K));
+    scratch.poff.resize(static_cast<std::size_t>(ohw));
+    int *const koff = scratch.koff.data();
+    int *const poff = scratch.poff.data();
+    for (int ic = 0; ic < in_c; ++ic)
+        for (int ky = 0; ky < k; ++ky)
+            for (int kx = 0; kx < k; ++kx)
+                koff[(ic * k + ky) * k + kx] = (ic * ihp + ky) * iwp + kx;
+    for (int oy = 0; oy < oh; ++oy)
+        for (int ox = 0; ox < ow; ++ox)
+            poff[oy * ow + ox] = oy * stride * iwp + ox * stride;
+    // One block of kConvBlockPositions output positions is both the
+    // kernel's weight-reuse unit and the pool-task grain. Positions are
+    // independent and per-element results partition-invariant, so the
+    // blocking is scheduling-only.
+    constexpr int kBlock = detail::kConvBlockPositions;
+    const std::size_t n_tasks =
+        static_cast<std::size_t>((ohw + kBlock - 1) / kBlock);
     const double flops = 2.0 * outC * ohw * K;
     auto run = [&](std::size_t t) {
-        const int oy0 = static_cast<int>(t) * rows_per_block;
-        const int oy1 = std::min(oh, oy0 + rows_per_block);
-        const int P = (oy1 - oy0) * ow; // positions in this block
-        auto &panel = convPanelScratch();
-        panel.resize(static_cast<std::size_t>(K) * P);
-        im2colRowsInto(in, in_c, ih, iw, k, stride, pad, ow, oy0, oy1,
-                       panel.data(), static_cast<std::size_t>(P));
-        const int n_strips = (P + 5) / 6;
-        detail::avx2ConvPackedBlock(K, outC, panel.data(), P, n_strips,
-                                    P - 6 * (n_strips - 1), wt.data.data(),
-                                    bias, out + oy0 * ow, ohw);
+        const int p0 = static_cast<int>(t) * kBlock;
+        detail::avx2ConvImplicitBlock(K, outC, xp, koff, poff + p0,
+                                      std::min(kBlock, ohw - p0),
+                                      wt.data.data(), bias, out + p0, ohw);
     };
     ThreadPool *pool = gemmPool();
     if (usePoolFor(pool, n_tasks, flops)) {
@@ -556,24 +589,13 @@ im2col(const float *in, int in_c, int ih, int iw, int k, int stride, int pad,
 {
     const std::size_t ohw = static_cast<std::size_t>(oh) * ow;
     col.resize(static_cast<std::size_t>(in_c) * k * k * ohw);
-    im2colRowsInto(in, in_c, ih, iw, k, stride, pad, ow, 0, oh, col.data(),
-                   ohw);
-}
-
-void
-im2colRowsInto(const float *in, int in_c, int ih, int iw, int k, int stride,
-               int pad, int ow, int oy0, int oy1, float *col,
-               std::size_t row_stride)
-{
-    float *dst = col;
+    float *row = col.data();
     for (int ic = 0; ic < in_c; ++ic) {
         const float *plane = in + static_cast<std::size_t>(ic) * ih * iw;
         for (int ky = 0; ky < k; ++ky) {
             for (int kx = 0; kx < k; ++kx) {
-                for (int oy = oy0; oy < oy1; ++oy) {
+                for (int oy = 0; oy < oh; ++oy, row += ow) {
                     const int iy = oy * stride - pad + ky;
-                    float *row =
-                        dst + static_cast<std::size_t>(oy - oy0) * ow;
                     if (iy < 0 || iy >= ih) {
                         std::memset(row, 0, sizeof(float) * ow);
                         continue;
@@ -604,7 +626,6 @@ im2colRowsInto(const float *in, int in_c, int ih, int iw, int k, int stride,
                         }
                     }
                 }
-                dst += row_stride;
             }
         }
     }

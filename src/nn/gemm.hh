@@ -6,6 +6,9 @@
  * im2col unrolls each receptive field into a column, so the layer's
  * forward pass is one [outC x K] * [K x OHW] product computed by a
  * cache-blocked, vectorizable kernel instead of a 6-deep scalar loop.
+ * The AVX2 serving forward (convForwardPacked) computes that same
+ * product as an implicit GEMM, reading each column element straight
+ * from a zero-padded copy of the input.
  * The same kernels back the backward pass (weight gradient via NT,
  * input gradient via TN + col2im) and the Linear layer (gemv).
  *
@@ -107,32 +110,22 @@ void sgemmPrepacked(int M, const float *A, const PackedB &B, float *C,
                     bool accumulate = false);
 
 /**
- * Fused packed conv forward (AVX2 serving fast path): per block of
- * output rows, emit a [K x P] slice of the im2col matrix into a
- * reusable L2-resident panel (the full col matrix is never
- * materialized) and run the flipped 6-position x 16-channel register
- * tiles against the persistent packed W^T panels, bias fused into the
- * store. Output is channel-major [outC x oh*ow], bit-identical to
- * im2col + sgemm + bias (see avx2ConvPackedBlock). Row blocks fan out
- * on gemmPool() like sgemm tiles. Caller must hold simdMode() == Avx2
- * and an AVX2 build; @p wt must be the packed [K x outC] transposed
- * weight matrix with K = in_c*k*k.
+ * Fused packed conv forward (AVX2 serving fast path) as an implicit
+ * GEMM: the input is copied once into a zero-padded plane, and a tap
+ * offset table (K entries) plus a position offset table (oh*ow entries)
+ * let the 6-position x 16-channel register tiles broadcast each im2col
+ * element straight from that plane — no im2col matrix or per-block A
+ * panel is ever written. The tiles run against the persistent packed
+ * W^T panels with the bias fused into the store. Output is
+ * channel-major [outC x oh*ow], bit-identical to im2col + sgemm + bias
+ * (see avx2ConvImplicitBlock). Blocks of detail::kConvBlockPositions
+ * output positions fan out on gemmPool() like sgemm tiles. Caller must
+ * hold simdMode() == Avx2 and an AVX2 build; @p wt must be the packed
+ * [K x outC] transposed weight matrix with K = in_c*k*k.
  */
 void convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
                        int stride, int pad, int oh, int ow,
                        const PackedB &wt, const float *bias, float *out);
-
-/**
- * Emit the im2col columns of output rows [oy0, oy1) as a row-major
- * [K x (oy1-oy0)*ow] matrix at leading dimension @p row_stride (tap
- * row order (ic, ky, kx) as im2col). This is im2col restricted to a
- * row range — the same contiguous-run memcpy inner loop — and is the
- * fused per-block A-panel emission behind convForwardPacked, exposed
- * for tests and reuse. im2col delegates here with the full range.
- */
-void im2colRowsInto(const float *in, int in_c, int ih, int iw, int k,
-                    int stride, int pad, int ow, int oy0, int oy1,
-                    float *col, std::size_t row_stride);
 
 /**
  * Process-wide switch for the persistent-packed serving path

@@ -18,8 +18,11 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "util/aligned.hh"
@@ -351,15 +354,15 @@ avx2GemmTilePrepacked(int i0, int i1, int j0, int j1, int K,
 namespace
 {
 
-/** Row masks for storing R < 8 lanes (load at offset 8 - R). */
-alignas(32) constexpr int kRowMaskTab[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
-                                             0,  0,  0,  0,  0,  0,  0,  0};
+/** Lane masks selecting the first n <= 8 lanes (load at offset 8 - n). */
+alignas(32) constexpr int kLaneMaskTab[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                              0,  0,  0,  0,  0,  0,  0,  0};
 
 inline __m256i
-rowMask(int R)
+laneMask(int n)
 {
     return _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(kRowMaskTab + 8 - R));
+        reinterpret_cast<const __m256i *>(kLaneMaskTab + 8 - n));
 }
 
 /** In-register 8x8 float transpose (data movement only, no rounding). */
@@ -395,35 +398,48 @@ transpose8x8(__m256 r[8])
 }
 
 /**
- * Flipped conv register tile: R strip positions (broadcast operand) x
- * 16 output channels (vector operand) over a packed [k][16] weight
- * panel. @p ap is the depth-major A panel (ap[k*6 + r], see
- * im2colPanelInto) — the 6 broadcasts of one depth step share a cache
- * line. Per element this is the exact fold fma(a_k, w_ik, acc) over k
- * ascending the unpacked path computes — fma's product operands merely
- * swap roles, which rounds identically — followed by the one bias
- * addition forwardGemm performs, so results are bit-identical. The
- * accumulators hold 16 channels per strip position; an in-register
- * 8x8 transpose turns them into per-channel rows of R positions for
- * the masked store into the channel-major output.
+ * Row stride of the per-panel output stage: one block's positions plus
+ * the two lanes a full-width store of the block's last strip runs past
+ * them. A multiple of 8, so stage rows are never 4 KiB apart.
+ */
+constexpr int kStageLd = kConvBlockPositions + 8;
+
+/**
+ * Implicit-GEMM conv register tile: R output positions (broadcast
+ * operand) x 16 output channels (vector operand) over a packed [k][16]
+ * weight panel. The A element for tap k at strip position r is read
+ * straight from the zero-padded input plane, xp[koff[k] + poff[r]] —
+ * exactly the value im2col would have written, padding zeros included
+ * — so no A panel is ever emitted. Per element this is the exact fold
+ * fma(a_k, w_ik, acc) over k ascending the unpacked path computes —
+ * fma's product operands merely swap roles, which rounds identically —
+ * followed by the one bias addition forwardGemm performs, so results
+ * are bit-identical. The accumulators hold 16 channels per position;
+ * an in-register 8x8 transpose turns them into per-channel rows of R
+ * positions, stored full-width into the [16][kStageLd] @p stage (lanes
+ * past R land where the next strip writes afterwards).
  */
 template <int R>
 inline void
-convStripKx16(int K, const float *ap, std::ptrdiff_t a_ld, const float *wp,
-              const float *bias, float *out, std::ptrdiff_t ldc)
+implicitStripKx16(int K, const float *xp, const int *koff, const int *poff,
+                  const float *wp, const float *bias, float *stage)
 {
+    const float *x[R];
     __m256 acc0[R], acc1[R];
     for (int r = 0; r < R; ++r) {
+        x[r] = xp + poff[r];
         acc0[r] = _mm256_setzero_ps();
         acc1[r] = _mm256_setzero_ps();
     }
+    // Keep the 4x-unrolled step shape: a plain k loop lets GCC spill
+    // the accumulators every iteration.
     auto step = [&](int k) {
         const float *w = wp + static_cast<std::size_t>(k) * 16;
-        const float *a6 = ap + static_cast<std::ptrdiff_t>(k) * a_ld;
+        const int o = koff[k];
         const __m256 b0 = _mm256_load_ps(w);
         const __m256 b1 = _mm256_load_ps(w + 8);
         for (int r = 0; r < R; ++r) {
-            const __m256 av = _mm256_set1_ps(a6[r]);
+            const __m256 av = _mm256_broadcast_ss(x[r] + o);
             acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
             acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
         }
@@ -450,30 +466,37 @@ convStripKx16(int K, const float *ap, std::ptrdiff_t a_ld, const float *wp,
     }
     transpose8x8(t0);
     transpose8x8(t1);
-    const __m256i mask = rowMask(R);
     for (int c = 0; c < 8; ++c)
-        _mm256_maskstore_ps(out + static_cast<std::ptrdiff_t>(c) * ldc,
-                            mask, t0[c]);
+        _mm256_storeu_ps(stage + c * kStageLd, t0[c]);
     for (int c = 0; c < 8; ++c)
-        _mm256_maskstore_ps(out + static_cast<std::ptrdiff_t>(8 + c) * ldc,
-                            mask, t1[c]);
+        _mm256_storeu_ps(stage + (8 + c) * kStageLd, t1[c]);
 }
 
-/** 8-channel variant of convStripKx16 for the 8-wide channel panel. */
+/**
+ * 8-lane variant of implicitStripKx16 for the last @p W <= 8 channels:
+ * the 8-wide weight panel (W = 8) or the scalar-tail panel ([k][W],
+ * W < 8), whose missing lanes load as zero. Per lane the fold is the
+ * same fma chain as the 16-wide tile.
+ */
 template <int R>
 inline void
-convStripKx8(int K, const float *ap, std::ptrdiff_t a_ld, const float *wp,
-             const float *bias, float *out, std::ptrdiff_t ldc)
+implicitStripKx8(int K, const float *xp, const int *koff, const int *poff,
+                 const float *wp, int W, const float *bias, float *stage)
 {
+    const __m256i wmask = laneMask(W);
+    const float *x[R];
     __m256 acc[R];
-    for (int r = 0; r < R; ++r)
+    for (int r = 0; r < R; ++r) {
+        x[r] = xp + poff[r];
         acc[r] = _mm256_setzero_ps();
+    }
     auto step = [&](int k) {
         const __m256 b0 =
-            _mm256_loadu_ps(wp + static_cast<std::size_t>(k) * 8);
-        const float *a6 = ap + static_cast<std::ptrdiff_t>(k) * a_ld;
+            _mm256_maskload_ps(wp + static_cast<std::size_t>(k) * W, wmask);
+        const int o = koff[k];
         for (int r = 0; r < R; ++r)
-            acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(a6[r]), b0, acc[r]);
+            acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(x[r] + o), b0,
+                                     acc[r]);
     };
     int k = 0;
     for (; k + 4 <= K; k += 4) {
@@ -484,94 +507,78 @@ convStripKx8(int K, const float *ap, std::ptrdiff_t a_ld, const float *wp,
     }
     for (; k < K; ++k)
         step(k);
-    const __m256 bv = _mm256_loadu_ps(bias);
+    const __m256 bv = _mm256_maskload_ps(bias, wmask);
     __m256 t[8];
     for (int r = 0; r < 8; ++r)
         t[r] = _mm256_setzero_ps();
     for (int r = 0; r < R; ++r)
         t[r] = _mm256_add_ps(acc[r], bv);
     transpose8x8(t);
-    const __m256i mask = rowMask(R);
     for (int c = 0; c < 8; ++c)
-        _mm256_maskstore_ps(out + static_cast<std::ptrdiff_t>(c) * ldc,
-                            mask, t[c]);
-}
-
-/** Scalar-fmaf channel tail (fewer than 8 channels left). */
-inline void
-convStripScalarChannels(int K, const float *ap, std::ptrdiff_t a_ld, int R,
-                        const float *P, int w, const float *bias,
-                        float *out, std::ptrdiff_t ldc)
-{
-    for (int c = 0; c < w; ++c) {
-        const float b = bias[c];
-        float *crow = out + static_cast<std::ptrdiff_t>(c) * ldc;
-        for (int r = 0; r < R; ++r) {
-            float s = 0.0f;
-            for (int k = 0; k < K; ++k)
-                s = std::fmaf(ap[static_cast<std::ptrdiff_t>(k) * a_ld + r],
-                              P[static_cast<std::size_t>(k) * w + c], s);
-            crow[r] = s + b;
-        }
-    }
+        _mm256_storeu_ps(stage + c * kStageLd, t[c]);
 }
 
 } // namespace
 
 void
-avx2ConvPackedBlock(int K, int N, const float *ap, std::ptrdiff_t a_ld,
-                    int n_strips, int r_last, const float *packed,
-                    const float *bias, float *out, std::ptrdiff_t ldc)
+avx2ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
+                      const int *poff, int P, const float *packed,
+                      const float *bias, float *out, std::ptrdiff_t ldc)
 {
-    assert(n_strips >= 1 && r_last >= 1 && r_last <= 6);
-    assert(a_ld >= (n_strips - 1) * 6 + r_last);
+    assert(P >= 1 && P <= kConvBlockPositions);
     assert(util::isAligned(packed));
+    // Full 6-position strips call the tile directly (so it inlines);
+    // only a block's last strip can be short, dispatched on its R.
+    static constexpr decltype(&implicitStripKx16<6>) kShort16[] = {
+        implicitStripKx16<1>, implicitStripKx16<2>, implicitStripKx16<3>,
+        implicitStripKx16<4>, implicitStripKx16<5>};
+    static constexpr decltype(&implicitStripKx8<6>) kShort8[] = {
+        implicitStripKx8<1>, implicitStripKx8<2>, implicitStripKx8<3>,
+        implicitStripKx8<4>, implicitStripKx8<5>};
     const PackedBLayout L = packedBLayout(K, N);
-    auto run16 = [&](int R, const float *sap, const float *wp,
-                     const float *bv, float *o) {
-        switch (R) {
-          case 1: convStripKx16<1>(K, sap, a_ld, wp, bv, o, ldc); break;
-          case 2: convStripKx16<2>(K, sap, a_ld, wp, bv, o, ldc); break;
-          case 3: convStripKx16<3>(K, sap, a_ld, wp, bv, o, ldc); break;
-          case 4: convStripKx16<4>(K, sap, a_ld, wp, bv, o, ldc); break;
-          case 5: convStripKx16<5>(K, sap, a_ld, wp, bv, o, ldc); break;
-          default: convStripKx16<6>(K, sap, a_ld, wp, bv, o, ldc); break;
-        }
+    const int n_full = P / 6;
+    const int r_last = P % 6;
+    const int *poff_last = poff + n_full * 6;
+    // Each channel panel's strips land in a compact stage first; its
+    // rows then go out as contiguous P-float runs. Storing strips
+    // straight into the channel-major output would touch 16 rows
+    // oh*ow floats apart per strip — one L1 set when that is 1024.
+    alignas(32) float stage[16 * kStageLd];
+    float *stage_last = stage + n_full * 6;
+    const auto flush = [&](int c0, int width) {
+        for (int c = 0; c < width; ++c)
+            std::memcpy(out + static_cast<std::ptrdiff_t>(c0 + c) * ldc,
+                        stage + c * kStageLd, sizeof(float) * P);
     };
-    auto run8 = [&](int R, const float *sap, const float *wp,
-                    const float *bv, float *o) {
-        switch (R) {
-          case 1: convStripKx8<1>(K, sap, a_ld, wp, bv, o, ldc); break;
-          case 2: convStripKx8<2>(K, sap, a_ld, wp, bv, o, ldc); break;
-          case 3: convStripKx8<3>(K, sap, a_ld, wp, bv, o, ldc); break;
-          case 4: convStripKx8<4>(K, sap, a_ld, wp, bv, o, ldc); break;
-          case 5: convStripKx8<5>(K, sap, a_ld, wp, bv, o, ldc); break;
-          default: convStripKx8<6>(K, sap, a_ld, wp, bv, o, ldc); break;
-        }
-    };
-    const auto stripR = [&](int s) { return s + 1 == n_strips ? r_last : 6; };
+    // Channel panel OUTER, strip INNER: each K x 16 weight panel streams
+    // from cache once per block rather than once per strip.
     for (int blk = 0; blk < L.nFull; ++blk) {
         const float *wp = packed + static_cast<std::size_t>(blk) * K * 16;
+        const float *bv = bias + blk * 16;
         assert(util::isAligned(wp));
-        float *o = out + static_cast<std::ptrdiff_t>(blk) * 16 * ldc;
-        for (int s = 0; s < n_strips; ++s)
-            run16(stripR(s), ap + s * 6, wp, bias + blk * 16, o + s * 6);
+        for (int s = 0; s < n_full; ++s)
+            implicitStripKx16<6>(K, xp, koff, poff + s * 6, wp, bv,
+                                 stage + s * 6);
+        if (r_last > 0)
+            kShort16[r_last - 1](K, xp, koff, poff_last, wp, bv, stage_last);
+        flush(blk * 16, 16);
     }
+    // The 8-wide panel, then the <8-channel tail panel, through the
+    // same 8-lane tile.
     int c0 = L.nFull * 16;
-    if (L.has8) {
-        const float *wp = packed + L.off8;
-        assert(util::isAligned(wp));
-        float *o = out + static_cast<std::ptrdiff_t>(c0) * ldc;
-        for (int s = 0; s < n_strips; ++s)
-            run8(stripR(s), ap + s * 6, wp, bias + c0, o + s * 6);
-        c0 += 8;
-    }
-    if (L.tail > 0) {
-        float *o = out + static_cast<std::ptrdiff_t>(c0) * ldc;
-        for (int s = 0; s < n_strips; ++s)
-            convStripScalarChannels(K, ap + s * 6, a_ld, stripR(s),
-                                    packed + L.offTail, L.tail, bias + c0,
-                                    o + s * 6, ldc);
+    for (const auto &[off, W] : {std::pair{L.off8, L.has8 ? 8 : 0},
+                                 std::pair{L.offTail, L.tail}}) {
+        if (W == 0)
+            continue;
+        const float *wp = packed + off;
+        for (int s = 0; s < n_full; ++s)
+            implicitStripKx8<6>(K, xp, koff, poff + s * 6, wp, W, bias + c0,
+                                stage + s * 6);
+        if (r_last > 0)
+            kShort8[r_last - 1](K, xp, koff, poff_last, wp, W, bias + c0,
+                                stage_last);
+        flush(c0, W);
+        c0 += W;
     }
 }
 

@@ -74,6 +74,14 @@ packedBLayout(int K, int N)
 #ifdef PTOLEMY_HAVE_AVX2
 
 /**
+ * Output positions per implicit-GEMM conv block: the pool-task grain of
+ * convForwardPacked and the largest @p P avx2ConvImplicitBlock takes.
+ * 16 strips of 6 positions, so each K x 16 weight panel is reused
+ * across 16 strips per load from cache.
+ */
+constexpr int kConvBlockPositions = 96;
+
+/**
  * C tile [i0,i1) x [j0,j1) = A * B over the full K extent (or += when
  * @p accumulate), with register-resident accumulators (6x16 FMA
  * microkernel plus 8-wide and scalar column tails).
@@ -114,34 +122,36 @@ void avx2GemmTilePrepacked(int i0, int i1, int j0, int j1, int K,
                            int ldc, bool accumulate);
 
 /**
- * Fused conv-forward block over one im2col A panel: out[i * ldc + j] =
- * bias[i] + sum_k ap[k * a_ld + j] * packed weight (k, i) for channels
- * i in [0, N) and the block's P = 6 * (n_strips - 1) + r_last output
- * positions j. @p ap is a row-major [K x P] slice of the im2col matrix
- * with leading dimension @p a_ld (im2colRowsInto emits it per block of
- * output rows); @p packed the persistent transposed weight matrix
+ * Implicit-GEMM conv-forward block: out[i * ldc + j] = bias[i] +
+ * sum_k xp[koff[k] + poff[j]] * packed weight (k, i) for channels i in
+ * [0, N) and the block's @p P <= kConvBlockPositions output positions j.
+ * @p xp is the zero-padded input plane, @p koff the K tap offsets
+ * (ic*ihp + ky)*iwp + kx into it, and @p poff the block's P position
+ * offsets oy*stride*iwp + ox*stride (convForwardPacked builds all three
+ * once per call), so xp[koff[k] + poff[j]] is exactly the im2col
+ * element (k, j), padding zeros included, and no [K x P] A panel is
+ * ever written. @p packed is the persistent transposed weight matrix
  * W^T [K x N] in packedBLayout form.
  *
  * The register tile is flipped relative to avx2GemmTile — 6 positions
  * (one strip) are the broadcast operand, 16 output channels the vector
- * operand — and the results are transposed through registers into the
- * channel-major output with the bias added before the store. The loop
- * nest is channel-panel OUTER, strip INNER, so each K x 16 weight
- * panel streams from cache once per block instead of once per strip —
- * that weight reuse plus the never-materialized full im2col matrix is
- * what makes the fused path beat im2col + sgemm.
+ * operand — and the results are transposed through registers, bias
+ * added, into a block-local stage whose rows are copied out to the
+ * channel-major output as contiguous runs. The loop nest is
+ * channel-panel OUTER, strip INNER, so each K x 16 weight panel
+ * streams from cache once per block instead of once per strip.
  *
  * Per output element this performs the exact same chain as the
  * unpacked path: a fold of fma(a_k, w_ik, acc) over k ascending from
  * zero (fma(a, b, c) and fma(b, a, c) round identically), then one
- * bias addition — so the fused path is bit-identical to
+ * bias addition — so the implicit GEMM is bit-identical to
  * im2col + sgemm + bias, and the strip/block partition is scheduling,
  * not numerics.
  */
-void avx2ConvPackedBlock(int K, int N, const float *ap,
-                         std::ptrdiff_t a_ld, int n_strips, int r_last,
-                         const float *packed, const float *bias,
-                         float *out, std::ptrdiff_t ldc);
+void avx2ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
+                           const int *poff, int P, const float *packed,
+                           const float *bias, float *out,
+                           std::ptrdiff_t ldc);
 
 /**
  * NT row block: C[i][j] = dot(A row i, B row j) for i in [i0,i1),

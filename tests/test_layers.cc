@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "nn/common_layers.hh"
 #include "nn/conv.hh"
@@ -234,6 +239,117 @@ TEST(MaxPoolLayer, BackmapFindsWinner)
     ASSERT_EQ(per_input.size(), 1u);
     ASSERT_EQ(per_input[0].size(), 1u);
     EXPECT_EQ(per_input[0][0], 1u);
+}
+
+TEST(MaxPoolLayer, SentinelFreeWindowsStayInside)
+{
+    // Windows whose values all sit at or below -1e30, or are all NaN,
+    // must neither invent a -1e30 output nor route their gradient and
+    // important-input index to element 0 of the tensor: the second
+    // window of each row starts at a nonzero flat index.
+    MaxPool2d pool("p", 2);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    // Windows: (1) finite below -1e30, max -2e38 at flat index 1;
+    // (2) all NaN, first index 2; (3) all -Inf, first index 8;
+    // (4) ordinary, max 5 at flat index 15.
+    Tensor x(mapShape(1, 4, 4),
+             {-3e38f, -2e38f, nan,  nan, //
+              -3e38f, -3e38f, nan,  nan, //
+              -inf,   -inf,   1.0f, 2.0f, //
+              -inf,   -inf,   3.0f, 5.0f});
+    auto y = pool.forward({&x}, false);
+    ASSERT_EQ(y.size(), 4u);
+    EXPECT_EQ(y[0], -2e38f);
+    EXPECT_EQ(y[1], -inf); // NaN taps never beat the -Inf start
+    EXPECT_EQ(y[2], -inf);
+    EXPECT_EQ(y[3], 5.0f);
+
+    Tensor g(mapShape(1, 2, 2), {1.0f, 2.0f, 3.0f, 4.0f});
+    auto gi = pool.backward({&x}, g);
+    std::vector<float> want(16, 0.0f);
+    want[1] = 1.0f;  // argmax of window 1
+    want[2] = 2.0f;  // all-NaN window: its own first element
+    want[8] = 3.0f;  // all -Inf window: its own first element
+    want[15] = 4.0f;
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(gi[0][i], want[i]) << "input " << i;
+
+    std::vector<std::vector<std::size_t>> per_input;
+    pool.backmapImportant({&x}, y, {0, 1, 2, 3}, per_input);
+    ASSERT_EQ(per_input.size(), 1u);
+    EXPECT_EQ(per_input[0], (std::vector<std::size_t>{1, 2, 8, 15}));
+}
+
+TEST(MaxPoolLayer, BranchlessForwardMatchesBranchyOracle)
+{
+    // The forward's branchless running max must reproduce, bit for bit,
+    // the branchy scan it replaced: first maximum in (ky, kx) order,
+    // NaN taps skipped, -0.0 vs +0.0 ties resolved to the earlier tap,
+    // and odd extents floored.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const auto expectMatchesOracle = [inf](const Tensor &x, int k) {
+        MaxPool2d pool("p", k);
+        Tensor y;
+        pool.forwardInto({&x}, y, false);
+        const int oh = x.shape().h / k, ow = x.shape().w / k;
+        ASSERT_EQ(y.shape(), mapShape(x.shape().c, oh, ow));
+        for (int ch = 0; ch < x.shape().c; ++ch) {
+            for (int oy = 0; oy < oh; ++oy) {
+                for (int ox = 0; ox < ow; ++ox) {
+                    float best = -inf; // the oracle: branchy scan
+                    for (int ky = 0; ky < k; ++ky) {
+                        for (int kx = 0; kx < k; ++kx) {
+                            const float v =
+                                x.at(ch, oy * k + ky, ox * k + kx);
+                            if (v > best)
+                                best = v;
+                        }
+                    }
+                    const float got = y.at(ch, oy, ox);
+                    ASSERT_EQ(0, std::memcmp(&got, &best, sizeof(float)))
+                        << "c=" << ch << " oy=" << oy << " ox=" << ox
+                        << " got " << got << " want " << best;
+                }
+            }
+        }
+    };
+
+    // 2x2 windows, taps in scan order, that a `>=` or a NaN-propagating
+    // max would resolve differently: signed-zero ties both ways, NaN
+    // before and after numbers, all NaN, -Inf with NaN, +Inf with NaN.
+    const float crafted[][4] = {
+        {0.0f, -1.0f, -1.0f, -0.0f}, {-0.0f, -1.0f, -1.0f, 0.0f},
+        {nan, 1.0f, nan, 2.0f},     {nan, nan, nan, nan},
+        {-inf, nan, -inf, nan},     {3.0f, nan, 3.0f, -0.0f},
+        {-1e30f, -inf, -3e38f, nan}, {inf, nan, inf, 1.0f}};
+    const int n_crafted = static_cast<int>(std::size(crafted));
+    Tensor tie(mapShape(1, 2, 2 * n_crafted));
+    for (int win = 0; win < n_crafted; ++win)
+        for (int t = 0; t < 4; ++t)
+            tie.at(0, t / 2, 2 * win + t % 2) = crafted[win][t];
+    {
+        SCOPED_TRACE("crafted windows");
+        expectMatchesOracle(tie, 2);
+    }
+
+    const float specials[] = {nan, 0.0f, -0.0f, -inf, inf, -1e30f, -3e38f};
+    Rng rng(77);
+    // {c, h, w, k}
+    const int cases[][4] = {{3, 8, 8, 2},  {2, 9, 7, 2}, {4, 5, 11, 2},
+                            {2, 12, 12, 4}, {1, 7, 10, 3}, {3, 3, 3, 2}};
+    for (const auto &cs : cases) {
+        Tensor x(mapShape(cs[0], cs[1], cs[2]));
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            const double u = rng.uniform();
+            x[i] = u < 0.3 ? specials[rng.below(std::size(specials))]
+                           : static_cast<float>(rng.uniform()) - 0.5f;
+        }
+        SCOPED_TRACE("h=" + std::to_string(cs[1]) + " w=" +
+                     std::to_string(cs[2]) + " k=" + std::to_string(cs[3]));
+        expectMatchesOracle(x, cs[3]);
+    }
 }
 
 TEST(GlobalAvgPoolLayer, ForwardAveragesChannel)

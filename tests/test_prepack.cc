@@ -1,9 +1,9 @@
 /**
  * @file
  * Persistent packed-weight serving path: bitwise identity of
- * sgemmPrepacked vs sgemm, the fused packed conv forward vs the
- * classic im2col path, im2colRowsInto vs full im2col, inline-vs-pooled
- * scheduling, and the 64-byte panel alignment the AVX2 kernels assume.
+ * sgemmPrepacked vs sgemm, the implicit-GEMM packed conv forward vs
+ * the classic im2col path, inline-vs-pooled scheduling, and the
+ * 64-byte panel alignment the AVX2 kernels assume.
  * Everything here asserts EXACT float equality — the packed path's
  * contract is bit-identity, not tolerance.
  */
@@ -176,61 +176,15 @@ TEST(Prepack, PackedPanelsAreCacheLineAligned)
     }
 }
 
-TEST(Prepack, Im2colRowsMatchesFullIm2col)
-{
-    // Row-range emission must reproduce the corresponding slice of the
-    // full im2col matrix byte-for-byte, including the zero-padded
-    // border taps, for every conv geometry the fused path sees.
-    Rng rng(43);
-    const int cases[][5] = {{3, 1, 1, 8, 8},  {3, 2, 1, 9, 9},
-                            {1, 1, 0, 6, 6},  {5, 1, 2, 11, 9},
-                            {5, 2, 2, 12, 12}, {3, 1, 0, 7, 11}};
-    for (const auto &cs : cases) {
-        const int k = cs[0], stride = cs[1], pad = cs[2];
-        const int h = cs[3], w = cs[4];
-        const int in_c = 3;
-        const int oh = (h + 2 * pad - k) / stride + 1;
-        const int ow = (w + 2 * pad - k) / stride + 1;
-        const int K = in_c * k * k;
-        std::vector<float> in(static_cast<std::size_t>(in_c) * h * w);
-        fillRandom(in, rng);
-
-        util::AlignedF32 full;
-        im2col(in.data(), in_c, h, w, k, stride, pad, oh, ow, full);
-
-        for (int oy0 = 0; oy0 < oh; ++oy0) {
-            for (int oy1 = oy0 + 1; oy1 <= oh; ++oy1) {
-                const std::size_t P =
-                    static_cast<std::size_t>(oy1 - oy0) * ow;
-                std::vector<float> slice(static_cast<std::size_t>(K) * P,
-                                         -9.0f);
-                im2colRowsInto(in.data(), in_c, h, w, k, stride, pad, ow,
-                               oy0, oy1, slice.data(), P);
-                for (int kk = 0; kk < K; ++kk)
-                    ASSERT_EQ(0,
-                              std::memcmp(
-                                  slice.data() + static_cast<std::size_t>(
-                                                     kk) * P,
-                                  full.data() +
-                                      static_cast<std::size_t>(kk) * oh *
-                                          ow +
-                                      static_cast<std::size_t>(oy0) * ow,
-                                  P * sizeof(float)))
-                        << "k=" << k << " s=" << stride << " p=" << pad
-                        << " rows [" << oy0 << "," << oy1 << ") tap row "
-                        << kk;
-            }
-        }
-    }
-}
-
 TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
 {
     // The end-to-end contract: a Conv2d forward with the persistent
     // packed panel engaged produces the exact bytes of the classic
     // im2col + sgemm + bias path. Geometries cover stride 2, 1x1
-    // kernels, zero padding, and channel counts hitting the 16-wide,
-    // 8-wide, and scalar-tail weight panels.
+    // kernels, zero padding, channel counts hitting the 16-wide,
+    // 8-wide, and scalar-tail weight panels, the conv layers of the
+    // end-to-end benchmark's networks, and output widths 4 and 7 whose
+    // 6-position strips straddle output rows.
     if (!avx2Available())
         GTEST_SKIP() << "fused packed forward is AVX2-only";
     SimdModeGuard mode_guard;
@@ -246,7 +200,18 @@ TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
         {3, 23, 3, 1, 1, 9, 7},   {16, 32, 3, 1, 0, 10, 10},
         {4, 40, 3, 2, 1, 9, 9},   {8, 5, 1, 1, 0, 6, 6},
         {2, 17, 5, 2, 2, 12, 12}, {3, 16, 5, 1, 2, 4, 1},
-        {3, 64, 3, 1, 1, 32, 32}};
+        {3, 64, 3, 1, 1, 32, 32},
+        // detect_full network
+        {3, 16, 3, 1, 1, 32, 32}, {16, 32, 3, 1, 1, 16, 16},
+        {32, 32, 3, 1, 1, 8, 8},
+        // detect_early network
+        {3, 32, 3, 1, 1, 32, 32}, {32, 32, 3, 1, 1, 16, 16},
+        {32, 64, 3, 1, 1, 8, 8},  {64, 64, 3, 1, 1, 8, 8},
+        // serving network
+        {3, 8, 3, 1, 1, 16, 16},  {8, 12, 3, 1, 1, 8, 8},
+        // strips crossing output rows
+        {8, 16, 3, 1, 1, 4, 4},   {5, 24, 3, 1, 1, 6, 4},
+        {6, 20, 3, 1, 1, 7, 7},   {4, 32, 3, 2, 1, 13, 13}};
     for (const auto &cs : cases) {
         Conv2d conv("c", cs[0], cs[1], cs[2], cs[3], cs[4]);
         fillRandom(conv.weights(), rng);
