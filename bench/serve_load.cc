@@ -4,13 +4,17 @@
  *
  * Default mode sweeps offered QPS across {0.5x, 1x, 2x} of the
  * measured closed-loop capacity and records per-point p50/p95/p99
- * latency, delivered throughput and shed rate into a "serve" block of
- * BENCH_micro.json (spliced into the perf_smoke artifact when it
- * already exists, so one file carries the whole perf trajectory). The
- * measured window is asserted allocation-free: a warmed server +
- * request slab must serve an open-loop flood with zero heap
- * allocations, the same steady-state discipline perf_smoke enforces on
- * the kernels below it.
+ * latency, the mean queued and in-batch time of a request, delivered
+ * throughput and shed rate into a "serve" block of BENCH_micro.json
+ * (spliced into the perf_smoke artifact when it already exists, so one
+ * file carries the whole perf trajectory). The measured window is
+ * asserted allocation-free: a warmed server + request slab must serve
+ * an open-loop flood with zero heap allocations, the same steady-state
+ * discipline perf_smoke enforces on the kernels below it. With
+ * --shed-gate the 0.5x point must also shed at most 1% of its
+ * requests. That gate needs CPU to spare: on an oversubscribed host a
+ * descheduled dispatcher fills the queue well below capacity, so it
+ * is opt-in.
  *
  * --soak mode is the CI robustness leg (run under ThreadSanitizer):
  * phase 1 offers comfortable load with no faults and requires ZERO
@@ -35,6 +39,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include "core/detector_model.hh"
 #include "core/detector_session.hh"
@@ -193,6 +201,9 @@ measureCapacity(ServeWorld &w)
     return static_cast<double>(served) / elapsed;
 }
 
+/** Largest shed fraction the sweep accepts at 0.5x capacity. */
+constexpr double kHalfLoadShedBudget = 0.01;
+
 struct SweepPoint
 {
     double offeredQps = 0.0;
@@ -202,8 +213,18 @@ struct SweepPoint
     double throughputPerSec = 0.0;
     double shedRate = 0.0;
     double p50 = 0.0, p95 = 0.0, p99 = 0.0; ///< µs, kOk only
+    /** Mean µs of a kOk request's two stages: submittedAt ->
+     *  dispatchedAt (queued) and dispatchedAt -> completedAt (in its
+     *  batch). They sum to the mean latency. */
+    double queueUsMean = 0.0, batchUsMean = 0.0;
     std::size_t allocs = 0; ///< heap allocations in the measured window
 };
+
+double
+micros(Clock::duration d)
+{
+    return std::chrono::duration<double, std::micro>(d).count();
+}
 
 double
 percentile(std::vector<double> &v, double p)
@@ -220,8 +241,10 @@ percentile(std::vector<double> &v, double p)
 /**
  * One open-loop point: pace @p total submissions at @p qps through a
  * reused request slab (a slot is re-armed only after its previous
- * flight resolved, so in-flight never exceeds the slab). The measured
- * window must be allocation-free.
+ * flight resolved, so in-flight never exceeds the slab). The generator
+ * sleeps to each send time rather than spinning, so on a shared core
+ * it never starves the dispatcher. The measured window must be
+ * allocation-free.
  */
 SweepPoint
 runPoint(serve::DetectorServer &server, ServeWorld &w, double qps,
@@ -234,39 +257,33 @@ runPoint(serve::DetectorServer &server, ServeWorld &w, double qps,
 
     const auto interval = std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(1.0 / qps));
+    double queue_us = 0.0, batch_us = 0.0;
+    auto harvest = [&](serve::ServeRequest &r) {
+        if (server.wait(r) != serve::RequestStatus::kOk)
+            return;
+        latencies.push_back(r.latencyMicros());
+        queue_us += micros(r.dispatchedAt - r.submittedAt);
+        batch_us += micros(r.completedAt - r.dispatchedAt);
+    };
     const auto t0 = Clock::now();
     auto next = t0;
     const std::size_t before = g_allocs.load(std::memory_order_relaxed);
     for (std::size_t k = 0; k < total; ++k) {
-        // Pace: coarse sleep, fine spin (sub-ms precision matters at
-        // the top of the sweep).
-        for (;;) {
-            const auto now = Clock::now();
-            if (now >= next)
-                break;
-            if (next - now > std::chrono::microseconds(500))
-                std::this_thread::sleep_for(next - now -
-                                            std::chrono::microseconds(200));
-        }
+        std::this_thread::sleep_until(next); // returns at once if overdue
         next += interval;
 
         serve::ServeRequest &r = slab[k % slab.size()];
         // Harvest the slot's previous flight before re-arming it.
-        if (k >= slab.size()) {
-            if (server.wait(r) == serve::RequestStatus::kOk)
-                latencies.push_back(r.latencyMicros());
-        }
+        if (k >= slab.size())
+            harvest(r);
         r.reset(w.inputs[k % w.inputs.size()]);
         ++pt.submitted;
         server.submit(r); // shed resolves synchronously; harvested above
     }
     // Drain the tail.
     const std::size_t tail = std::min(slab.size(), total);
-    for (std::size_t i = 0; i < tail; ++i) {
-        serve::ServeRequest &r = slab[(total - tail + i) % slab.size()];
-        if (server.wait(r) == serve::RequestStatus::kOk)
-            latencies.push_back(r.latencyMicros());
-    }
+    for (std::size_t i = 0; i < tail; ++i)
+        harvest(slab[(total - tail + i) % slab.size()]);
     pt.allocs = g_allocs.load(std::memory_order_relaxed) - before;
     const double elapsed =
         std::chrono::duration<double>(Clock::now() - t0).count();
@@ -279,6 +296,10 @@ runPoint(serve::DetectorServer &server, ServeWorld &w, double qps,
     pt.p50 = percentile(latencies, 0.50);
     pt.p95 = percentile(latencies, 0.95);
     pt.p99 = percentile(latencies, 0.99);
+    if (pt.ok != 0) {
+        pt.queueUsMean = queue_us / static_cast<double>(pt.ok);
+        pt.batchUsMean = batch_us / static_cast<double>(pt.ok);
+    }
     return pt;
 }
 
@@ -491,15 +512,19 @@ writeServeBlock(const std::string &out_path, const std::string &block)
 }
 
 int
-runSweep(ServeWorld &w, const std::string &out_path)
+runSweep(ServeWorld &w, const std::string &out_path, bool shed_gate)
 {
+#ifdef __linux__
+    // The generator paces by sleeping; a 1 ns timer slack (default
+    // 50 us) keeps those sleeps from ending late.
+    prctl(PR_SET_TIMERSLACK, 1UL);
+#endif
     const double capacity = measureCapacity(w);
     std::printf("closed-loop capacity: %.0f detections/s\n", capacity);
 
     serve::ServeConfig cfg;
     cfg.queueDepth = 64;
     cfg.maxBatch = 16;
-    cfg.batchWindowMicros = 200;
     serve::DetectorServer server(w.model, cfg);
 
     // Request slab, reused across every point. The warm-up pass below
@@ -539,10 +564,11 @@ runSweep(ServeWorld &w, const std::string &out_path)
         points.push_back(runPoint(server, w, qps, total, slab, latencies));
         const auto &pt = points.back();
         std::printf("offered %.0f/s (%.1fx): served %.0f/s, shed %.1f%%, "
-                    "p50 %.0fus p95 %.0fus p99 %.0fus, allocs %zu\n",
+                    "p50 %.0fus p95 %.0fus p99 %.0fus (mean queue "
+                    "%.1fus + batch %.1fus), allocs %zu\n",
                     pt.offeredQps, f, pt.throughputPerSec,
                     100.0 * pt.shedRate, pt.p50, pt.p95, pt.p99,
-                    pt.allocs);
+                    pt.queueUsMean, pt.batchUsMean, pt.allocs);
     }
     server.stop();
     const auto st = server.stats();
@@ -562,7 +588,6 @@ runSweep(ServeWorld &w, const std::string &out_path)
           << "    \"model\": \"2conv+1fc on 3x16x16, BwCu theta=0.5\",\n"
           << "    \"queue_depth\": " << cfg.queueDepth << ",\n"
           << "    \"max_batch\": " << cfg.maxBatch << ",\n"
-          << "    \"batch_window_us\": " << cfg.batchWindowMicros << ",\n"
           << "    \"capacity_per_sec\": " << capacity << ",\n"
           << "    \"steady_state_allocs\": " << alloc_total << ",\n"
           << "    \"points\": [\n";
@@ -574,7 +599,9 @@ runSweep(ServeWorld &w, const std::string &out_path)
               << ", \"shed_rate\": " << pt.shedRate
               << ", \"p50_us\": " << pt.p50
               << ", \"p95_us\": " << pt.p95
-              << ", \"p99_us\": " << pt.p99 << " }"
+              << ", \"p99_us\": " << pt.p99
+              << ", \"queue_us_mean\": " << pt.queueUsMean
+              << ", \"batch_us_mean\": " << pt.batchUsMean << " }"
               << (i + 1 < points.size() ? "," : "") << "\n";
     }
     block << "    ]\n  },\n";
@@ -591,6 +618,14 @@ runSweep(ServeWorld &w, const std::string &out_path)
     if (alloc_total != 0) {
         std::cerr << "FAIL: measured serving windows performed "
                   << alloc_total << " heap allocations (expected 0)\n";
+        return 1;
+    }
+    // Half of capacity is comfortable load: the tier must serve it,
+    // not shed it.
+    if (shed_gate && points.front().shedRate > kHalfLoadShedBudget) {
+        std::cerr << "FAIL: the 0.5x point shed "
+                  << 100.0 * points.front().shedRate << "% (budget "
+                  << 100.0 * kHalfLoadShedBudget << "%)\n";
         return 1;
     }
     return telemetry_rc;
@@ -690,7 +725,6 @@ runSoak(ServeWorld &w)
         serve::ServeConfig cfg;
         cfg.queueDepth = 8;
         cfg.maxBatch = 4;
-        cfg.batchWindowMicros = 100;
         cfg.defaultDeadlineMicros = 100000;
         serve::DetectorServer server(w.model, cfg, &plan);
 
@@ -783,10 +817,14 @@ runSoak(ServeWorld &w)
         cfg.queueDepth = 64;
         cfg.maxBatch = 8;
         cfg.telemetry = &hub;
-        serve::DetectorServer server(w.model, cfg);
 
+        // One server per phase: sealing and reference capture belong
+        // to the thread that drives the session between batches, and
+        // the dispatcher calls maybeSeal() after it resolves a batch,
+        // so this thread may seal only once stop() has joined it.
         auto offer = [&](const std::vector<nn::Tensor> &traffic,
                          int rounds) {
+            serve::DetectorServer server(w.model, cfg);
             serve::ServeRequest req;
             std::size_t served = 0;
             for (int k = 0; k < rounds; ++k) {
@@ -796,6 +834,7 @@ runSoak(ServeWorld &w)
                 if (server.wait(req) == serve::RequestStatus::kOk)
                     ++served;
             }
+            server.stop();
             return served;
         };
 
@@ -831,7 +870,6 @@ runSoak(ServeWorld &w)
             std::cerr << "FAIL: injected score-distribution shift "
                          "raised no drift event\n";
         }
-        server.stop();
 
         telemetry::WindowSummary ws;
         hub.latestWindow(ws);
@@ -860,14 +898,16 @@ int
 main(int argc, char **argv)
 {
     std::string out_path = "BENCH_micro.json";
-    bool soak = false;
+    bool soak = false, shed_gate = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--soak") == 0)
             soak = true;
+        else if (std::strcmp(argv[i], "--shed-gate") == 0)
+            shed_gate = true;
         else
             out_path = argv[i];
     }
 
     ServeWorld w;
-    return soak ? runSoak(w) : runSweep(w, out_path);
+    return soak ? runSoak(w) : runSweep(w, out_path, shed_gate);
 }

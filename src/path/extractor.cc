@@ -196,6 +196,25 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
         ws.important.assign(n_nodes, {});
         ws.seen.assign(n_nodes, {});
         ws.touched.clear();
+        // Reserve the input-dependent buffers to their bounds, so how
+        // far they grow never depends on which inputs this workspace
+        // extracts: after its first call it allocates nothing, however
+        // a pool spreads requests over workspaces. That holds for
+        // networks whose every node has one input; a two-input node
+        // (Add, Concat) builds a second backmap slot that the next
+        // one-input node drops, so it allocates on each extraction.
+        std::size_t max_numel = rec.input.size(), max_row = 0;
+        for (int id = 0; id < n_nodes; ++id) {
+            ws.important[id].reserve(rec.outputs[id].size());
+            max_numel = std::max(max_numel, rec.outputs[id].size());
+            max_row = std::max(max_row,
+                               net->node(id).layer->receptiveFieldSize());
+        }
+        ws.touched.reserve(n_nodes);
+        ws.selected.reserve(max_row);
+        ws.select.block.reserve(max_row);
+        ws.perInput.resize(1);
+        ws.perInput[0].reserve(max_numel);
     }
     for (int id : ws.touched) {
         for (std::size_t idx : ws.important[id])

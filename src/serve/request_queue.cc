@@ -36,42 +36,15 @@ RequestQueue::popLocked()
 
 std::size_t
 RequestQueue::collectBatch(std::vector<ServeRequest *> &out,
-                           std::size_t max_batch,
-                           std::chrono::microseconds window)
+                           std::size_t max_batch)
 {
     std::unique_lock<std::mutex> lk(mu);
     cv.wait(lk, [&] { return count > 0 || isClosed; });
-    if (count == 0)
-        return 0; // closed and drained: consumer exits
-
-    // The batch opens on its first request; the window is measured from
-    // here, not from the last arrival, so a trickle of stragglers can't
-    // hold the batch open indefinitely.
-    out.push_back(popLocked());
-    const Clock::time_point window_end = Clock::now() + window;
-
-    while (out.size() < max_batch) {
-        if (count > 0) {
-            out.push_back(popLocked());
-            continue;
-        }
-        if (isClosed)
-            break;
-        // Wait bound: the window close, tightened to the earliest
-        // deadline already collected — holding an about-to-expire
-        // request to wait for company would expire it pointlessly.
-        // The min() also keeps the bound finite (deadline-less
-        // requests carry time_point::max(), which must never reach
-        // wait_until).
-        Clock::time_point bound = window_end;
-        for (const ServeRequest *r : out)
-            bound = std::min(bound, r->deadline);
-        if (Clock::now() >= bound)
-            break;
-        if (cv.wait_until(lk, bound) == std::cv_status::timeout)
-            break;
-    }
-    return out.size();
+    const std::size_t n =
+        std::min(count, std::max<std::size_t>(max_batch, 1));
+    for (std::size_t i = 0; i < n; ++i)
+        out.push_back(popLocked());
+    return n; // 0 only when closed and drained: consumer exits
 }
 
 void

@@ -1,16 +1,18 @@
 /**
  * @file
- * Bounded MPSC request queue with admission control and deadline-aware
- * micro-batch collection.
+ * Bounded MPSC request queue with admission control and
+ * work-conserving batch collection.
  *
  * Producers (any number of client threads) call tryPush(), which NEVER
  * blocks: when the queue is at capacity the push is refused and the
  * caller sheds the request (RequestStatus::kShed) instead of stalling.
  * The single consumer (the server's dispatcher thread) calls
- * collectBatch(), which blocks for the first request of a batch and
- * then tops the batch up until it fills, the batching window closes,
- * or the earliest deadline among the collected requests would expire
- * while waiting — whichever comes first.
+ * collectBatch(), which blocks only while the queue is empty: it takes
+ * whatever is already queued, up to the batch cap, and returns without
+ * waiting for more. Requests that arrive while a batch computes form
+ * the next batch, so batches fill under saturation and a lone request
+ * on an idle tier runs at once. No request is ever held back, so none
+ * can expire waiting for company.
  *
  * The ring storage is allocated once at construction; push/pop never
  * allocate.
@@ -19,7 +21,6 @@
 #ifndef PTOLEMY_SERVE_REQUEST_QUEUE_HH
 #define PTOLEMY_SERVE_REQUEST_QUEUE_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <vector>
@@ -51,17 +52,16 @@ class RequestQueue
     bool tryPush(ServeRequest *r);
 
     /**
-     * Collect the next micro-batch into @p out (appended; caller
-     * clears). Blocks until at least one request arrives or the queue
-     * is closed AND drained (in which case it returns 0 — the consumer
-     * should exit). After the first request, keeps collecting until
-     * @p max_batch requests are gathered, @p window elapses from the
-     * moment the batch opened, or waiting any longer would overshoot
-     * the earliest deadline among the collected requests.
+     * Collect the next batch into @p out (appended; caller clears), in
+     * FIFO order. Blocks until at least one request is queued or the
+     * queue is closed AND drained (in which case it returns 0 — the
+     * consumer should exit). Then takes the requests already queued,
+     * up to @p max_batch (at least one), and returns at once: it never
+     * waits for a batch to fill. @return the number of requests
+     * collected.
      */
     std::size_t collectBatch(std::vector<ServeRequest *> &out,
-                             std::size_t max_batch,
-                             std::chrono::microseconds window);
+                             std::size_t max_batch);
 
     /**
      * Close the queue: subsequent tryPush calls fail; collectBatch

@@ -91,6 +91,8 @@ struct ServeRequest
     Clock::time_point deadline = Clock::time_point::max();
     core::Decision decision;                ///< valid when status kOk
     Clock::time_point submittedAt{};        ///< stamped by submit()
+    Clock::time_point dispatchedAt{};       ///< stamped at batch triage
+                                            ///< (default if shed)
     Clock::time_point completedAt{};        ///< stamped at resolution
     std::uint64_t seq = 0;                  ///< submit ordinal (server)
     const char *error = "";                 ///< static reason for kError
@@ -107,6 +109,7 @@ struct ServeRequest
     {
         x = &input;
         deadline = dl;
+        dispatchedAt = {};
         seq = 0;
         error = "";
         status.store(RequestStatus::kPending, std::memory_order_relaxed);
@@ -129,15 +132,11 @@ struct ServeConfig
      *  immediately (producers are never blocked). */
     std::size_t queueDepth = 256;
 
-    /** Micro-batch cap: a batch executes as soon as this many requests
-     *  are collected. */
+    /** Batch cap. Batching is work-conserving: the dispatcher runs
+     *  whatever queued while the previous batch computed, up to this
+     *  many requests, and never waits for a batch to fill — an idle
+     *  tier serves a lone request at once. */
     std::size_t maxBatch = 16;
-
-    /** Micro-batch window: the longest the dispatcher holds the first
-     *  request of a batch waiting for company, in microseconds. The
-     *  batch also flushes early when any collected request's deadline
-     *  would expire inside the window. */
-    std::uint32_t batchWindowMicros = 200;
 
     /** Default per-request deadline applied at submit() to requests
      *  that carry none (0 = requests without a deadline never

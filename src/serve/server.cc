@@ -133,9 +133,7 @@ DetectorServer::dispatchLoop()
     session->attachTelemetry(cfg.telemetry);
     for (;;) {
         batch.clear();
-        if (queue.collectBatch(batch, cfg.maxBatch,
-                               std::chrono::microseconds(
-                                   cfg.batchWindowMicros)) == 0)
+        if (queue.collectBatch(batch, cfg.maxBatch) == 0)
             return; // closed and drained
         executeBatch(batch);
     }
@@ -167,6 +165,7 @@ DetectorServer::executeBatch(std::vector<ServeRequest *> &formed)
     live.clear();
     xs.clear();
     for (ServeRequest *r : formed) {
+        r->dispatchedAt = now;
         if (r->deadline < now) {
             resolve(*r, RequestStatus::kDeadlineExceeded);
             continue;

@@ -5,11 +5,12 @@
  *
  * Architecture: client threads submit() preallocated ServeRequest
  * objects into a bounded RequestQueue (admission control sheds instead
- * of blocking). One dispatcher thread collects deadline-aware
- * micro-batches and executes each as a single fused
- * DetectorSession::detectBatch over the configured thread pool, then
- * resolves every request in the batch to exactly one typed terminal
- * status:
+ * of blocking). One dispatcher thread batches work-conservingly — each
+ * batch is whatever queued while the previous one ran, up to maxBatch,
+ * and a lone request on an idle tier runs at once — and executes each
+ * batch as a single fused DetectorSession::detectBatch over the
+ * configured thread pool, then resolves every request in the batch to
+ * exactly one typed terminal status:
  *
  *  - kOk               served; Decision bit-identical to a direct
  *                      detectBatch over the same model.
@@ -54,7 +55,7 @@ namespace ptolemy::serve
 {
 
 /**
- * In-process detection server: bounded queue, micro-batching
+ * In-process detection server: bounded queue, work-conserving batching
  * dispatcher, hot swap. Thread-safe entry points: submit(), wait(),
  * swapModel(), stats(), queueDepth() may be called from any thread.
  */
@@ -121,8 +122,9 @@ class DetectorServer
   private:
     void dispatchLoop();
 
-    /** Execute one collected batch: fault hooks, deadline triage,
-     *  poison triage, one fused detectBatch, per-request resolution. */
+    /** Execute one collected batch: fault hooks, deadline triage
+     *  (stamps dispatchedAt), poison triage, one fused detectBatch,
+     *  per-request resolution. */
     void executeBatch(std::vector<ServeRequest *> &batch);
 
     /** Resolve @p r to terminal status @p s (bumps the matching
@@ -152,7 +154,7 @@ class DetectorServer
     std::shared_ptr<const core::DetectorModel> pinned;
     std::unique_ptr<core::DetectorSession> session;
     std::uint64_t batchSeq = 0;
-    std::vector<ServeRequest *> batch;    ///< collected micro-batch
+    std::vector<ServeRequest *> batch;    ///< collected batch
     std::vector<ServeRequest *> live;     ///< survivors of triage
     std::vector<const nn::Tensor *> xs;   ///< inputs of `live`
     std::vector<core::Decision> outs;     ///< persistent warmed results

@@ -11,8 +11,11 @@
  * to loop indices, never to the executing slot — parallelForWithTid's
  * slot ids are a scratch-indexing facility, not a stable partition. parallelFor hands out
  * indices through an atomic counter so uneven per-item costs
- * self-balance, and the calling thread participates. On a single core
- * the pool degenerates to a plain serial loop with no threads.
+ * self-balance, and the calling thread participates. The caller waits
+ * only for the workers that joined its loop: once every index is
+ * claimed the job closes, and a worker that wakes later skips it. On a
+ * single core the pool degenerates to a plain serial loop with no
+ * threads.
  *
  * Nested parallel sections are safe by construction: a parallelFor
  * issued from inside a pool worker, or while another parallelFor is
@@ -180,16 +183,20 @@ class ThreadPool
             nextIndex.store(0, std::memory_order_relaxed);
             firstEx = nullptr;
             firstExIdx = 0;
-            active = static_cast<unsigned>(workers.size());
+            active = 0;
             ++generation;
         }
         cv.notify_all();
-        runIndices(jobFn, jobCtx, n, 0);
+        runIndices(&trampoline<Fn>, jobCtx, n, 0);
         std::exception_ptr ex;
         {
+            // Every index is claimed. Close the job so a worker that
+            // has not woken yet skips it, and wait only for the
+            // workers that joined: a worker the OS has not scheduled
+            // yet never holds the caller up.
             std::unique_lock<std::mutex> lk(mu);
-            doneCv.wait(lk, [this] { return active == 0; });
             jobFn = nullptr;
+            doneCv.wait(lk, [this] { return active == 0; });
             ex = firstEx;
             firstEx = nullptr;
         }
@@ -257,9 +264,11 @@ class ThreadPool
                 fn = jobFn;
                 ctx = jobCtx;
                 n = jobSize;
+                if (!fn)
+                    continue; // closed: the caller ran every index
+                ++active;
             }
-            if (fn)
-                runIndices(fn, ctx, n, tid);
+            runIndices(fn, ctx, n, tid);
             {
                 std::lock_guard<std::mutex> lk(mu);
                 if (--active == 0)
@@ -279,7 +288,7 @@ class ThreadPool
     std::atomic<bool> inFlight{false};
     std::exception_ptr firstEx;  ///< lowest-index task exception (under mu)
     std::size_t firstExIdx = 0;
-    unsigned active = 0;
+    unsigned active = 0; ///< workers that joined the open job (under mu)
     std::uint64_t generation = 0;
     bool stopping = false;
 };

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "common/alloc_probe.hh"
 #include "common/test_models.hh"
 #include "nn/linear.hh"
 #include "path/class_path.hh"
@@ -88,6 +91,33 @@ TEST(BackwardCumulative, ImportantNeuronsAreSparse)
     const BitVector p = ex.extract(rec);
     EXPECT_LT(static_cast<double>(p.popcount()) / p.size(), 0.25);
     EXPECT_GT(p.popcount(), 0u);
+}
+
+TEST(BackwardCumulative, WorkspaceAllocatesNothingAfterItsFirstExtraction)
+{
+    // A serving pool hands each workspace whatever inputs it happens to
+    // get, so a workspace warmed on its sparsest path must still take
+    // every denser one without growing.
+    auto &w = testing::world();
+    const int n = static_cast<int>(w.net.weightedNodes().size());
+    PathExtractor ex(w.net, ExtractionConfig::bwCu(n, 0.9));
+    std::vector<nn::Network::Record> recs;
+    std::size_t sparsest = 0, fewest = SIZE_MAX;
+    for (std::size_t i = 0; i < 40; ++i) {
+        recs.push_back(w.net.forward(w.dataset.test[i].input));
+        const std::size_t bits = ex.extract(recs.back()).popcount();
+        if (bits < fewest) {
+            fewest = bits;
+            sparsest = i;
+        }
+    }
+    ExtractionWorkspace ws;
+    BitVector bits;
+    ex.extractInto(recs[sparsest], ws, bits);
+    const std::size_t before = g_test_allocs.load(std::memory_order_relaxed);
+    for (const auto &rec : recs)
+        ex.extractInto(rec, ws, bits);
+    EXPECT_EQ(g_test_allocs.load(std::memory_order_relaxed), before);
 }
 
 TEST(BackwardAbsolute, ThresholdZeroTakesPositivePsumsOnly)

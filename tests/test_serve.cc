@@ -157,6 +157,65 @@ TEST(Serve, ExpiredDeadlineResolvesTyped)
     EXPECT_TRUE(st.conserved());
 }
 
+TEST(Serve, StageStampsOrderedAndShedNeverDispatched)
+{
+    const auto &model = servedModel();
+    const auto xs = probeInputs(4);
+
+    // Stalled one-request batches behind a two-deep queue: a flood
+    // from this thread sheds most requests at submit. Every other
+    // admitted request carries an already-expired deadline.
+    core::ServeFaultPlan plan;
+    plan.delayEveryNthBatch = 1;
+    plan.batchDelayMicros = 3000;
+    ServeConfig cfg;
+    cfg.queueDepth = 2;
+    cfg.maxBatch = 1;
+    DetectorServer server(model, cfg, &plan);
+
+    constexpr std::size_t kFlood = 40;
+    std::vector<ServeRequest> slab(kFlood);
+    const Clock::time_point past = Clock::now() - std::chrono::seconds(1);
+    for (std::size_t i = 0; i < kFlood; ++i) {
+        slab[i].reset(xs[i % xs.size()],
+                      i % 2 ? past : Clock::time_point::max());
+        server.submit(slab[i]);
+    }
+    std::size_t ok = 0, expired = 0, shed = 0;
+    for (std::size_t i = 0; i < kFlood; ++i) {
+        const ServeRequest &r = slab[i];
+        const RequestStatus s = server.wait(slab[i]);
+        const std::string what = "request " + std::to_string(i) + " " +
+                                 requestStatusName(s);
+        if (s == RequestStatus::kShed) {
+            ++shed;
+            EXPECT_EQ(r.dispatchedAt, Clock::time_point{}) << what;
+            continue;
+        }
+        ASSERT_TRUE(s == RequestStatus::kOk ||
+                    s == RequestStatus::kDeadlineExceeded)
+            << what;
+        if (s == RequestStatus::kOk)
+            ++ok;
+        else
+            ++expired;
+        EXPECT_LE(r.submittedAt, r.dispatchedAt) << what;
+        EXPECT_LE(r.dispatchedAt, r.completedAt) << what;
+    }
+    server.stop();
+    EXPECT_GT(ok, 0u);
+    EXPECT_GT(expired, 0u);
+    EXPECT_GT(shed, 0u) << "flood never tripped admission";
+    EXPECT_TRUE(server.stats().conserved());
+
+    // Re-arming clears the stamp, so a reused request that is shed
+    // next time cannot report its previous dispatch.
+    ServeRequest &served = slab[0];
+    ASSERT_EQ(served.status.load(), RequestStatus::kOk);
+    served.reset(xs[0]);
+    EXPECT_EQ(served.dispatchedAt, Clock::time_point{});
+}
+
 TEST(Serve, OverloadShedsInsteadOfBlocking)
 {
     const auto &model = servedModel();
@@ -378,7 +437,6 @@ TEST(Serve, FaultCampaignConservesEveryRequest)
     ServeConfig cfg;
     cfg.queueDepth = 8;
     cfg.maxBatch = 4;
-    cfg.batchWindowMicros = 100;
     cfg.defaultDeadlineMicros = 40000;
     DetectorServer server(model, cfg, &plan);
 

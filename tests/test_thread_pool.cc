@@ -4,7 +4,8 @@
  * std::terminate the process. Every index is still attempted, the
  * lowest-indexed exception is rethrown on the calling thread
  * (deterministically, at any thread count), and the pool remains fully
- * usable afterwards.
+ * usable afterwards. Also the job hand-off: a worker that wakes after
+ * the caller has run every index skips the closed job.
  */
 
 #include <gtest/gtest.h>
@@ -90,6 +91,33 @@ TEST(ThreadPoolExceptions, NestedInlineSectionPropagatesToOuterIndex)
         FAIL() << "expected rethrow";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "outer 1 inner 2");
+    }
+}
+
+TEST(ThreadPool, BackToBackShortLoopsRunEveryIndexOnceInDistinctSlots)
+{
+    // Loops this short usually finish on the caller before a worker
+    // wakes, so workers keep waking into closed jobs while the next
+    // one opens. No index may run twice or be lost, and bodies running
+    // at the same time must hold distinct slot ids.
+    for (unsigned threads : {2u, 8u}) {
+        ThreadPool pool(threads);
+        std::vector<std::atomic<int>> ran(4), busy(threads);
+        for (auto &b : busy)
+            b.store(0);
+        for (int k = 0; k < 4000; ++k) {
+            const std::size_t n = 2 + k % 3;
+            for (auto &r : ran)
+                r.store(0);
+            pool.parallelForWithTid(n, [&](std::size_t i, unsigned tid) {
+                ASSERT_LT(tid, threads);
+                EXPECT_EQ(busy[tid].exchange(1), 0) << "slot " << tid;
+                ran[i].fetch_add(1);
+                busy[tid].store(0);
+            });
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(ran[i].load(), 1) << "loop " << k << " index " << i;
+        }
     }
 }
 
