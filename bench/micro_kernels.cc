@@ -122,10 +122,6 @@ BM_ConvForward(benchmark::State &state)
     const int in_c = sh[0], out_c = sh[1], hw = sh[2];
     state.SetLabel(std::to_string(in_c) + "->" + std::to_string(out_c) +
                    "@" + std::to_string(hw));
-    if (nn::simdMode() != nn::SimdMode::Avx2) {
-        state.SkipWithError("fused packed conv forward is AVX2-only");
-        return;
-    }
     const int K = in_c * 9;
     Rng rng(10);
     std::vector<float> w(static_cast<std::size_t>(out_c) * K);

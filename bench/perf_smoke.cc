@@ -1,14 +1,15 @@
 /**
  * @file
- * Hot-path perf smoke: conv GFLOP/s (GEMM vs naive reference), path
- * extractions/sec (single-stream and pool-parallel extractBatch vs the
- * legacy allocate-and-sort strategy), forward+backward passes/sec,
- * data-parallel SGD samples/sec (pooled and 1-thread), and bit-vector
- * similarity ops/sec. Emits BENCH_micro.json — including the thread
- * count, SIMD mode and core count the numbers were taken under — so
- * every PR records a comparable perf trajectory, and counts heap
- * allocations inside the steady-state extract, backward and training
- * loops to prove all three are allocation-free.
+ * Hot-path perf smoke: conv GFLOP/s (implicit GEMM vs im2col + sgemm
+ * and vs the naive reference), path extractions/sec (single-stream and
+ * pool-parallel extractBatch vs the legacy allocate-and-sort strategy),
+ * forward+backward passes/sec, data-parallel SGD samples/sec (pooled
+ * and 1-thread), and bit-vector similarity ops/sec. Emits
+ * BENCH_micro.json — including the thread count, SIMD mode and core
+ * count the numbers were taken under — so every PR records a
+ * comparable perf trajectory, and counts heap allocations inside the
+ * steady-state extract, backward and training loops to prove all three
+ * are allocation-free.
  *
  * Runtime is bounded by PTOLEMY_BENCH_MIN_TIME seconds per measurement
  * (default 0.3), so the harness stays CI-friendly.
@@ -154,32 +155,25 @@ statOf(std::vector<double> t)
 /**
  * A/B timing with the trials INTERLEAVED (a, b, a, b, ...) rather than
  * run as two back-to-back blocks: the two arms of a same-host ratio
- * (packed vs per-call-packed forward) then see the same slow drift —
- * frequency steps, a neighbor landing on the core — instead of one arm
- * eating a whole bad window, so the gated ratio of the medians is far
- * steadier than two independent measurements minutes apart. @p knob is
- * flipped true for the A arm, false for B, and restored.
+ * (implicit-GEMM forward vs im2col + sgemm) then see the same slow
+ * drift — frequency steps, a neighbor landing on the core — instead of
+ * one arm eating a whole bad window, so the gated ratio of the medians
+ * is far steadier than two independent measurements minutes apart.
  */
-template <typename Fn>
+template <typename FnA, typename FnB>
 std::pair<TimingStat, TimingStat>
-interleavedABSecsPerCall(Fn &&fn, bool &knob, double min_seconds,
+interleavedABSecsPerCall(FnA &&fa, FnB &&fb, double min_seconds,
                          int trials = 5)
 {
-    const bool saved = knob;
-    knob = true;
-    fn(); // warm arm A
-    knob = false;
-    fn(); // warm arm B
+    fa(); // warm arm A
+    fb(); // warm arm B
     std::vector<double> ta(static_cast<std::size_t>(trials));
     std::vector<double> tb(static_cast<std::size_t>(trials));
     const double budget = min_seconds / (2 * trials);
     for (int i = 0; i < trials; ++i) {
-        knob = true;
-        ta[static_cast<std::size_t>(i)] = secsPerCall(fn, budget);
-        knob = false;
-        tb[static_cast<std::size_t>(i)] = secsPerCall(fn, budget);
+        ta[static_cast<std::size_t>(i)] = secsPerCall(fa, budget);
+        tb[static_cast<std::size_t>(i)] = secsPerCall(fb, budget);
     }
-    knob = saved;
     return {statOf(std::move(ta)), statOf(std::move(tb))};
 }
 
@@ -196,8 +190,8 @@ struct ConvBenchResult
     double gemmGflops = 0.0;    ///< median, persistent packed weights
     double gemmGflopsMin = 0.0; ///< spread (slowest trial)
     double gemmGflopsMax = 0.0; ///< spread (fastest trial)
-    double nopackGflops = 0.0;  ///< median, per-call B-panel packing
-    double naiveGflops = 0.0;
+    double nopackGflops = 0.0;  ///< median, im2col + sgemm + bias
+    double naiveGflops = 0.0;   ///< Conv2d::forwardNaive
 };
 
 ConvBenchResult
@@ -207,29 +201,44 @@ benchConv(double min_time)
     Rng rng(0xC0FFEE);
     randomFill(conv.weights(), rng, 0.2f);
     randomFill(conv.biases(), rng, 0.2f);
-    conv.prepackWeights(); // after the fills (accessors invalidate)
     nn::Tensor in(nn::mapShape(64, 32, 32));
     for (std::size_t i = 0; i < in.size(); ++i)
         in[i] = static_cast<float>(rng.uniform());
     nn::Tensor out;
+    out.resize(nn::mapShape(64, 32, 32));
 
     const double flops = 2.0 * 64 * 32 * 32 * 64 * 3 * 3;
     ConvBenchResult r;
 
-    const bool saved = nn::naiveConvFlag();
-    nn::naiveConvFlag() = false;
+    // Arm B is the explicit conv forward, built from the public kernels
+    // on a copy of the same weights: im2col into a column matrix, sgemm
+    // (which packs its B panels per tile), then a bias pass.
+    const std::vector<float> w = conv.weights();
+    const std::vector<float> b = conv.biases();
+    conv.prepackWeights(); // after the copies (accessors invalidate)
+    const int ohw = 32 * 32, kdim = 64 * 3 * 3;
+    util::AlignedF32 col;
     auto fwd = [&] { conv.forwardInto({&in}, out, false); };
+    auto classic = [&] {
+        nn::im2col(in.data(), 64, 32, 32, 3, 1, 1, 32, 32, col);
+        nn::sgemm(64, ohw, kdim, w.data(), col.data(), out.data());
+        for (int oc = 0; oc < 64; ++oc)
+            for (int i = 0; i < ohw; ++i)
+                out.data()[static_cast<std::size_t>(oc) * ohw + i] += b[oc];
+    };
 
-    const auto [packed, nopack] = interleavedABSecsPerCall(
-        fwd, nn::prepackEnabled(), 2.0 * min_time);
+    const auto [packed, nopack] =
+        interleavedABSecsPerCall(fwd, classic, 2.0 * min_time);
     r.gemmGflops = flops / packed.median / 1e9;
     r.gemmGflopsMin = flops / packed.max / 1e9;
     r.gemmGflopsMax = flops / packed.min / 1e9;
     r.nopackGflops = flops / nopack.median / 1e9;
 
-    nn::naiveConvFlag() = true;
-    r.naiveGflops = flops / medianSecsPerCall(fwd, min_time).median / 1e9;
-    nn::naiveConvFlag() = saved;
+    r.naiveGflops =
+        flops /
+        medianSecsPerCall([&] { conv.forwardNaive(in, out); }, min_time)
+            .median /
+        1e9;
     return r;
 }
 
@@ -656,7 +665,6 @@ struct DetectBenchResult
     double forwardUsPerDetect = 0.0; ///< cost split: forward (median)
     double forwardUsPerDetectMin = 0.0; ///< spread (fastest trial)
     double forwardUsPerDetectMax = 0.0; ///< spread (slowest trial)
-    double forwardNopackUsPerDetect = 0.0; ///< per-call packing forced
     double extractUsPerDetect = 0.0; ///< cost split: path extraction
     double scoreUsPerDetect = 0.0;   ///< cost split: similarity + forest
     std::size_t allocsPerBatch = 0;
@@ -766,22 +774,13 @@ benchDetect(double min_time)
         // forward (the schedule detectBatch serves with), the path
         // extraction, and the similarity + forest scoring tail, each
         // measured through the same public seams the serving path uses.
-        // Packed vs per-call-packing on the same seam, measured with
-        // interleaved trials so both arms see the same machine drift.
-        // On this small probe net the two schedules land within noise
-        // of each other (the fused packed path's win concentrates in
-        // wider channel counts — conv_fwd.prepack_speedup above is the
-        // stable, hard-gated prepack ratio), so the forward ratio is
-        // recorded for visibility but gated as informational.
         std::vector<nn::Network::Record> recs;
-        model.network().forwardBatch(xspan, recs); // warm + records
-        auto fwd = [&] { model.network().forwardBatch(xspan, recs); };
-        const auto [fwd_spc, fwd_np] = interleavedABSecsPerCall(
-            fwd, nn::prepackEnabled(), 2.0 * min_time);
+        model.network().forwardBatch(xspan, recs); // records for extract
+        const TimingStat fwd_spc = medianSecsPerCall(
+            [&] { model.network().forwardBatch(xspan, recs); }, min_time);
         r.forwardUsPerDetect = fwd_spc.median / kChunk * 1e6;
         r.forwardUsPerDetectMin = fwd_spc.min / kChunk * 1e6;
         r.forwardUsPerDetectMax = fwd_spc.max / kChunk * 1e6;
-        r.forwardNopackUsPerDetect = fwd_np.median / kChunk * 1e6;
 
         path::ExtractionWorkspace ws;
         BitVector pathBits;
@@ -1063,7 +1062,6 @@ main(int argc, char **argv)
     j.kv("threads", static_cast<std::size_t>(threads));
     j.kv("cores", static_cast<std::size_t>(cores));
     j.kv("simd", nn::simdModeName());
-    j.kv("naive_conv_env", nn::naiveConvFlag() ? 1 : 0);
     j.endObject();
     j.key("conv_fwd").beginObject();
     j.kv("shape", "64->64ch 32x32 k3 s1 p1");
@@ -1128,9 +1126,6 @@ main(int argc, char **argv)
         j.kv("forward_us_per_detect", det.forwardUsPerDetect);
         j.kv("forward_us_per_detect_trial_min", det.forwardUsPerDetectMin);
         j.kv("forward_us_per_detect_trial_max", det.forwardUsPerDetectMax);
-        j.kv("forward_nopack_us_per_detect", det.forwardNopackUsPerDetect);
-        j.kv("forward_prepack_speedup",
-             det.forwardNopackUsPerDetect / det.forwardUsPerDetect);
         j.kv("extract_us_per_detect", det.extractUsPerDetect);
         j.kv("score_us_per_detect", det.scoreUsPerDetect);
         j.kv("forward_frac", det.forwardUsPerDetect / total);
@@ -1203,8 +1198,8 @@ main(int argc, char **argv)
     std::cout << "env: " << threads << " threads on " << cores
               << " cores, simd " << nn::simdModeName() << "\n"
               << "conv fwd (64->64ch 32x32 k3): gemm " << conv.gemmGflops
-              << " GFLOP/s packed (" << conv.nopackGflops
-              << " unpacked, " << conv.gemmGflops / conv.nopackGflops
+              << " GFLOP/s implicit (" << conv.nopackGflops
+              << " im2col, " << conv.gemmGflops / conv.nopackGflops
               << "x; trial spread " << conv.gemmGflopsMin << ".."
               << conv.gemmGflopsMax << "), naive " << conv.naiveGflops
               << " GFLOP/s (" << conv.gemmGflops / conv.naiveGflops
@@ -1239,10 +1234,7 @@ main(int argc, char **argv)
               << det.batchPerSec / det.legacyPerSec << "x), "
               << det.allocsPerBatch << " allocs per batch\n"
               << "detect cost split: forward " << det.forwardUsPerDetect
-              << " us packed (" << det.forwardNopackUsPerDetect
-              << " us unpacked, "
-              << det.forwardNopackUsPerDetect / det.forwardUsPerDetect
-              << "x), extract " << det.extractUsPerDetect << " us, score "
+              << " us, extract " << det.extractUsPerDetect << " us, score "
               << det.scoreUsPerDetect << " us per detection\n"
               << "similarity and+popcount: 4096 bits "
               << sim.narrow.opsPerSec << " ops/s (scalar "

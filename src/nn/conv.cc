@@ -42,71 +42,44 @@ Conv2d::forwardInto(const std::vector<const Tensor *> &ins, Tensor &out,
     // outShapeFor instead of outputShape({...}): the braced vector
     // temporary was the hot path's only steady-state heap allocation.
     out.resize(outShapeFor(in.shape()));
-    if (naiveConvFlag())
-        forwardNaive(in, out);
-    else
-        forwardGemm(in, out);
+    // Without a fresh persistent pack (training, attacks, any network
+    // not prepacked for serving) W^T is packed per call into this
+    // thread's buffer. Nothing is written into the shared layer, so
+    // concurrent lanes over one network stay race-free, and the kernel
+    // and its bits are the same either way.
+    const PackedB *wt = &packedWt;
+    if (packedWt.empty()) {
+        thread_local PackedB per_call;
+        packWeightsInto(per_call);
+        wt = &per_call;
+    }
+    convForwardPacked(in.data(), inC, in.shape().h, in.shape().w, kSize,
+                      strd, padding, out.shape().h, out.shape().w, *wt,
+                      bias.data(), out.data());
+}
+
+void
+Conv2d::packWeightsInto(PackedB &out) const
+{
+    // B[k][oc] = W^T, packed straight from the [outC x K] weight rows.
+    const int K = inC * kSize * kSize;
+    packBMatrixStrided(weight.data(), /*k_stride=*/1, /*n_stride=*/K, K,
+                       outC, out);
 }
 
 void
 Conv2d::prepackWeights() const
 {
-    const int K = inC * kSize * kSize;
-    if (!packedWt.empty() && packedWt.K == K && packedWt.N == outC)
+    if (!packedWt.empty() && packedWt.K == inC * kSize * kSize &&
+        packedWt.N == outC)
         return; // fresh — stay a pure read (serving-safe no-op)
-    // B[k][oc] = W^T, packed straight from the [outC x K] weight rows.
-    packBMatrixStrided(weight.data(), /*k_stride=*/1, /*n_stride=*/K, K,
-                       outC, packedWt);
-}
-
-bool
-Conv2d::usePackedForward() const
-{
-#ifdef PTOLEMY_HAVE_AVX2
-    // Order matters: the simd/knob checks touch no layer state, so a
-    // thread can never observe a half-built pack unless it is already
-    // serving this network — which the DetectorModel ownership contract
-    // forbids before the constructor (which packs) returns.
-    return simdMode() == SimdMode::Avx2 && prepackEnabled() &&
-           !packedWt.empty();
-#else
-    return false;
-#endif
-}
-
-void
-Conv2d::forwardGemm(const Tensor &in, Tensor &out) const
-{
-    const int ih = in.shape().h, iw = in.shape().w;
-    const int oh = out.shape().h, ow = out.shape().w;
-    const std::size_t ohw = static_cast<std::size_t>(oh) * ow;
-    if (usePackedForward()) {
-        // Fused serving path, an implicit GEMM: the microkernel
-        // broadcasts each im2col element straight from a zero-padded
-        // copy of the input through tap and position offset tables, so
-        // no column matrix or A panel is ever written. Bias is added
-        // once to the accumulators — the same single addition as the
-        // `row[i] += b` pass below. Bit-identical per the
-        // gemm_kernels.hh contract.
-        convForwardPacked(in.data(), inC, ih, iw, kSize, strd, padding, oh,
-                          ow, packedWt, bias.data(), out.data());
-        return;
-    }
-    auto &scratch = gemmScratch();
-    im2col(in.data(), inC, ih, iw, kSize, strd, padding, oh, ow, scratch.col);
-    sgemm(outC, static_cast<int>(ohw), inC * kSize * kSize, weight.data(),
-          scratch.col.data(), out.data());
-    for (int oc = 0; oc < outC; ++oc) {
-        const float b = bias[oc];
-        float *row = out.data() + static_cast<std::size_t>(oc) * ohw;
-        for (std::size_t i = 0; i < ohw; ++i)
-            row[i] += b;
-    }
+    packWeightsInto(packedWt);
 }
 
 void
 Conv2d::forwardNaive(const Tensor &in, Tensor &out) const
 {
+    out.resize(outShapeFor(in.shape()));
     const int ih = in.shape().h, iw = in.shape().w;
     const int oh = out.shape().h, ow = out.shape().w;
 
@@ -147,14 +120,11 @@ Conv2d::backwardInto(const std::vector<const Tensor *> &ins,
         skip ? nullptr : (param_grads ? param_grads[0] : &gradWeight);
     auto *grad_b =
         skip ? nullptr : (param_grads ? param_grads[1] : &gradBias);
-    // Both paths scatter-add into the input gradient, so an overwrite
+    // col2im scatter-adds into the input gradient, so an overwrite
     // sink starts from zero and an accumulate sink keeps its contents.
     if (!sinks[0].accumulate)
         sinks[0].grad->resizeZero(in.shape());
-    if (naiveConvFlag())
-        backwardNaive(in, grad_out, sinks[0], grad_w, grad_b);
-    else
-        backwardGemm(in, grad_out, sinks[0], grad_w, grad_b);
+    backwardGemm(in, grad_out, sinks[0], grad_w, grad_b);
 }
 
 void
@@ -198,10 +168,10 @@ Conv2d::backwardGemm(const Tensor &in, const Tensor &grad_out,
 
 void
 Conv2d::backwardNaive(const Tensor &in, const Tensor &grad_out,
-                      const GradSink &sink, std::vector<float> *grad_w,
-                      std::vector<float> *grad_b)
+                      Tensor &grad_in, std::vector<float> *grad_w,
+                      std::vector<float> *grad_b) const
 {
-    Tensor &grad_in = *sink.grad;
+    grad_in.resizeZero(in.shape());
     const int ih = in.shape().h, iw = in.shape().w;
     const int oh = grad_out.shape().h, ow = grad_out.shape().w;
 

@@ -56,12 +56,27 @@ class Conv2d : public Layer
 
     /**
      * Pack W^T [inC*k*k x outC] into the persistent blocked panel
-     * layout the fused serving forward consumes (convForwardPacked).
-     * Pure read when already fresh; see Layer::prepackWeights for the
-     * ownership contract.
+     * layout the forward consumes (convForwardPacked). Pure read when
+     * already fresh; see Layer::prepackWeights for the ownership
+     * contract. Without it the forward packs per call.
      */
     void prepackWeights() const override;
     void invalidatePackedWeights() override { packedWt.clear(); }
+
+    /**
+     * Scalar reference forward, a direct 6-deep loop (equivalence
+     * oracle for tests and the perf-smoke baseline). Resizes @p out.
+     */
+    void forwardNaive(const Tensor &in, Tensor &out) const;
+    /**
+     * Scalar reference backward (oracle for the GEMM backward):
+     * @p grad_in is resized and zeroed, then receives dL/d(in);
+     * @p grad_w / @p grad_b, when non-null, accumulate (+=) the
+     * parameter gradients.
+     */
+    void backwardNaive(const Tensor &in, const Tensor &grad_out,
+                       Tensor &grad_in, std::vector<float> *grad_w,
+                       std::vector<float> *grad_b) const;
 
     int inChannels() const { return inC; }
     int outChannels() const { return outC; }
@@ -80,8 +95,8 @@ class Conv2d : public Layer
     std::vector<float> &
     biases()
     {
-        // Bias is read live by every forward path (never packed), but
-        // dropping the cache keeps the staleness story uniform.
+        // Bias is read live by the forward (never packed), but dropping
+        // the cache keeps the staleness story uniform.
         invalidatePackedWeights();
         return bias;
     }
@@ -89,18 +104,8 @@ class Conv2d : public Layer
   private:
     /** Output shape for one input shape, allocation-free. */
     Shape outShapeFor(const Shape &in) const;
-    /** True when the fused packed serving forward should run: AVX2
-     *  build+mode, PTOLEMY_PREPACK on, and a fresh packed panel. */
-    bool usePackedForward() const;
-    /** Scalar reference forward (PTOLEMY_NAIVE_CONV / equivalence tests). */
-    void forwardNaive(const Tensor &in, Tensor &out) const;
-    /** GEMM forward: im2col + cache-blocked sgemm (the hot path). */
-    void forwardGemm(const Tensor &in, Tensor &out) const;
-    /** Scalar reference backward. Null @p grad_w / @p grad_b skip the
-     *  parameter-gradient arithmetic (input-gradient-only backward). */
-    void backwardNaive(const Tensor &in, const Tensor &grad_out,
-                       const GradSink &sink, std::vector<float> *grad_w,
-                       std::vector<float> *grad_b);
+    /** Pack W^T into @p out (the persistent or a per-call pack). */
+    void packWeightsInto(PackedB &out) const;
     /** GEMM backward: grad_W via NT, grad_in via TN + col2im. Null
      *  @p grad_w / @p grad_b skip the dW GEMM and its im2col. */
     void backwardGemm(const Tensor &in, const Tensor &grad_out,
@@ -124,8 +129,9 @@ class Conv2d : public Layer
     int inC, outC, kSize, strd, padding;
     std::vector<float> weight, bias;
     std::vector<float> gradWeight, gradBias;
-    /** Serving-time packed W^T panels; mutable const-cache filled by
-     *  prepackWeights (owner phase only — see Layer contract). */
+    /** Persistent packed W^T panels; mutable const-cache filled by
+     *  prepackWeights (owner phase only — see Layer contract). Empty
+     *  means the forward packs per call. */
     mutable PackedB packedWt;
 };
 

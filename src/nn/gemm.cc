@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -29,13 +28,17 @@ constexpr int TN = 256;
 // pool for; they run serially on the calling thread.
 constexpr double kParallelFlopCutoff = 2.0 * 1024 * 1024;
 
+// Products split into fewer tasks than this run inline as well: pool
+// dispatch latency dominates the 2-3-tile shapes detectBatch sees.
+constexpr std::size_t kInlineTaskCutoff = 4;
+
 /** Pool gate shared by every tiled entry point: enough threads, enough
- *  tasks (see gemmInlineTaskCutoff), enough arithmetic. */
+ *  tasks, enough arithmetic. Scheduling only — results are
+ *  bit-identical either way. */
 bool
 usePoolFor(ThreadPool *pool, std::size_t n_tasks, double flops)
 {
-    return pool && pool->size() > 1 && n_tasks > 1 &&
-           n_tasks >= static_cast<std::size_t>(gemmInlineTaskCutoff()) &&
+    return pool && pool->size() > 1 && n_tasks >= kInlineTaskCutoff &&
            flops >= kParallelFlopCutoff;
 }
 
@@ -137,31 +140,6 @@ gemmPool()
 {
     static ThreadPool *pool = &globalPool();
     return pool;
-}
-
-bool &
-prepackEnabled()
-{
-    static bool on = [] {
-        ensureTuningApplied();
-        const char *env = std::getenv("PTOLEMY_PREPACK");
-        return !(env && env[0] == '0' && env[1] == '\0');
-    }();
-    return on;
-}
-
-int &
-gemmInlineTaskCutoff()
-{
-    static int cutoff = [] {
-        if (const char *env = std::getenv("PTOLEMY_GEMM_INLINE_TILES")) {
-            const int parsed = std::atoi(env);
-            if (parsed > 0)
-                return parsed;
-        }
-        return 4;
-    }();
-    return cutoff;
 }
 
 namespace
@@ -366,115 +344,6 @@ packBMatrixStrided(const float *b, std::ptrdiff_t k_stride,
     }
 }
 
-void
-packBMatrix(const float *B, int ldb, int K, int N, PackedB &out)
-{
-    packBMatrixStrided(B, ldb, 1, K, N, out);
-}
-
-namespace
-{
-
-/**
- * Scalar prepacked tile: replays scalarTile's exact accumulation order
- * — zero fill, then for each absolute BK block the grouped-4 panel
- * kernel — but reads B from the packed panels. The k-group boundaries
- * are multiples of BK regardless of column, so every element's float
- * chain is identical to scalarTile on the unpacked matrix.
- */
-void
-scalarPrepackedTile(int i0, int imax, int j0, int jmax, int K, int N,
-                    const float *A, const float *packed, float *C,
-                    bool accumulate)
-{
-    const auto L = detail::packedBLayout(K, N);
-    if (!accumulate)
-        for (int i = i0; i < imax; ++i)
-            std::fill(C + static_cast<std::size_t>(i) * N + j0,
-                      C + static_cast<std::size_t>(i) * N + jmax, 0.0f);
-    for (int k0 = 0; k0 < K; k0 += BK) {
-        const int kmax = std::min(K, k0 + BK);
-        int j = j0;
-        while (j < jmax) {
-            // Panel containing column j. Tile bounds sit on multiples
-            // of TN (a multiple of 16), so panels never straddle them.
-            const float *P;
-            int w, col0;
-            if (j < L.nFull * 16) {
-                const int blk = j / 16;
-                P = packed + static_cast<std::size_t>(blk) * K * 16;
-                w = 16;
-                col0 = blk * 16;
-            } else if (L.has8 && j < L.nFull * 16 + 8) {
-                P = packed + L.off8;
-                w = 8;
-                col0 = L.nFull * 16;
-            } else {
-                P = packed + L.offTail;
-                w = L.tail;
-                col0 = L.nFull * 16 + (L.has8 ? 8 : 0);
-            }
-            const int jend = std::min(jmax, col0 + w);
-            for (int i = i0; i < imax; ++i) {
-                const float *a = A + static_cast<std::size_t>(i) * K;
-                float *c = C + static_cast<std::size_t>(i) * N;
-                int k = k0;
-                for (; k + 3 < kmax; k += 4) {
-                    const float a0 = a[k];
-                    const float a1 = a[k + 1];
-                    const float a2 = a[k + 2];
-                    const float a3 = a[k + 3];
-                    const float *b0 = P + static_cast<std::size_t>(k) * w;
-                    const float *b1 = b0 + w;
-                    const float *b2 = b1 + w;
-                    const float *b3 = b2 + w;
-                    for (int jj = j; jj < jend; ++jj) {
-                        const int c0 = jj - col0;
-                        c[jj] += a0 * b0[c0] + a1 * b1[c0] + a2 * b2[c0] +
-                                 a3 * b3[c0];
-                    }
-                }
-                for (; k < kmax; ++k) {
-                    const float ak = a[k];
-                    const float *bk = P + static_cast<std::size_t>(k) * w;
-                    for (int jj = j; jj < jend; ++jj)
-                        c[jj] += ak * bk[jj - col0];
-                }
-            }
-            j = jend;
-        }
-    }
-}
-
-} // namespace
-
-void
-sgemmPrepacked(int M, const float *A, const PackedB &B, float *C,
-               bool accumulate)
-{
-    const int N = B.N;
-    const int K = B.K;
-    const double flops = 2.0 * M * N * K;
-#ifdef PTOLEMY_HAVE_AVX2
-    if (useAvx2()) {
-        forEachTile(M, N, flops, [&](int i0, int imax, int j0, int jmax) {
-            detail::avx2GemmTilePrepacked(i0, imax, j0, jmax, K, A,
-                                          /*a_row_stride=*/K,
-                                          /*a_elem_stride=*/1,
-                                          B.data.data(), N, C, N,
-                                          accumulate);
-        });
-        return;
-    }
-#endif
-    forEachTile(M, N, flops, [&](int i0, int imax, int j0, int jmax) {
-        scalarPrepackedTile(i0, imax, j0, jmax, K, N, A, B.data.data(), C,
-                            accumulate);
-    });
-}
-
-
-#ifdef PTOLEMY_HAVE_AVX2
 namespace
 {
 
@@ -493,29 +362,91 @@ convImplicitScratch()
     return scratch;
 }
 
+/**
+ * Portable implicit-GEMM conv block: avx2ConvImplicitBlock's contract
+ * (same padded plane, offset tables and packed W^T panels; see
+ * gemm_kernels.hh) with scalar sgemm's numerics, bit for bit.
+ *
+ * Positions whose plane offsets are consecutive (a stride-1 output
+ * row's share of the block) form a run, and tap k of a run is the
+ * contiguous plane segment xp + koff[k] + poff[run start]: the im2col
+ * row segment, read in place. So the inner loop vectorizes over the
+ * run like scalar panelKernel's over columns, and the chain per
+ * element is panelKernel's fold term for term: from zero, grouped-4
+ * steps acc += w0*a0 + w1*a1 + w2*a2 + w3*a3, then the K%4 single
+ * steps, then one bias addition. panelKernel restarts the grouping at
+ * each BK block, but BK is a multiple of 4, so its groups are these
+ * groups. Each weight panel accumulates in a compact stage (16 output
+ * rows ohw floats apart would share one L1 set) that leaves, bias
+ * added, as contiguous output rows.
+ */
+void
+scalarConvImplicitBlock(int K, int N, const float *xp, const int *koff,
+                        const int *poff, int P, const float *packed,
+                        const float *bias, float *out, std::ptrdiff_t ldc)
+{
+    static_assert(BK % 4 == 0, "grouped-4 fold must match panelKernel");
+    assert(P >= 1 && P <= detail::kConvBlockPositions);
+    constexpr int ld = detail::kConvBlockPositions;
+    float stage[16 * ld];
+    int c0 = 0;
+    // One w-wide weight panel: channel c's weight for tap k is wp[k*w + c].
+    const auto panel = [&](const float *wp, int w) {
+        std::fill_n(stage, w * ld, 0.0f);
+        for (int j0 = 0, j1; j0 < P; j0 = j1) {
+            j1 = j0 + 1;
+            while (j1 < P && poff[j1] == poff[j1 - 1] + 1)
+                ++j1;
+            const int run = j1 - j0;
+            const float *x = xp + poff[j0];
+            int k = 0;
+            for (; k + 3 < K; k += 4) {
+                const float *a0 = x + koff[k];
+                const float *a1 = x + koff[k + 1];
+                const float *a2 = x + koff[k + 2];
+                const float *a3 = x + koff[k + 3];
+                const float *b0 = wp + static_cast<std::size_t>(k) * w;
+                for (int c = 0; c < w; ++c) {
+                    const float w0 = b0[c], w1 = b0[w + c],
+                                w2 = b0[2 * w + c], w3 = b0[3 * w + c];
+                    float *acc = stage + c * ld + j0;
+                    for (int j = 0; j < run; ++j)
+                        acc[j] += w0 * a0[j] + w1 * a1[j] + w2 * a2[j] +
+                                  w3 * a3[j];
+                }
+            }
+            for (; k < K; ++k) {
+                const float *a0 = x + koff[k];
+                const float *b0 = wp + static_cast<std::size_t>(k) * w;
+                for (int c = 0; c < w; ++c) {
+                    float *acc = stage + c * ld + j0;
+                    for (int j = 0; j < run; ++j)
+                        acc[j] += b0[c] * a0[j];
+                }
+            }
+        }
+        for (int c = 0; c < w; ++c, ++c0) {
+            float *row = out + c0 * ldc;
+            for (int j = 0; j < P; ++j)
+                row[j] = stage[c * ld + j] + bias[c0];
+        }
+    };
+    const auto L = detail::packedBLayout(K, N);
+    for (int blk = 0; blk < L.nFull; ++blk)
+        panel(packed + static_cast<std::size_t>(blk) * K * 16, 16);
+    if (L.has8)
+        panel(packed + L.off8, 8);
+    if (L.tail > 0)
+        panel(packed + L.offTail, L.tail);
+}
+
 } // namespace
-#endif
 
 void
 convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
                   int stride, int pad, int oh, int ow, const PackedB &wt,
                   float const *bias, float *out)
 {
-#ifndef PTOLEMY_HAVE_AVX2
-    (void)in;
-    (void)in_c;
-    (void)ih;
-    (void)iw;
-    (void)k;
-    (void)stride;
-    (void)pad;
-    (void)oh;
-    (void)ow;
-    (void)wt;
-    (void)bias;
-    (void)out;
-    assert(false && "convForwardPacked requires the AVX2 build");
-#else
     const int K = wt.K;
     const int outC = wt.N;
     const int ohw = oh * ow;
@@ -559,6 +490,11 @@ convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
     for (int oy = 0; oy < oh; ++oy)
         for (int ox = 0; ox < ow; ++ox)
             poff[oy * ow + ox] = oy * stride * iwp + ox * stride;
+    auto *block = &scalarConvImplicitBlock;
+#ifdef PTOLEMY_HAVE_AVX2
+    if (useAvx2())
+        block = &detail::avx2ConvImplicitBlock;
+#endif
     // One block of kConvBlockPositions output positions is both the
     // kernel's weight-reuse unit and the pool-task grain. Positions are
     // independent and per-element results partition-invariant, so the
@@ -569,9 +505,8 @@ convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
     const double flops = 2.0 * outC * ohw * K;
     auto run = [&](std::size_t t) {
         const int p0 = static_cast<int>(t) * kBlock;
-        detail::avx2ConvImplicitBlock(K, outC, xp, koff, poff + p0,
-                                      std::min(kBlock, ohw - p0),
-                                      wt.data.data(), bias, out + p0, ohw);
+        block(K, outC, xp, koff, poff + p0, std::min(kBlock, ohw - p0),
+              wt.data.data(), bias, out + p0, ohw);
     };
     ThreadPool *pool = gemmPool();
     if (usePoolFor(pool, n_tasks, flops)) {
@@ -580,7 +515,6 @@ convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
     }
     for (std::size_t t = 0; t < n_tasks; ++t)
         run(t);
-#endif
 }
 
 void
@@ -657,13 +591,6 @@ col2im(const util::AlignedF32 &col, int in_c, int ih, int iw, int k,
             }
         }
     }
-}
-
-bool &
-naiveConvFlag()
-{
-    static bool flag = std::getenv("PTOLEMY_NAIVE_CONV") != nullptr;
-    return flag;
 }
 
 } // namespace ptolemy::nn

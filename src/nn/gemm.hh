@@ -1,26 +1,26 @@
 /**
  * @file
- * Small single-precision GEMM kernels and im2col/col2im helpers.
+ * Single-precision GEMM kernels, the implicit-GEMM conv forward and
+ * the im2col/col2im helpers.
  *
- * The inference hot path lowers convolution to matrix multiplication:
- * im2col unrolls each receptive field into a column, so the layer's
- * forward pass is one [outC x K] * [K x OHW] product computed by a
- * cache-blocked, vectorizable kernel instead of a 6-deep scalar loop.
- * The AVX2 serving forward (convForwardPacked) computes that same
- * product as an implicit GEMM, reading each column element straight
- * from a zero-padded copy of the input.
- * The same kernels back the backward pass (weight gradient via NT,
- * input gradient via TN + col2im) and the Linear layer (gemv).
+ * Convolution is a [outC x K] * [K x OHW] product. The forward
+ * (convForwardPacked, the only conv forward) computes it as an
+ * implicit GEMM: each im2col element is read straight from a
+ * zero-padded copy of the input against W^T packed into blocked
+ * panels, so no column matrix is written. The backward pass uses the
+ * explicit matrices: the weight gradient is an NT product over an
+ * im2col matrix, the input gradient a TN product scattered back by
+ * col2im. The Linear layer runs on the gemv kernels.
  *
- * All matrices are dense row-major. Two kernel families back the entry
- * points: a portable scalar reference (bit-identical to the historical
- * cache-blocked kernel) and AVX2/FMA microkernels compiled into their
- * own TU when the build enables them (CMake option PTOLEMY_SIMD).
- * simdMode() picks between them at runtime; both are deterministic
- * across thread counts. Large products are additionally split over
- * M x N tiles and fanned out on the process-wide thread pool (or
- * whatever pool gemmPool() points at), so single-sample conv latency
- * scales with cores.
+ * All matrices are dense row-major. Two kernel families back every
+ * entry point: a portable scalar reference (bit-identical to the
+ * historical cache-blocked kernel) and AVX2/FMA microkernels compiled
+ * into their own TU when the build enables them (CMake option
+ * PTOLEMY_SIMD). simdMode() picks between them at runtime; both are
+ * deterministic across thread counts. Large products are additionally
+ * split into tiles or position blocks and fanned out on the
+ * process-wide thread pool (or whatever pool gemmPool() points at), so
+ * single-sample conv latency scales with cores.
  */
 
 #ifndef PTOLEMY_NN_GEMM_HH
@@ -62,10 +62,11 @@ void sgemm(int M, int N, int K, const float *A, const float *B, float *C,
            bool accumulate = false);
 
 /**
- * A B matrix [K x N] packed once into the blocked panel layout the
- * tile kernels consume (see detail::packedBLayout), 64-byte-aligned.
- * Serving-path weights are immutable, so packing them at model-build
- * time removes the per-call packBPanel copy from every forward SGEMM.
+ * A B matrix [K x N] packed into the blocked panel layout the conv
+ * kernels consume (see detail::packedBLayout), 64-byte-aligned.
+ * Serving-path conv weights are immutable, so DetectorModel packs them
+ * once at build time; a layer without that persistent pack packs per
+ * call into a thread-local PackedB instead.
  */
 struct PackedB
 {
@@ -83,69 +84,35 @@ struct PackedB
     }
 };
 
-/** Pack row-major B [K x N] (leading dimension @p ldb) into @p out. */
-void packBMatrix(const float *B, int ldb, int K, int N, PackedB &out);
-
 /**
  * Pack a B matrix given arbitrary element strides: element (k, n) is
  * b[k * k_stride + n * n_stride]. This packs a transposed view without
  * materializing it — conv weights [outC x K] pack as W^T with
- * (k_stride, n_stride) = (1, K).
+ * (k_stride, n_stride) = (1, K). Reuses @p out's storage, so repacking
+ * a same-or-smaller matrix never allocates.
  */
 void packBMatrixStrided(const float *b, std::ptrdiff_t k_stride,
                         std::ptrdiff_t n_stride, int K, int N,
                         PackedB &out);
 
 /**
- * C[MxN] = A[MxK] * B from a persistent packed panel (or += when
- * @p accumulate), with N and K taken from @p B. Bit-identical to
- * sgemm(M, N, K, A, B_unpacked, C, accumulate) in both SIMD modes:
- * the AVX2 tiles skip the per-call pack but consume the exact blocked
- * layout packBPanel produced, and the scalar path replays the
- * reference kernel's BK-blocked grouped-4 accumulation order over the
- * packed panels (k-group boundaries are absolute, so per-element
- * numerics cannot shift).
- */
-void sgemmPrepacked(int M, const float *A, const PackedB &B, float *C,
-                    bool accumulate = false);
-
-/**
- * Fused packed conv forward (AVX2 serving fast path) as an implicit
- * GEMM: the input is copied once into a zero-padded plane, and a tap
- * offset table (K entries) plus a position offset table (oh*ow entries)
- * let the 6-position x 16-channel register tiles broadcast each im2col
- * element straight from that plane — no im2col matrix or per-block A
- * panel is ever written. The tiles run against the persistent packed
- * W^T panels with the bias fused into the store. Output is
- * channel-major [outC x oh*ow], bit-identical to im2col + sgemm + bias
- * (see avx2ConvImplicitBlock). Blocks of detail::kConvBlockPositions
- * output positions fan out on gemmPool() like sgemm tiles. Caller must
- * hold simdMode() == Avx2 and an AVX2 build; @p wt must be the packed
- * [K x outC] transposed weight matrix with K = in_c*k*k.
+ * Conv forward as an implicit GEMM, in both SIMD modes: the input is
+ * copied once into a zero-padded plane, and a tap offset table (K
+ * entries) plus a position offset table (oh*ow entries) let the block
+ * kernels read each im2col element straight from that plane — no
+ * im2col matrix or per-block A panel is ever written. The kernels run
+ * against the packed W^T panels with the bias fused into the store.
+ * Output is channel-major [outC x oh*ow], bit-identical in each mode
+ * to im2col + sgemm + bias in that mode: the AVX2 block replays the
+ * FMA tile's fold, the scalar block the reference kernel's grouped-4
+ * fold (see gemm_kernels.hh and gemm.cc). Blocks of
+ * detail::kConvBlockPositions output positions fan out on gemmPool()
+ * like sgemm tiles. @p wt must be the packed [K x outC] transposed
+ * weight matrix with K = in_c*k*k.
  */
 void convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
                        int stride, int pad, int oh, int ow,
                        const PackedB &wt, const float *bias, float *out);
-
-/**
- * Process-wide switch for the persistent-packed serving path
- * (convForwardPacked / packed Linear weights). Initialized from
- * PTOLEMY_PREPACK (default on; "0" disables); benches and bench_sweep
- * flip it at runtime to measure the packed-vs-on-the-fly delta. Gates
- * *use* of packed panels only — layers still build them — so flipping
- * it is always bit-identity-safe.
- */
-bool &prepackEnabled();
-
-/**
- * Minimum task count before a tiled kernel fans out to gemmPool():
- * below it the product runs inline on the calling thread, skipping
- * pool dispatch latency that dominates the 2-3-tile shapes detectBatch
- * actually sees. From PTOLEMY_GEMM_INLINE_TILES (default 4); the FLOP
- * cutoff still applies independently. Scheduling only — results are
- * bit-identical either way.
- */
-int &gemmInlineTaskCutoff();
 
 /**
  * C[MxN] = A^T * B where A is [KxM] row-major, or += when @p accumulate.
@@ -177,9 +144,10 @@ void sgemvT(int M, int K, const float *A, const float *x, float *y,
             bool accumulate = false);
 
 /**
- * Reusable im2col/col2im scratch. One instance lives per thread (see
- * gemmScratch()), so a warmed-up inference loop performs no heap
- * allocation regardless of how many conv layers share it.
+ * Reusable im2col/col2im scratch for the conv backward. One instance
+ * lives per thread (see gemmScratch()), so a warmed-up training loop
+ * performs no heap allocation regardless of how many conv layers share
+ * it.
  */
 struct GemmScratch
 {
@@ -206,13 +174,6 @@ void im2col(const float *in, int in_c, int ih, int iw, int k, int stride,
  */
 void col2im(const util::AlignedF32 &col, int in_c, int ih, int iw, int k,
             int stride, int pad, int oh, int ow, float *grad_in);
-
-/**
- * Process-wide switch to the scalar reference convolution (equivalence
- * tests, perf baselines). Initialized from the PTOLEMY_NAIVE_CONV
- * environment variable; tests and benches may flip it at runtime.
- */
-bool &naiveConvFlag();
 
 } // namespace ptolemy::nn
 

@@ -196,9 +196,7 @@ packScratch()
 
 /**
  * Run the 6-row microkernels over one packed B panel of @p width (16
- * or 8) columns at absolute column @p j. Shared by the on-the-fly tile
- * (which just packed the panel) and the prepacked tile (persistent
- * panel) — both therefore execute the exact same kernel sequence.
+ * or 8) columns at absolute column @p j.
  */
 template <bool STRIDE1>
 inline void
@@ -273,53 +271,6 @@ gemmTileImpl(int i0, int i1, int j0, int j1, int K, const float *a_base,
     }
 }
 
-template <bool STRIDE1>
-void
-gemmTilePrepackedImpl(int i0, int i1, int j0, int j1, int K,
-                      const float *a_base, std::ptrdiff_t a_row_stride,
-                      std::ptrdiff_t a_elem_stride, const float *packed,
-                      int packedN, float *C, int ldc, bool accumulate)
-{
-    const PackedBLayout L = packedBLayout(K, packedN);
-    // Same column blocking as gemmTileImpl: full 16s, one 8, scalar
-    // tail. Tile bounds sit on multiples of TN (a multiple of 16), so
-    // the persistent panels line up exactly with what packBPanel would
-    // have produced per tile.
-    int j = j0;
-    for (; j + 16 <= j1; j += 16) {
-        const float *bp = packed + static_cast<std::size_t>(j / 16) * K * 16;
-        assert(util::isAligned(bp));
-        panelColumns<STRIDE1>(16, i0, i1, j, K, a_base, a_row_stride,
-                              a_elem_stride, bp, C, ldc, accumulate);
-    }
-    if (j + 8 <= j1) {
-        const float *bp = packed + L.off8;
-        assert(L.has8 && j == L.nFull * 16 && util::isAligned(bp));
-        panelColumns<STRIDE1>(8, i0, i1, j, K, a_base, a_row_stride,
-                              a_elem_stride, bp, C, ldc, accumulate);
-        j += 8;
-    }
-    if (j < j1) {
-        // Scalar column tail from the packed [k][tail] panel: the same
-        // fmaf fold as kernelScalarCols, reading packed rows.
-        const float *P = packed + L.offTail;
-        const int col0 = L.nFull * 16 + (L.has8 ? 8 : 0);
-        for (int i = i0; i < i1; ++i) {
-            const float *arow = a_base + i * a_row_stride;
-            float *crow = C + static_cast<std::ptrdiff_t>(i) * ldc;
-            for (int jj = j; jj < j1; ++jj) {
-                const int c = jj - col0;
-                float s = 0.0f;
-                for (int k = 0; k < K; ++k)
-                    s = std::fmaf(
-                        arow[k * (STRIDE1 ? 1 : a_elem_stride)],
-                        P[static_cast<std::size_t>(k) * L.tail + c], s);
-                crow[jj] = accumulate ? crow[jj] + s : s;
-            }
-        }
-    }
-}
-
 } // namespace
 
 void
@@ -333,22 +284,6 @@ avx2GemmTile(int i0, int i1, int j0, int j1, int K, const float *a_base,
     else
         gemmTileImpl<false>(i0, i1, j0, j1, K, a_base, a_row_stride,
                             a_elem_stride, B, ldb, C, ldc, accumulate);
-}
-
-void
-avx2GemmTilePrepacked(int i0, int i1, int j0, int j1, int K,
-                      const float *a_base, std::ptrdiff_t a_row_stride,
-                      std::ptrdiff_t a_elem_stride, const float *packed,
-                      int packedN, float *C, int ldc, bool accumulate)
-{
-    if (a_elem_stride == 1)
-        gemmTilePrepackedImpl<true>(i0, i1, j0, j1, K, a_base,
-                                    a_row_stride, 1, packed, packedN, C,
-                                    ldc, accumulate);
-    else
-        gemmTilePrepackedImpl<false>(i0, i1, j0, j1, K, a_base,
-                                     a_row_stride, a_elem_stride, packed,
-                                     packedN, C, ldc, accumulate);
 }
 
 namespace
@@ -411,13 +346,14 @@ constexpr int kStageLd = kConvBlockPositions + 8;
  * straight from the zero-padded input plane, xp[koff[k] + poff[r]] —
  * exactly the value im2col would have written, padding zeros included
  * — so no A panel is ever emitted. Per element this is the exact fold
- * fma(a_k, w_ik, acc) over k ascending the unpacked path computes —
- * fma's product operands merely swap roles, which rounds identically —
- * followed by the one bias addition forwardGemm performs, so results
- * are bit-identical. The accumulators hold 16 channels per position;
- * an in-register 8x8 transpose turns them into per-channel rows of R
- * positions, stored full-width into the [16][kStageLd] @p stage (lanes
- * past R land where the next strip writes afterwards).
+ * fma(a_k, w_ik, acc) over k ascending that AVX2 sgemm computes on the
+ * im2col matrix — fma's product operands merely swap roles, which
+ * rounds identically — followed by one bias addition, so results are
+ * bit-identical to im2col + sgemm + bias. The accumulators hold 16
+ * channels per position; an in-register 8x8 transpose turns them into
+ * per-channel rows of R positions, stored full-width into the
+ * [16][kStageLd] @p stage (lanes past R land where the next strip
+ * writes afterwards).
  */
 template <int R>
 inline void

@@ -7,7 +7,8 @@
  * with -mavx2 -mfma: the rest of the library keeps the default ISA and
  * the scalar reference kernels keep their exact historical numerics.
  * When the build does not define PTOLEMY_HAVE_AVX2 the TU is empty and
- * the driver never references these symbols.
+ * the driver never references these symbols. The packed-panel layout
+ * and the conv block size are shared by both kernel families.
  */
 
 #ifndef PTOLEMY_NN_GEMM_KERNELS_HH
@@ -23,13 +24,13 @@ namespace ptolemy::nn::detail
  * space is split exactly the way the tile kernels block it — 16-wide
  * panels, then one 8-wide panel when 8 <= N%16, then a <8-column
  * scalar tail — and each panel is stored [k][width] contiguous, the
- * shape packBPanel produced per call before packing became persistent.
+ * same shape avx2GemmTile's per-tile packBPanel produces.
  * Panel starts are padded up to 64-byte boundaries so every AVX2 load
  * of a panel row begins on a cache line (the backing buffer itself is
  * allocated with util::AlignedF32).
  *
- * Both the packer (gemm.cc) and the consuming kernels (gemm_avx2.cc,
- * the scalar prepacked tile) derive offsets from this one function, so
+ * The packer and both implicit-GEMM conv blocks (scalar in gemm.cc,
+ * AVX2 in gemm_avx2.cc) derive offsets from this one function, so
  * layout and consumption cannot drift apart.
  */
 struct PackedBLayout
@@ -71,15 +72,15 @@ packedBLayout(int K, int N)
     return L;
 }
 
-#ifdef PTOLEMY_HAVE_AVX2
-
 /**
  * Output positions per implicit-GEMM conv block: the pool-task grain of
- * convForwardPacked and the largest @p P avx2ConvImplicitBlock takes.
- * 16 strips of 6 positions, so each K x 16 weight panel is reused
+ * convForwardPacked and the largest @p P its block kernels take. 16
+ * AVX2 strips of 6 positions, so each K x 16 weight panel is reused
  * across 16 strips per load from cache.
  */
 constexpr int kConvBlockPositions = 96;
+
+#ifdef PTOLEMY_HAVE_AVX2
 
 /**
  * C tile [i0,i1) x [j0,j1) = A * B over the full K extent (or += when
@@ -105,23 +106,6 @@ void avx2GemmTile(int i0, int i1, int j0, int j1, int K,
                   float *C, int ldc, bool accumulate);
 
 /**
- * As avx2GemmTile, but B comes pre-packed in the packedBLayout blocked
- * form (@p packed, layout derived from (K, @p packedN)) so the
- * per-tile packBPanel copy is skipped entirely — the serving path's
- * weight panels are packed once at model-build time instead of once
- * per call. Tile boundaries must sit on multiples of 16 columns (the
- * driver's TN grid guarantees this), which keeps the panel blocking
- * identical to what packBPanel produced on the fly; per-element
- * results are bit-identical to avx2GemmTile on the unpacked matrix.
- */
-void avx2GemmTilePrepacked(int i0, int i1, int j0, int j1, int K,
-                           const float *a_base,
-                           std::ptrdiff_t a_row_stride,
-                           std::ptrdiff_t a_elem_stride,
-                           const float *packed, int packedN, float *C,
-                           int ldc, bool accumulate);
-
-/**
  * Implicit-GEMM conv-forward block: out[i * ldc + j] = bias[i] +
  * sum_k xp[koff[k] + poff[j]] * packed weight (k, i) for channels i in
  * [0, N) and the block's @p P <= kConvBlockPositions output positions j.
@@ -130,8 +114,8 @@ void avx2GemmTilePrepacked(int i0, int i1, int j0, int j1, int K,
  * offsets oy*stride*iwp + ox*stride (convForwardPacked builds all three
  * once per call), so xp[koff[k] + poff[j]] is exactly the im2col
  * element (k, j), padding zeros included, and no [K x P] A panel is
- * ever written. @p packed is the persistent transposed weight matrix
- * W^T [K x N] in packedBLayout form.
+ * ever written. @p packed is the transposed weight matrix W^T [K x N]
+ * in packedBLayout form.
  *
  * The register tile is flipped relative to avx2GemmTile — 6 positions
  * (one strip) are the broadcast operand, 16 output channels the vector
@@ -141,8 +125,8 @@ void avx2GemmTilePrepacked(int i0, int i1, int j0, int j1, int K,
  * channel-panel OUTER, strip INNER, so each K x 16 weight panel
  * streams from cache once per block instead of once per strip.
  *
- * Per output element this performs the exact same chain as the
- * unpacked path: a fold of fma(a_k, w_ik, acc) over k ascending from
+ * Per output element this performs the exact same chain as AVX2 sgemm
+ * on the im2col matrix: a fold of fma(a_k, w_ik, acc) over k ascending from
  * zero (fma(a, b, c) and fma(b, a, c) round identically), then one
  * bias addition — so the implicit GEMM is bit-identical to
  * im2col + sgemm + bias, and the strip/block partition is scheduling,

@@ -263,9 +263,10 @@ class Layer
 
     /**
      * Drop the packed weight cache after a weight mutation (training,
-     * load, direct weights() access). Forward falls back to the
-     * unpacked path — bit-identical, just slower — until the next
-     * prepackWeights().
+     * load, direct weights() access). Until the next prepackWeights()
+     * Conv2d's forward packs W^T per call into a thread-local buffer
+     * and Linear reads its live weights — same kernels, same bits,
+     * just slower.
      */
     virtual void invalidatePackedWeights() {}
 

@@ -27,8 +27,7 @@ Linear::prepackWeights() const
 const float *
 Linear::servingWeights() const
 {
-    return (!packedW.empty() && prepackEnabled()) ? packedW.data()
-                                                  : weight.data();
+    return packedW.empty() ? weight.data() : packedW.data();
 }
 
 Shape

@@ -289,7 +289,8 @@ class Network
 
     /**
      * Build every weighted layer's serving-time packed weight cache
-     * (persistent packed SGEMM panels; see Layer::prepackWeights).
+     * (packed conv panels, aligned fc weights; see
+     * Layer::prepackWeights).
      * Call while this thread still owns the network exclusively —
      * core::DetectorModel's constructor does, before the model is
      * shared with serving threads. Idempotent pure read when fresh.
@@ -297,7 +298,7 @@ class Network
     void prepackForServing() const;
 
     /** Drop all packed weight caches (weights are about to change).
-     *  Forward falls back to the unpacked paths, bit-identically. */
+     *  Forward then packs per call, bit-identically. */
     void invalidatePackedWeights();
 
     /**

@@ -22,7 +22,6 @@ unsigned g_applied = 0;
 const char *const kKnobs[] = {
     "PTOLEMY_NUM_THREADS",
     "PTOLEMY_SIMD",
-    "PTOLEMY_PREPACK",
 };
 
 bool

@@ -13,13 +13,13 @@
  * loader only fills in knobs that are unset (setenv with overwrite=0),
  * so `PTOLEMY_SIMD=scalar ./detect` still forces scalar even when the
  * tuning file picked AVX2. Only the known knob names are applied
- * (PTOLEMY_NUM_THREADS, PTOLEMY_SIMD, PTOLEMY_PREPACK) — a tuning file
- * cannot inject arbitrary environment.
+ * (PTOLEMY_NUM_THREADS, PTOLEMY_SIMD) — a tuning file cannot inject
+ * arbitrary environment.
  *
- * Mechanism: every lazy static that reads one of those knobs
- * (globalPool's thread count, simdMode, prepackEnabled) calls
- * ensureTuningApplied() before its first getenv, so the file is
- * honored no matter which knob is read first. The load
+ * Mechanism: both lazy statics that read those knobs (globalPool's
+ * thread count, simdMode) call ensureTuningApplied() before their
+ * first getenv, so the file is honored no matter which knob is read
+ * first. The load
  * happens exactly once (std::once_flag) and uses setenv(), which is
  * only safe before other threads are spawned — which holds here
  * because the first of those statics to initialize is what creates

@@ -1,7 +1,9 @@
 /**
  * @file
- * GEMM kernel correctness and GEMM-conv vs naive-conv equivalence
- * (forward and backward, padded/strided cases swept).
+ * GEMM kernel correctness and conv forward/backward vs the scalar
+ * reference oracles (Conv2d::forwardNaive / backwardNaive) in every
+ * SIMD mode, padded/strided cases and the benchmark's conv shapes
+ * swept.
  */
 
 #include <gtest/gtest.h>
@@ -36,12 +38,28 @@ randomTensor(Shape s, Rng &rng, float scale = 1.0f)
     return t;
 }
 
-/** RAII guard restoring the process-wide conv-mode flag. */
-struct ConvModeGuard
+/** RAII guard restoring the process-wide SIMD mode. */
+struct SimdModeGuard
 {
-    bool saved = naiveConvFlag();
-    ~ConvModeGuard() { naiveConvFlag() = saved; }
+    SimdMode saved = simdMode();
+    ~SimdModeGuard() { simdMode() = saved; }
 };
+
+/** RAII guard restoring the gemm pool pointer. */
+struct GemmPoolGuard
+{
+    ThreadPool *saved = gemmPool();
+    ~GemmPoolGuard() { gemmPool() = saved; }
+};
+
+std::vector<SimdMode>
+modesToTest()
+{
+    std::vector<SimdMode> modes = {SimdMode::Scalar};
+    if (avx2Available())
+        modes.push_back(SimdMode::Avx2);
+    return modes;
+}
 
 void
 naiveGemmRef(int M, int N, int K, const std::vector<float> &A,
@@ -128,74 +146,88 @@ TEST(Sgemm, AccumulateAddsOntoExistingC)
         ASSERT_NEAR(C[i], ref[i] + 2.5f, 1e-3f);
 }
 
-/** Shapes swept by the conv equivalence tests: {k, stride, pad, h, w}.
- *  The 1-wide/1-tall cases cover kernel footprints wider than the
- *  padded image, which the im2col border fast path must clamp. */
-const int kConvCases[][5] = {
-    {3, 1, 1, 8, 8},  {3, 1, 0, 8, 10}, {3, 2, 1, 9, 9}, {1, 1, 0, 6, 6},
-    {5, 1, 2, 11, 9}, {5, 2, 2, 12, 12}, {3, 2, 0, 7, 11}, {5, 1, 2, 4, 1},
-    {5, 1, 2, 1, 6}};
+/** Shapes swept by the conv oracle tests: {in_c, out_c, k, stride, pad,
+ *  h, w}. The 1-wide/1-tall cases cover kernel footprints wider than
+ *  the padded image, which the im2col border fast path must clamp; the
+ *  rest are the conv layers of the end-to-end benchmark's networks. */
+const int kConvCases[][7] = {
+    {3, 5, 3, 1, 1, 8, 8},   {3, 5, 3, 1, 0, 8, 10},  {3, 5, 3, 2, 1, 9, 9},
+    {3, 5, 1, 1, 0, 6, 6},   {3, 5, 5, 1, 2, 11, 9},  {3, 5, 5, 2, 2, 12, 12},
+    {3, 5, 3, 2, 0, 7, 11},  {3, 5, 5, 1, 2, 4, 1},   {3, 5, 5, 1, 2, 1, 6},
+    // detect_full network
+    {3, 16, 3, 1, 1, 32, 32}, {16, 32, 3, 1, 1, 16, 16},
+    {32, 32, 3, 1, 1, 8, 8},
+    // detect_early network
+    {3, 32, 3, 1, 1, 32, 32}, {32, 32, 3, 1, 1, 16, 16},
+    {32, 64, 3, 1, 1, 8, 8},  {64, 64, 3, 1, 1, 8, 8},
+    // serving network
+    {3, 8, 3, 1, 1, 16, 16},  {8, 12, 3, 1, 1, 8, 8}};
 
 TEST(ConvGemm, ForwardMatchesNaiveAcrossStridesAndPadding)
 {
-    ConvModeGuard guard;
+    SimdModeGuard mode_guard;
     Rng rng(4);
-    for (const auto &cs : kConvCases) {
-        const int k = cs[0], stride = cs[1], pad = cs[2];
-        const int h = cs[3], w = cs[4];
-        Conv2d conv("c", 3, 5, k, stride, pad);
-        fillRandom(conv.weights(), rng);
-        fillRandom(conv.biases(), rng);
-        const Tensor x = randomTensor(mapShape(3, h, w), rng);
+    for (SimdMode mode : modesToTest()) {
+        simdMode() = mode;
+        for (const auto &cs : kConvCases) {
+            Conv2d conv("c", cs[0], cs[1], cs[2], cs[3], cs[4]);
+            fillRandom(conv.weights(), rng);
+            fillRandom(conv.biases(), rng);
+            const Tensor x = randomTensor(mapShape(cs[0], cs[5], cs[6]), rng);
 
-        Tensor out_gemm, out_naive;
-        naiveConvFlag() = false;
-        conv.forwardInto({&x}, out_gemm, false);
-        naiveConvFlag() = true;
-        conv.forwardInto({&x}, out_naive, false);
+            Tensor out_gemm, out_naive;
+            conv.forwardInto({&x}, out_gemm, false);
+            conv.forwardNaive(x, out_naive);
 
-        ASSERT_EQ(out_gemm.shape(), out_naive.shape());
-        for (std::size_t i = 0; i < out_gemm.size(); ++i)
-            ASSERT_NEAR(out_gemm[i], out_naive[i], 1e-4f)
-                << "k=" << k << " s=" << stride << " p=" << pad
-                << " i=" << i;
+            ASSERT_EQ(out_gemm.shape(), out_naive.shape());
+            for (std::size_t i = 0; i < out_gemm.size(); ++i)
+                ASSERT_NEAR(out_gemm[i], out_naive[i], 1e-4f)
+                    << "mode=" << simdModeName() << " in_c=" << cs[0]
+                    << " out_c=" << cs[1] << " k=" << cs[2]
+                    << " s=" << cs[3] << " p=" << cs[4] << " i=" << i;
+        }
     }
 }
 
 TEST(ConvGemm, BackwardMatchesNaiveAcrossStridesAndPadding)
 {
-    ConvModeGuard guard;
+    SimdModeGuard mode_guard;
     Rng rng(5);
-    for (const auto &cs : kConvCases) {
-        const int k = cs[0], stride = cs[1], pad = cs[2];
-        const int h = cs[3], w = cs[4];
-        // Two identical layers, one per mode, so gradient accumulation
-        // stays separate.
-        Conv2d cg("g", 3, 4, k, stride, pad), cn("n", 3, 4, k, stride, pad);
-        fillRandom(cg.weights(), rng);
-        fillRandom(cg.biases(), rng);
-        cn.weights() = cg.weights();
-        cn.biases() = cg.biases();
-        const Tensor x = randomTensor(mapShape(3, h, w), rng);
+    for (SimdMode mode : modesToTest()) {
+        simdMode() = mode;
+        for (const auto &cs : kConvCases) {
+            // A fresh layer per case, so its own gradient buffers start
+            // at zero like the oracle's.
+            Conv2d conv("c", cs[0], cs[1], cs[2], cs[3], cs[4]);
+            fillRandom(conv.weights(), rng);
+            fillRandom(conv.biases(), rng);
+            const Tensor x = randomTensor(mapShape(cs[0], cs[5], cs[6]), rng);
 
-        naiveConvFlag() = false;
-        auto out = cg.forward({&x}, false);
-        const Tensor gout = randomTensor(out.shape(), rng);
-        auto gin_gemm = cg.backward({&x}, gout);
+            auto out = conv.forward({&x}, false);
+            const Tensor gout = randomTensor(out.shape(), rng);
+            auto gin_gemm = conv.backward({&x}, gout);
 
-        naiveConvFlag() = true;
-        cn.forward({&x}, false);
-        auto gin_naive = cn.backward({&x}, gout);
+            Tensor gin_naive;
+            std::vector<float> gw(conv.weights().size(), 0.0f);
+            std::vector<float> gb(conv.biases().size(), 0.0f);
+            conv.backwardNaive(x, gout, gin_naive, &gw, &gb);
 
-        for (std::size_t i = 0; i < gin_gemm[0].size(); ++i)
-            ASSERT_NEAR(gin_gemm[0][i], gin_naive[0][i], 1e-4f)
-                << "grad_in k=" << k << " s=" << stride << " p=" << pad;
-        auto pg = cg.params(), pn = cn.params();
-        for (std::size_t b = 0; b < pg.size(); ++b)
-            for (std::size_t i = 0; i < pg[b].grad->size(); ++i)
-                ASSERT_NEAR((*pg[b].grad)[i], (*pn[b].grad)[i], 1e-3f)
-                    << "param buf " << b << " k=" << k << " s=" << stride
-                    << " p=" << pad;
+            ASSERT_EQ(gin_gemm[0].shape(), gin_naive.shape());
+            for (std::size_t i = 0; i < gin_naive.size(); ++i)
+                ASSERT_NEAR(gin_gemm[0][i], gin_naive[i], 1e-4f)
+                    << "grad_in mode=" << simdModeName() << " in_c="
+                    << cs[0] << " out_c=" << cs[1] << " k=" << cs[2]
+                    << " s=" << cs[3] << " p=" << cs[4];
+            const std::vector<float> *oracle[] = {&gw, &gb};
+            auto pg = conv.params();
+            for (std::size_t b = 0; b < pg.size(); ++b)
+                for (std::size_t i = 0; i < pg[b].grad->size(); ++i)
+                    ASSERT_NEAR((*pg[b].grad)[i], (*oracle[b])[i], 1e-3f)
+                        << "param buf " << b << " mode=" << simdModeName()
+                        << " in_c=" << cs[0] << " out_c=" << cs[1]
+                        << " k=" << cs[2] << " s=" << cs[3]
+                        << " p=" << cs[4];
+        }
     }
 }
 
@@ -204,8 +236,6 @@ TEST(ConvGemm, PartialSumsStillMatchForwardOutput)
     // The extraction path decomposes each output neuron into partial
     // sums; they must sum to the GEMM output minus bias within float
     // noise regardless of the forward implementation.
-    ConvModeGuard guard;
-    naiveConvFlag() = false;
     Rng rng(6);
     Conv2d conv("c", 2, 3, 3, 1, 1);
     fillRandom(conv.weights(), rng);
@@ -223,20 +253,6 @@ TEST(ConvGemm, PartialSumsStillMatchForwardOutput)
         ASSERT_NEAR(s, out[o], 1e-4);
     }
 }
-
-/** RAII guard restoring the process-wide SIMD mode. */
-struct SimdModeGuard
-{
-    SimdMode saved = simdMode();
-    ~SimdModeGuard() { simdMode() = saved; }
-};
-
-/** RAII guard restoring the gemm pool pointer. */
-struct GemmPoolGuard
-{
-    ThreadPool *saved = gemmPool();
-    ~GemmPoolGuard() { gemmPool() = saved; }
-};
 
 TEST(SgemmSimd, Avx2MatchesScalarAcrossOddRemainders)
 {
@@ -360,10 +376,7 @@ TEST(SgemmThreads, BitIdenticalAcrossThreadCounts)
             Bt[static_cast<std::size_t>(j) * K + k] =
                 B[static_cast<std::size_t>(k) * N + j];
 
-    std::vector<SimdMode> modes = {SimdMode::Scalar};
-    if (avx2Available())
-        modes.push_back(SimdMode::Avx2);
-    for (SimdMode mode : modes) {
+    for (SimdMode mode : modesToTest()) {
         simdMode() = mode;
         gemmPool() = nullptr;
         std::vector<float> ref(static_cast<std::size_t>(M) * N);

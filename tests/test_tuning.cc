@@ -52,14 +52,16 @@ writeFile(const std::string &path, const std::string &text)
 
 TEST(Tuning, PicksFileAppliesOnlyUnsetKnownKnobs)
 {
-    // A knob older bench_sweep.py picks files carry but the whitelist
-    // retired with the layer-major forward. Assembled from parts so the
-    // retired name never appears in the tree as if it were live.
-    const std::string retired = std::string("PTOLEMY_") + "WIDE_CHUNK";
-    EnvGuard g1("PTOLEMY_NUM_THREADS"), g2("PTOLEMY_PREPACK"),
+    // Knobs older bench_sweep.py picks files carry but the whitelist
+    // retired (with the layer-major forward and the single conv
+    // forward). Assembled from parts so the retired names never appear
+    // in the tree as if they were live.
+    const std::string retired_chunk = std::string("PTOLEMY_") + "WIDE_CHUNK";
+    const std::string retired_pack = std::string("PTOLEMY_") + "PREPACK";
+    EnvGuard g1("PTOLEMY_NUM_THREADS"), g2(retired_pack.c_str()),
         g3("PTOLEMY_SIMD"), g4("PTOLEMY_EVIL_INJECTION"),
-        g5(retired.c_str());
-    ::setenv("PTOLEMY_PREPACK", "1", 1); // explicitly pinned: must win
+        g5(retired_chunk.c_str());
+    ::setenv("PTOLEMY_SIMD", "avx2", 1); // explicitly pinned: must win
 
     const std::string path = "tuning_picks_test.json";
     // Shape matches tools/bench_sweep.py output: string AND bare-number
@@ -68,25 +70,26 @@ TEST(Tuning, PicksFileAppliesOnlyUnsetKnownKnobs)
   "select_key": "detect.batch_per_sec",
   "picked_env": {
     "PTOLEMY_NUM_THREADS": 3,
-    "PTOLEMY_PREPACK": "0",
+    ")" + retired_pack + R"(": "0",
     "PTOLEMY_SIMD": "scalar",
-    ")" + retired + R"(": 48,
+    ")" + retired_chunk + R"(": 48,
     "PTOLEMY_EVIL_INJECTION": "1"
   },
   "picked_knobs": {"threads": 3}
 })");
 
     const unsigned applied = ptolemy::applyTuningFile(path.c_str());
-    EXPECT_EQ(applied, 2u) << "NUM_THREADS + SIMD (PREPACK was pinned, "
-                              "EVIL and the retired knob are not knobs)";
+    EXPECT_EQ(applied, 1u) << "NUM_THREADS only (SIMD was pinned, EVIL "
+                              "and the retired knobs are not knobs)";
     ASSERT_NE(std::getenv("PTOLEMY_NUM_THREADS"), nullptr);
     EXPECT_STREQ(std::getenv("PTOLEMY_NUM_THREADS"), "3");
-    EXPECT_STREQ(std::getenv("PTOLEMY_SIMD"), "scalar");
-    EXPECT_STREQ(std::getenv("PTOLEMY_PREPACK"), "1")
+    EXPECT_STREQ(std::getenv("PTOLEMY_SIMD"), "avx2")
         << "explicit environment must beat the tuning file";
     EXPECT_EQ(std::getenv("PTOLEMY_EVIL_INJECTION"), nullptr)
         << "a tuning file must never inject arbitrary environment";
-    EXPECT_EQ(std::getenv(retired.c_str()), nullptr)
+    EXPECT_EQ(std::getenv(retired_chunk.c_str()), nullptr)
+        << "a retired knob from an old picks file must not be injected";
+    EXPECT_EQ(std::getenv(retired_pack.c_str()), nullptr)
         << "a retired knob from an old picks file must not be injected";
     std::remove(path.c_str());
 }

@@ -63,11 +63,6 @@ RATIO_MARKERS = ("speedup", "avx2_vs_scalar")
 INFORMATIONAL_RATIOS = (
     "detect.batch_speedup_vs_single_stream",
     "train.speedup_vs_1thread",
-    # Packed-vs-per-call forward on the small serving probe: the two
-    # schedules measure within noise of each other there (the packed
-    # win concentrates in wider channel counts), so the hard prepack
-    # gate is conv_fwd.prepack_speedup and this one just reports.
-    "detect.forward_prepack_speedup",
 )
 
 ALLOC_MARKERS = ("allocs", "steady_state_allocs")
@@ -238,8 +233,8 @@ def self_test():
     assert any("allocs_per_batch" in x for x in f), \
         "injected allocation regression not caught"
 
-    # Packed-vs-on-the-fly is a same-host ratio: losing it (the packed
-    # path silently falling back or regressing) must hard-fail even
+    # Implicit-GEMM-vs-im2col is a same-host ratio: losing it (the conv
+    # forward silently regressing) must hard-fail even
     # under --warn-only-absolutes, while the median-of-N spread
     # diagnostics are never gated no matter how wide the trials swing.
     pack_reg = copy.deepcopy(baseline)

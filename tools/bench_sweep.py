@@ -2,9 +2,8 @@
 """Sweep the compute-core knobs over perf_smoke and pick defaults.
 
 Runs the perf_smoke binary once per point of a small knob grid --
-thread count (PTOLEMY_NUM_THREADS), SIMD mode (PTOLEMY_SIMD) and the
-persistent packed-weight path (PTOLEMY_PREPACK), 12 points in full --
-parses each run's BENCH_micro.json, and emits:
+thread count (PTOLEMY_NUM_THREADS) x SIMD mode (PTOLEMY_SIMD), 6
+points in full -- parses each run's BENCH_micro.json, and emits:
 
 * a Markdown summary table (one row per grid point, ranked by the
   selection metric) for humans and CI artifacts, and
@@ -17,9 +16,9 @@ The selection metric is end-to-end serving throughput
 to win microbenchmarks -- with conv GFLOP/s and the forward cost split
 reported alongside.
 
-``--smoke`` shrinks the grid to a four-point sanity sweep (default
-threads, both SIMD modes, packing on/off) sized for a CI leg; the full
-grid is meant for an idle machine.  Each run inherits
+``--smoke`` shrinks the grid to a two-point sanity sweep (default
+threads, both SIMD modes) sized for a CI leg; the full grid is meant
+for an idle machine.  Each run inherits
 PTOLEMY_BENCH_MIN_TIME (or ``--min-time``), so total wall time is
 roughly grid-size x the per-run budget.
 
@@ -64,19 +63,12 @@ def dig(obj, dotted):
 def grid_points(smoke):
     """Yield knob dicts. Values of None mean 'leave the env alone'
     (the binary's built-in default)."""
-    if smoke:
-        threads = [None]
-        simd = [None, "scalar"]
-        prepack = ["1", "0"]
-    else:
-        threads = ["1", "2", "4"]
-        simd = [None, "scalar"]
-        prepack = ["1", "0"]
-    for t, s, p in itertools.product(threads, simd, prepack):
+    threads = [None] if smoke else ["1", "2", "4"]
+    simd = [None, "scalar"]
+    for t, s in itertools.product(threads, simd):
         yield {
             "PTOLEMY_NUM_THREADS": t,
             "PTOLEMY_SIMD": s,
-            "PTOLEMY_PREPACK": p,
         }
 
 
@@ -85,7 +77,6 @@ def shown(knobs):
     return {
         "threads": knobs["PTOLEMY_NUM_THREADS"] or "auto",
         "simd": knobs["PTOLEMY_SIMD"] or "avx2",
-        "prepack": knobs["PTOLEMY_PREPACK"],
     }
 
 
@@ -125,7 +116,7 @@ def fmt(v):
 
 
 def write_markdown(path, rows, pick, smoke, min_time):
-    cols = ["threads", "simd", "prepack"]
+    cols = ["threads", "simd"]
     metrics = [k.split(".", 1)[1] for k in REPORT_KEYS]
     with open(path, "w") as fh:
         fh.write("# perf_smoke knob sweep\n\n")
@@ -151,7 +142,7 @@ def main(argv):
     ap.add_argument("--build-dir", default="build",
                     help="directory holding the perf_smoke binary")
     ap.add_argument("--smoke", action="store_true",
-                    help="four-point sanity grid sized for a CI leg")
+                    help="two-point sanity grid sized for a CI leg")
     ap.add_argument("--min-time", type=float, default=0.2,
                     help="per-measurement budget handed to perf_smoke "
                          "via PTOLEMY_BENCH_MIN_TIME (default 0.2)")
@@ -208,7 +199,7 @@ def main(argv):
           f"best {SELECT_KEY} = "
           f"{fmt(pick['metrics'].get(SELECT_KEY))} with "
           + ", ".join(f"{c}={pick['knobs'][c]}"
-                      for c in ("threads", "simd", "prepack")))
+                      for c in ("threads", "simd")))
     return 1 if failures else 0
 
 
