@@ -544,7 +544,7 @@ serialLinfRef(nn::Network &net, const nn::Tensor &x, std::size_t label,
 
 /**
  * Attack-generation throughput on the 3conv+2fc net: a 64-sample
- * candidate chunk (the evaluateSuite chunk size) driven through the
+ * candidate chunk (the buildAttackPairs chunk size) driven through the
  * batched engine vs the legacy sample-serial loop, for BIM and PGD.
  * The budget is small enough that most candidates use every iteration,
  * so the measurement tracks iteration throughput rather than

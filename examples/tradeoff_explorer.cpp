@@ -16,7 +16,6 @@
 
 #include "attack/gradient_attacks.hh"
 #include "compiler/compiler.hh"
-#include "core/detector.hh"
 #include "core/evaluation.hh"
 #include "core/program_builder.hh"
 #include "data/synthetic.hh"
@@ -127,9 +126,10 @@ main()
 
     for (auto &pt : points) {
         path::calibrateAbsoluteThresholds(net, pt.cfg, calib, 0.05);
-        core::Detector det(net, pt.cfg, 10);
-        det.buildClassPaths(dataset.train, 100);
-        const double auc = core::fitAndScore(det, pairs, 0.5).auc;
+        core::DetectorBuilder bld(net, pt.cfg, 10);
+        core::DetectorSession sess(bld.model());
+        bld.profileClassPaths(dataset.train, 100);
+        const double auc = core::fitAndScore(bld, sess, pairs, 0.5).auc;
 
         path::PathExtractor ex(net, pt.cfg);
         std::vector<path::ExtractionTrace> traces;

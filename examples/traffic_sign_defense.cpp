@@ -19,7 +19,6 @@
 
 #include "attack/gradient_attacks.hh"
 #include "compiler/compiler.hh"
-#include "core/detector.hh"
 #include "core/evaluation.hh"
 #include "data/synthetic.hh"
 #include "hw/simulator.hh"
@@ -60,12 +59,15 @@ main()
         calib.push_back(dataset.train[i * 37].input);
     path::calibrateAbsoluteThresholds(net, cfg, calib, 0.05);
 
-    core::Detector detector(net, cfg, 10);
-    detector.buildClassPaths(dataset.train, 100);
+    // Offline phase: profile class paths, then fit the classifier; the
+    // session serves from the builder's model.
+    core::DetectorBuilder builder(net, cfg, 10);
+    core::DetectorSession session(builder.model());
+    builder.profileClassPaths(dataset.train, 100);
 
     attack::Pgd pgd; // a determined physical-world-style attacker
     auto pairs = core::buildAttackPairs(net, pgd, dataset.test, 80);
-    core::fitAndScore(detector, pairs, 0.5);
+    core::fitAndScore(builder, session, pairs, 0.5);
 
     // Attack every correctly-classified stop sign in the test set.
     int signs = 0, fooled = 0, caught = 0;
@@ -77,7 +79,7 @@ main()
         if (!res.success)
             continue;
         ++fooled;
-        const auto verdict = detector.detect(res.adversarial);
+        const auto verdict = session.detect(res.adversarial);
         if (verdict.adversarial)
             ++caught;
         else

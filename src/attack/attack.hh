@@ -13,7 +13,7 @@
  * which drives whole candidate batches through the network's
  * record-based forward/backward surface concurrently (layers are
  * stateless across passes, so many samples can share one network).
- * The determinism contract, which core::evaluateSuite relies on, is:
+ * The determinism contract, which core::buildAttackPairs relies on, is:
  *
  *   The adversarial produced for a sample depends only on the attack's
  *   parameters, the input, the label, and the sample's global index

@@ -4,7 +4,7 @@
  * BIM, CWL2, DeepFool, FGSM, JSMA — covering L0, L2 and L∞ perturbation
  * measures. All five are deterministic (no per-sample randomness), so
  * the batched engine reproduces the historical sample-serial
- * evaluateSuite output bit-for-bit.
+ * adversarials bit-for-bit.
  */
 
 #ifndef PTOLEMY_ATTACK_SUITE_HH

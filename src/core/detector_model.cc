@@ -1,5 +1,6 @@
 #include "detector_model.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 
@@ -14,6 +15,15 @@ namespace
 const char *const kModelMagic = "ptolemy-detector-v1";
 /** Forest probability at or above which a sample is flagged. */
 constexpr double kAdversarialThreshold = 0.5;
+
+/** Inputs per pooled forward + extract chunk: a few pool-widths, so
+ *  resident memory stays bounded by that many Records (a Record holds
+ *  every intermediate feature map) instead of one per input. */
+std::size_t
+chunkSize(const ThreadPool &pool)
+{
+    return std::max<std::size_t>(8, 4 * pool.size());
+}
 } // namespace
 
 DetectorModel::DetectorModel(const nn::Network &net_ref,
@@ -111,46 +121,6 @@ DetectorModel::tryLoad(const std::string &path)
     }
 }
 
-namespace detail
-{
-
-void
-featuresBatch(const DetectorModel &mdl, const std::vector<nn::Tensor> &xs,
-              classify::FeatureMatrix &rows,
-              std::vector<std::size_t> *predicted,
-              FeatureBatchScratch &scratch)
-{
-    // Chunked so resident memory stays bounded by a few pool-widths of
-    // Records (a Record holds every intermediate feature map) instead
-    // of one Record per input for the whole batch.
-    ThreadPool *pool = &globalPool();
-    const std::size_t chunk = std::max<std::size_t>(8, 4 * pool->size());
-    rows.resize(xs.size());
-    if (predicted)
-        predicted->resize(xs.size());
-    const auto &ex = mdl.extractor();
-    for (std::size_t base = 0; base < xs.size(); base += chunk) {
-        const std::size_t n = std::min(chunk, xs.size() - base);
-        scratch.xs.assign(xs.begin() + static_cast<std::ptrdiff_t>(base),
-                          xs.begin() +
-                              static_cast<std::ptrdiff_t>(base + n));
-        mdl.network().forwardBatch(scratch.xs, scratch.recs, pool);
-        ex.extractBatch(scratch.recs, scratch.paths, scratch.bws, pool);
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t pred = scratch.recs[i].predictedClass();
-            if (predicted)
-                (*predicted)[base + i] = pred;
-            rows[base + i] =
-                path::computeSimilarity(scratch.paths[i],
-                                        mdl.classPaths().classPath(pred),
-                                        ex.layout())
-                    .toVector();
-        }
-    }
-}
-
-} // namespace detail
-
 DetectorBuilder::DetectorBuilder(const nn::Network &net,
                                  path::ExtractionConfig cfg,
                                  std::size_t num_classes,
@@ -171,36 +141,35 @@ DetectorBuilder::profileClassPaths(const nn::Dataset &train,
     // never aggregated.)
     std::size_t aggregated = 0;
     ThreadPool *pool = &globalPool();
-    const std::size_t chunk = std::max<std::size_t>(8, 4 * pool->size());
+    const std::size_t chunk = chunkSize(*pool);
     const auto cap = static_cast<std::size_t>(max_per_class);
-    scratch.xs.clear();
+    xsScratch.clear();
     labelScratch.clear();
 
     auto flush = [&] {
-        if (scratch.xs.empty())
+        if (xsScratch.empty())
             return;
-        mdl.network().forwardBatch(scratch.xs, scratch.recs, pool);
-        mdl.pathExtractor.extractBatch(scratch.recs, scratch.paths,
-                                       scratch.bws, pool);
-        for (std::size_t i = 0; i < scratch.xs.size(); ++i) {
+        mdl.network().forwardBatch(xsScratch, recScratch, pool);
+        mdl.pathExtractor.extractBatch(recScratch, pathScratch, bws, pool);
+        for (std::size_t i = 0; i < xsScratch.size(); ++i) {
             const std::size_t label = labelScratch[i];
             if (mdl.store.samplesSeen(label) >= cap)
                 continue;
-            if (scratch.recs[i].predictedClass() != label)
+            if (recScratch[i].predictedClass() != label)
                 continue; // only correct predictions define the canary
-            mdl.store.aggregate(label, scratch.paths[i]);
+            mdl.store.aggregate(label, pathScratch[i]);
             ++aggregated;
         }
-        scratch.xs.clear();
+        xsScratch.clear();
         labelScratch.clear();
     };
 
     for (const auto &s : train) {
         if (mdl.store.samplesSeen(s.label) >= cap)
             continue;
-        scratch.xs.push_back(s.input);
+        xsScratch.push_back(s.input);
         labelScratch.push_back(s.label);
-        if (scratch.xs.size() >= chunk)
+        if (xsScratch.size() >= chunk)
             flush();
     }
     flush();
@@ -209,10 +178,27 @@ DetectorBuilder::profileClassPaths(const nn::Dataset &train,
 
 void
 DetectorBuilder::featuresBatch(const std::vector<nn::Tensor> &xs,
-                               classify::FeatureMatrix &rows,
-                               std::vector<std::size_t> *predicted)
+                               classify::FeatureMatrix &rows)
 {
-    detail::featuresBatch(mdl, xs, rows, predicted, scratch);
+    ThreadPool *pool = &globalPool();
+    const std::size_t chunk = chunkSize(*pool);
+    rows.resize(xs.size());
+    const auto &ex = mdl.extractor();
+    for (std::size_t base = 0; base < xs.size(); base += chunk) {
+        const std::size_t n = std::min(chunk, xs.size() - base);
+        xsScratch.assign(xs.begin() + static_cast<std::ptrdiff_t>(base),
+                         xs.begin() + static_cast<std::ptrdiff_t>(base + n));
+        mdl.network().forwardBatch(xsScratch, recScratch, pool);
+        ex.extractBatch(recScratch, pathScratch, bws, pool);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t pred = recScratch[i].predictedClass();
+            rows[base + i] =
+                path::computeSimilarity(pathScratch[i],
+                                        mdl.classPaths().classPath(pred),
+                                        ex.layout())
+                    .toVector();
+        }
+    }
 }
 
 void

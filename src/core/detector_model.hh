@@ -43,38 +43,6 @@
 namespace ptolemy::core
 {
 
-class DetectorModel;
-
-namespace detail
-{
-/**
- * Reusable scratch for the chunked batched feature pipeline shared by
- * DetectorBuilder (fitting phase) and DetectorSession (evaluation
- * harness): per-chunk input copies, records, paths and per-slot
- * extraction workspaces.
- */
-struct FeatureBatchScratch
-{
-    std::vector<nn::Tensor> xs;
-    std::vector<nn::Network::Record> recs;
-    std::vector<BitVector> paths;
-    path::BatchExtractionWorkspace bws;
-};
-
-/**
- * Batched similarity-feature rows over raw inputs: inference and path
- * extraction fan out on the process-wide pool, one workspace per pool
- * slot. rows[i] (and predicted[i] when requested) always correspond to
- * xs[i] and are bit-identical to the sequential pipeline, independent
- * of thread count.
- */
-void featuresBatch(const DetectorModel &mdl,
-                   const std::vector<nn::Tensor> &xs,
-                   classify::FeatureMatrix &rows,
-                   std::vector<std::size_t> *predicted,
-                   FeatureBatchScratch &scratch);
-} // namespace detail
-
 /**
  * Typed error thrown by DetectorModel::load for every failure mode:
  * unreadable file, bad magic, architecture-signature mismatch,
@@ -190,7 +158,8 @@ class DetectorModel
  *
  * Single-threaded use only (profiling fans out internally on the
  * process-wide pool, but the builder object itself is one client).
- * Not movable: the internal session is bound to the model member.
+ * Not movable: sessions bind to model() by address, and fitClassifier
+ * updates that model in place.
  */
 class DetectorBuilder
 {
@@ -215,11 +184,13 @@ class DetectorBuilder
 
     /**
      * Similarity-feature rows for raw inputs (the fitting-phase feature
-     * pipeline; see DetectorSession::featuresBatch).
+     * pipeline): inference and path extraction fan out on the
+     * process-wide pool, one workspace per pool slot. rows[i] always
+     * corresponds to xs[i] and is bit-identical to the sequential
+     * pipeline, independent of thread count.
      */
     void featuresBatch(const std::vector<nn::Tensor> &xs,
-                       classify::FeatureMatrix &rows,
-                       std::vector<std::size_t> *predicted = nullptr);
+                       classify::FeatureMatrix &rows);
 
     /** Fit the forest on benign (label 0) and adversarial (label 1)
      *  feature rows. */
@@ -234,8 +205,12 @@ class DetectorBuilder
 
   private:
     DetectorModel mdl;
-    detail::FeatureBatchScratch scratch;
+    // Chunk scratch shared by profiling and featuresBatch.
+    std::vector<nn::Tensor> xsScratch;
     std::vector<std::size_t> labelScratch; ///< profiling chunk labels
+    std::vector<nn::Network::Record> recScratch;
+    std::vector<BitVector> pathScratch;
+    path::BatchExtractionWorkspace bws;
 };
 
 } // namespace ptolemy::core

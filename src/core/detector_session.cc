@@ -112,12 +112,4 @@ DetectorSession::score(const nn::Network::Record &rec)
     return mdl->forest().predictProb(featuresFor(rec));
 }
 
-void
-DetectorSession::featuresBatch(const std::vector<nn::Tensor> &xs,
-                               classify::FeatureMatrix &rows,
-                               std::vector<std::size_t> *predicted)
-{
-    detail::featuresBatch(*mdl, xs, rows, predicted, fbScratch);
-}
-
 } // namespace ptolemy::core

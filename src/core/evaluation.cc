@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -99,6 +100,12 @@ fitAndScore(DetectorBuilder &bld, DetectorSession &sess,
             const std::vector<DetectionPair> &pairs, double train_fraction,
             std::uint64_t seed)
 {
+    // The builder fits one model and the session scores the held-out
+    // split: a session bound to any other model would score with that
+    // model's forest (an unfitted one answers 0.5 for every row).
+    if (&sess.model() != &bld.model())
+        throw std::invalid_argument(
+            "fitAndScore: sess is not bound to bld.model()");
     PairScores out;
     if (pairs.size() < 4)
         return out;
@@ -168,14 +175,6 @@ fitAndScore(DetectorBuilder &bld, DetectorSession &sess,
     return out;
 }
 
-PairScores
-fitAndScore(Detector &det, const std::vector<DetectionPair> &pairs,
-            double train_fraction, std::uint64_t seed)
-{
-    return fitAndScore(det.builder(), det.session(), pairs, train_fraction,
-                       seed);
-}
-
 AttackEvalResult
 evaluateAttack(nn::Network &net, DetectorBuilder &bld, DetectorSession &sess,
                attack::Attack &atk, const nn::Dataset &test, int max_samples,
@@ -200,46 +199,6 @@ evaluateAttack(nn::Network &net, DetectorBuilder &bld, DetectorSession &sess,
     r.avgMse = pairs.empty() ? 0.0 : mse_sum / pairs.size();
     r.auc = fitAndScore(bld, sess, pairs, 0.5, seed).auc;
     return r;
-}
-
-AttackEvalResult
-evaluateAttack(nn::Network &net, Detector &det, attack::Attack &atk,
-               const nn::Dataset &test, int max_samples, std::uint64_t seed)
-{
-    return evaluateAttack(net, det.builder(), det.session(), atk, test,
-                          max_samples, seed);
-}
-
-SuiteEvalResult
-evaluateSuite(nn::Network &net, DetectorBuilder &bld, DetectorSession &sess,
-              const std::vector<std::unique_ptr<attack::Attack>> &attacks,
-              const nn::Dataset &test, int max_samples_per_attack,
-              std::uint64_t seed)
-{
-    SuiteEvalResult suite;
-    double sum = 0.0;
-    for (const auto &atk : attacks) {
-        auto r = evaluateAttack(net, bld, sess, *atk, test,
-                                max_samples_per_attack, seed);
-        sum += r.auc;
-        suite.minAuc = std::min(suite.minAuc, r.auc);
-        suite.maxAuc = std::max(suite.maxAuc, r.auc);
-        suite.perAttack.push_back(std::move(r));
-    }
-    suite.avgAuc = suite.perAttack.empty()
-        ? 0.0
-        : sum / suite.perAttack.size();
-    return suite;
-}
-
-SuiteEvalResult
-evaluateSuite(nn::Network &net, Detector &det,
-              const std::vector<std::unique_ptr<attack::Attack>> &attacks,
-              const nn::Dataset &test, int max_samples_per_attack,
-              std::uint64_t seed)
-{
-    return evaluateSuite(net, det.builder(), det.session(), attacks, test,
-                         max_samples_per_attack, seed);
 }
 
 } // namespace ptolemy::core

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "attack/attack.hh"
-#include "core/detector.hh"
+#include "core/detector_session.hh"
 #include "nn/trainer.hh"
 
 namespace ptolemy::core
@@ -59,13 +59,6 @@ struct AttackEvalResult
     double avgMse = 0.0;
 };
 
-/** Suite summary (the paper reports avg plus min/max error bars). */
-struct SuiteEvalResult
-{
-    std::vector<AttackEvalResult> perAttack;
-    double avgAuc = 0.0, minAuc = 1.0, maxAuc = 0.0;
-};
-
 /**
  * Attack up to @p max_samples correctly-classified test inputs; keep the
  * successful ones as pairs. Candidates are filtered through batched
@@ -95,8 +88,9 @@ std::vector<DetectionPair> buildAttackPairs(nn::Network &net,
  * [2, pairs.size() - 2] so the held-out split is never empty, whatever
  * @p train_fraction says.
  *
- * @p sess must be bound to @p bld's model; fitClassifier mutates the
- * model in place, so the session observes the freshly fitted forest.
+ * @p sess must be bound to @p bld's model (std::invalid_argument
+ * otherwise); fitClassifier mutates the model in place, so the session
+ * observes the freshly fitted forest.
  * Held-out scoring rides the real serving path — one fused
  * DetectorSession::detectBatch over the held-out inputs — so the
  * Sec. VI harness exercises exactly what production traffic would,
@@ -107,47 +101,17 @@ PairScores fitAndScore(DetectorBuilder &bld, DetectorSession &sess,
                        double train_fraction = 0.5,
                        std::uint64_t seed = 17);
 
-/** Façade wrapper over the builder/session overload. */
-PairScores fitAndScore(Detector &det,
-                       const std::vector<DetectionPair> &pairs,
-                       double train_fraction = 0.5,
-                       std::uint64_t seed = 17);
-
 /**
  * buildAttackPairs + fitAndScore for one attack. Attack generation
  * needs gradient passes against @p net — the one mutable-network use
  * in the harness — so the network is passed explicitly; the detector
- * side only ever reads (it borrows the same network const).
+ * side only ever reads (it borrows the same network const). @p sess
+ * must be bound to @p bld's model, as for fitAndScore.
  */
 AttackEvalResult evaluateAttack(nn::Network &net, DetectorBuilder &bld,
                                 DetectorSession &sess, attack::Attack &atk,
                                 const nn::Dataset &test, int max_samples,
                                 std::uint64_t seed = 17);
-
-/** Façade wrapper over the builder/session overload. */
-AttackEvalResult evaluateAttack(nn::Network &net, Detector &det,
-                                attack::Attack &atk,
-                                const nn::Dataset &test, int max_samples,
-                                std::uint64_t seed = 17);
-
-/**
- * Evaluate every attack in @p attacks and summarize. Attack generation
- * (the dominant cost) rides the batched attack engine, so throughput
- * scales with the process-wide pool while the summary stays
- * bit-identical to the sample-serial path at any thread count.
- */
-SuiteEvalResult evaluateSuite(
-    nn::Network &net, DetectorBuilder &bld, DetectorSession &sess,
-    const std::vector<std::unique_ptr<attack::Attack>> &attacks,
-    const nn::Dataset &test, int max_samples_per_attack,
-    std::uint64_t seed = 17);
-
-/** Façade wrapper over the builder/session overload. */
-SuiteEvalResult evaluateSuite(
-    nn::Network &net, Detector &det,
-    const std::vector<std::unique_ptr<attack::Attack>> &attacks,
-    const nn::Dataset &test, int max_samples_per_attack,
-    std::uint64_t seed = 17);
 
 } // namespace ptolemy::core
 

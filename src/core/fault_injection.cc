@@ -52,6 +52,10 @@ runFaultCampaign(DetectorSession &sess, const nn::Dataset &inputs,
     Rng rng(seed);
     FaultCampaignResult result;
     const nn::Network &net = sess.model().network(); // const online view
+    // Nothing to draw from: return before the first draw, since
+    // Rng::below(0) divides by zero.
+    if (inputs.empty() || net.numNodes() < 2)
+        return result;
     nn::Network::Record predScratch;
 
     for (int i = 0; i < num_injections; ++i) {
@@ -81,13 +85,6 @@ runFaultCampaign(DetectorSession &sess, const nn::Dataset &inputs,
         }
     }
     return result;
-}
-
-FaultCampaignResult
-runFaultCampaign(Detector &det, const nn::Dataset &inputs,
-                 int num_injections, std::uint64_t seed)
-{
-    return runFaultCampaign(det.session(), inputs, num_injections, seed);
 }
 
 void

@@ -30,7 +30,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/detector.hh"
+#include "core/detector_session.hh"
 #include "nn/network.hh"
 #include "nn/trainer.hh"
 
@@ -81,14 +81,10 @@ struct FaultCampaignResult
  * fitted (class paths + classifier); faults whose execution mispredicts
  * count as "detected" when DetectorModel::isAdversarial flags the
  * score — the same cut the session serves with, non-finite included.
+ * With no inputs, or no node but the output to fault, the campaign
+ * injects nothing and returns an all-zero result.
  */
 FaultCampaignResult runFaultCampaign(DetectorSession &sess,
-                                     const nn::Dataset &inputs,
-                                     int num_injections,
-                                     std::uint64_t seed = 0xFA017);
-
-/** Façade wrapper over the session overload. */
-FaultCampaignResult runFaultCampaign(Detector &det,
                                      const nn::Dataset &inputs,
                                      int num_injections,
                                      std::uint64_t seed = 0xFA017);

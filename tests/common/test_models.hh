@@ -54,8 +54,8 @@ struct TrainedWorld
         // seed's 60/15-per-class split left DeepFense at AUC ~0.5 with
         // assertions that only held by luck. The longer, lower-LR
         // schedule converges to the same fully-trained model under the
-        // AVX2, scalar and naive-conv kernel numerics (the old 4x0.05
-        // recipe diverged outright in some regimes), and the parallel +
+        // AVX2 and scalar kernel numerics (the old 4x0.05 recipe
+        // diverged outright in some regimes), and the parallel +
         // SIMD compute core keeps the bigger world's one-time training
         // cost in the old fixture's ballpark.
         data::DatasetSpec spec;

@@ -20,7 +20,6 @@
 
 #include "common/alloc_probe.hh"
 #include "common/test_models.hh"
-#include "core/detector.hh"
 #include "core/detector_model.hh"
 #include "core/detector_session.hh"
 #include "util/rng.hh"
@@ -342,38 +341,6 @@ TEST(DetectorApi, SaveLoadRoundTripDetectsBitIdentically)
         EXPECT_THROW(fresh.load(path), ModelLoadError);
     }
     std::remove(path.c_str());
-}
-
-TEST(DetectorApi, FacadeDelegatesToServingApi)
-{
-    auto &w = ptolemy::testing::world();
-    const auto &model = fittedModel();
-    const auto xs = probeInputs(4);
-
-    // The deprecated façade over the same profiling/fitting sequence
-    // must decide exactly like the split API it wraps.
-    Detector det(w.net, path::ExtractionConfig::bwCu(numWeighted(), 0.5),
-                 10);
-    det.buildClassPaths(w.dataset.train, 30);
-    Rng rng(0x51AB);
-    std::vector<nn::Tensor> clean, noisy;
-    for (std::size_t i = 0; i < 24; ++i) {
-        const auto &s = w.dataset.test[i];
-        clean.push_back(s.input);
-        nn::Tensor x = s.input;
-        for (std::size_t e = 0; e < x.size(); ++e)
-            x[e] += static_cast<float>(rng.uniform(-0.1, 0.1));
-        noisy.push_back(std::move(x));
-    }
-    classify::FeatureMatrix benign, adversarial;
-    det.featuresBatch(clean, benign);
-    det.featuresBatch(noisy, adversarial);
-    det.fitClassifier(benign, adversarial);
-
-    DetectorSession sess(model);
-    for (std::size_t i = 0; i < xs.size(); ++i)
-        expectDecisionsEqual(det.detect(xs[i]), sess.detect(xs[i]),
-                             "facade sample " + std::to_string(i));
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include "common/test_models.hh"
 #include "core/evaluation.hh"
 #include "core/fault_injection.hh"
+#include "nn/linear.hh"
 
 namespace ptolemy::core
 {
@@ -78,15 +79,16 @@ TEST(FaultInjection, CampaignDetectsMispredictingFaults)
 {
     auto &w = ptolemy::testing::world();
     const int n = static_cast<int>(w.net.weightedNodes().size());
-    Detector det(w.net, path::ExtractionConfig::bwCu(n, 0.5), 10);
-    det.buildClassPaths(w.dataset.train, 60);
+    DetectorBuilder bld(w.net, path::ExtractionConfig::bwCu(n, 0.5), 10);
+    DetectorSession sess(bld.model());
+    bld.profileClassPaths(w.dataset.train, 60);
     // Fit the classifier on adversarial pairs — the campaign then reuses
     // the same detector for hardware faults, as the paper suggests.
     attack::Fgsm fgsm;
     auto pairs = buildAttackPairs(w.net, fgsm, w.dataset.test, 40);
-    fitAndScore(det, pairs, 0.5);
+    fitAndScore(bld, sess, pairs, 0.5);
 
-    const auto res = runFaultCampaign(det, w.dataset.test, 400);
+    const auto res = runFaultCampaign(sess, w.dataset.test, 400);
     EXPECT_EQ(res.injections, 400u);
     EXPECT_GE(res.mispredictions, 5u);
     // A mispredicting fault perturbs the activation path like an
@@ -95,6 +97,31 @@ TEST(FaultInjection, CampaignDetectsMispredictingFaults)
     // Masked (benign-outcome) faults should rarely raise alarms.
     EXPECT_LT(static_cast<double>(res.falseAlarms),
               0.15 * (res.injections - res.mispredictions) + 1);
+}
+
+TEST(FaultInjection, EmptyInputsYieldEmptyCampaign)
+{
+    // Nothing to draw a sample or a faulted node from: the campaign
+    // returns an all-zero result instead of calling Rng::below(0).
+    auto expectEmpty = [](const FaultCampaignResult &r) {
+        EXPECT_EQ(r.injections, 0u);
+        EXPECT_EQ(r.mispredictions, 0u);
+        EXPECT_EQ(r.detected, 0u);
+        EXPECT_EQ(r.falseAlarms, 0u);
+    };
+    auto &w = ptolemy::testing::world();
+    const int n = static_cast<int>(w.net.weightedNodes().size());
+    DetectorModel model(w.net, path::ExtractionConfig::bwCu(n, 0.5), 10);
+    DetectorSession sess(model);
+    expectEmpty(runFaultCampaign(sess, {}, 3));
+
+    // A one-node network has no node but its output to fault.
+    nn::Network one("one", nn::flatShape(4));
+    one.add(std::make_unique<nn::Linear>("fc", 4, 2));
+    DetectorModel one_model(one, path::ExtractionConfig::bwCu(1, 0.5), 2);
+    DetectorSession one_sess(one_model);
+    const nn::Dataset inputs{{nn::Tensor(nn::flatShape(4)), 0}};
+    expectEmpty(runFaultCampaign(one_sess, inputs, 3));
 }
 
 } // namespace
