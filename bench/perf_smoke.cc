@@ -3,7 +3,9 @@
  * Hot-path perf smoke: conv GFLOP/s (implicit GEMM vs im2col + sgemm
  * and vs the naive reference), path extractions/sec (single-stream and
  * pool-parallel extractBatch vs the legacy allocate-and-sort strategy),
- * forward+backward passes/sec, data-parallel SGD samples/sec (pooled
+ * forward+backward passes/sec (full and input-only, plus the conv input
+ * gradient's speedup over the TN product + col2im it replaced),
+ * data-parallel SGD samples/sec (pooled
  * and 1-thread), and bit-vector similarity ops/sec. Emits
  * BENCH_micro.json — including the thread count, SIMD mode and core
  * count the numbers were taken under — so every PR records a
@@ -352,8 +354,71 @@ benchExtraction(double min_time)
 struct BackwardBenchResult
 {
     double passesPerSec = 0.0;
-    std::size_t allocsPerPass = 0;
+    double inputOnlyPassesPerSec = 0.0; ///< the attack step's gradient
+    double inputGradSpeedup = 0.0;      ///< implicit GEMM / explicit form
+    std::size_t allocsPerPass = 0;      ///< worst of both pass loops
 };
+
+/**
+ * Conv input gradient on the 64->64 32x32 probe, interleaved A/B:
+ * Conv2d's input-only backward (convBackwardInput, the implicit GEMM)
+ * against the explicit form it replaced, built here from public
+ * pieces — the TN product W^T * dY as an sgemm over a materialized W^T
+ * (same per-element fold; the transpose is hoisted out of the timing,
+ * so this arm is the product at its best) scattered onto a zeroed
+ * input gradient by col2im. Returns explicit / implicit seconds.
+ */
+double
+benchInputGradSpeedup(double min_time)
+{
+    constexpr int C = 64, HW = 32, K = 3;
+    constexpr int kdim = C * K * K, ohw = HW * HW;
+    nn::Conv2d conv("bench_conv", C, C, K, 1, 1);
+    Rng rng(0xC0FFEE);
+    randomFill(conv.weights(), rng, 0.2f);
+    nn::Tensor in(nn::mapShape(C, HW, HW)), gout(nn::mapShape(C, HW, HW));
+    for (std::size_t i = 0; i < in.size(); ++i) {
+        in[i] = static_cast<float>(rng.uniform());
+        gout[i] = static_cast<float>(rng.uniform()) - 0.5f;
+    }
+    nn::Tensor gin;
+    const std::vector<const nn::Tensor *> ins{&in};
+    const std::vector<nn::GradSink> sinks{{&gin, false}};
+    auto implicit = [&] {
+        conv.backwardInto(ins, gout, sinks, nn::skipParamGrads());
+    };
+
+    const std::vector<float> &w = conv.weights();
+    std::vector<float> wt(static_cast<std::size_t>(kdim) * C);
+    for (int oc = 0; oc < C; ++oc)
+        for (int j = 0; j < kdim; ++j)
+            wt[static_cast<std::size_t>(j) * C + oc] =
+                w[static_cast<std::size_t>(oc) * kdim + j];
+    std::vector<float> col(static_cast<std::size_t>(kdim) * ohw);
+    std::vector<float> g(static_cast<std::size_t>(C) * ohw);
+    auto explicit_form = [&] {
+        nn::sgemm(kdim, ohw, C, wt.data(), gout.data(), col.data());
+        std::fill(g.begin(), g.end(), 0.0f);
+        const float *src = col.data();
+        for (int ic = 0; ic < C; ++ic)
+            for (int ky = 0; ky < K; ++ky)
+                for (int kx = 0; kx < K; ++kx, src += ohw)
+                    for (int oy = 0; oy < HW; ++oy) {
+                        const int iy = oy - 1 + ky;
+                        if (iy < 0 || iy >= HW)
+                            continue;
+                        float *drow = g.data() + (ic * HW + iy) * HW;
+                        for (int ox = 0; ox < HW; ++ox) {
+                            const int ix = ox - 1 + kx;
+                            if (ix >= 0 && ix < HW)
+                                drow[ix] += src[oy * HW + ox];
+                        }
+                    }
+    };
+    const auto [a, b] =
+        interleavedABSecsPerCall(implicit, explicit_form, 2.0 * min_time);
+    return b.median / a.median;
+}
 
 BackwardBenchResult
 benchBackward(double min_time)
@@ -366,39 +431,57 @@ benchBackward(double min_time)
 
     nn::Network::Record rec;
     nn::LossGrad lg;
+    nn::Network::GradArena slot;
+    // Full passes (parameter and input gradients) and input-only passes
+    // (an attack step's gradient); both arena-backed, results borrowed.
     auto pass = [&] {
         net.forwardInto(x, rec, /*train=*/false);
         nn::softmaxCrossEntropyInto(rec.logits(), 0, lg);
-        net.backward(rec, lg.grad); // arena-backed; result stays borrowed
+        net.backward(rec, lg.grad);
+    };
+    auto input_only_pass = [&] {
+        net.forwardInto(x, rec, /*train=*/false);
+        nn::softmaxCrossEntropyInto(rec.logits(), 0, lg);
+        net.backwardInputOnly(rec, lg.grad, slot);
     };
 
-    // Warm until quiescent: the record, loss grad, gradient arena and
+    // Warm until quiescent, then time; returns {seconds per pass,
+    // allocations per pass}. The record, loss grad, gradient arena and
     // every pool worker's thread-local gemm scratch must all reach
     // steady state. Worker warm-up is scheduling-dependent (a worker
     // only grows its pack buffer when it first draws a large tile), so
     // require several consecutive allocation-free passes.
-    int quiet = 0;
-    for (int i = 0; i < 200 && quiet < 3; ++i) {
-        const std::size_t before = g_allocs.load(std::memory_order_relaxed);
-        pass();
-        quiet = g_allocs.load(std::memory_order_relaxed) == before
-                    ? quiet + 1
-                    : 0;
-    }
+    auto measure = [&](auto &&fn) {
+        int quiet = 0;
+        for (int i = 0; i < 200 && quiet < 3; ++i) {
+            const std::size_t before =
+                g_allocs.load(std::memory_order_relaxed);
+            fn();
+            quiet = g_allocs.load(std::memory_order_relaxed) == before
+                        ? quiet + 1
+                        : 0;
+        }
+        const std::size_t allocs_before =
+            g_allocs.load(std::memory_order_relaxed);
+        std::size_t calls = 0;
+        const double spc = secsPerCall(
+            [&] {
+                fn();
+                ++calls;
+            },
+            min_time);
+        const std::size_t allocs =
+            g_allocs.load(std::memory_order_relaxed) - allocs_before;
+        return std::pair{spc, calls ? allocs / calls : 0};
+    };
 
     BackwardBenchResult r;
-    const std::size_t allocs_before =
-        g_allocs.load(std::memory_order_relaxed);
-    std::size_t calls = 0;
-    const double spc = secsPerCall(
-        [&] {
-            pass();
-            ++calls;
-        },
-        min_time);
-    const std::size_t allocs_after = g_allocs.load(std::memory_order_relaxed);
+    const auto [spc, allocs] = measure(pass);
+    const auto [spc_in, allocs_in] = measure(input_only_pass);
     r.passesPerSec = 1.0 / spc;
-    r.allocsPerPass = calls ? (allocs_after - allocs_before) / calls : 0;
+    r.inputOnlyPassesPerSec = 1.0 / spc_in;
+    r.allocsPerPass = std::max(allocs, allocs_in);
+    r.inputGradSpeedup = benchInputGradSpeedup(min_time);
     return r;
 }
 
@@ -1048,7 +1131,7 @@ main(int argc, char **argv)
     const auto hwb = benchHw();
 
     const unsigned threads = ptolemy::globalPool().size();
-    const unsigned cores = std::thread::hardware_concurrency();
+    const unsigned cores = ptolemy::availableCpus();
 
     std::ofstream os(out_path);
     if (!os) {
@@ -1086,6 +1169,8 @@ main(int argc, char **argv)
     j.key("backward").beginObject();
     j.kv("model", "3conv+2fc on 3x32x32, fwd+softmaxCE+bwd");
     j.kv("passes_per_sec", bwd.passesPerSec);
+    j.kv("input_only_passes_per_sec", bwd.inputOnlyPassesPerSec);
+    j.kv("input_grad_speedup", bwd.inputGradSpeedup);
     j.kv("allocs_per_pass", bwd.allocsPerPass);
     j.endObject();
     j.key("train").beginObject();
@@ -1210,8 +1295,10 @@ main(int argc, char **argv)
               << ext.newPerSec / ext.legacyPerSec << "x), "
               << ext.allocsPerExtract << " allocs per extract\n"
               << "backward: " << bwd.passesPerSec
-              << " fwd+bwd passes/s, " << bwd.allocsPerPass
-              << " allocs per pass\n"
+              << " fwd+bwd passes/s, " << bwd.inputOnlyPassesPerSec
+              << "/s input-only, conv input gradient "
+              << bwd.inputGradSpeedup << "x the TN product + col2im, "
+              << bwd.allocsPerPass << " allocs per pass\n"
               << "train: " << trn.samplesPerSecPooled
               << " samples/s pooled, " << trn.samplesPerSecSerial
               << "/s on 1 thread ("

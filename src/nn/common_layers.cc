@@ -1,8 +1,10 @@
 #include "common_layers.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 namespace ptolemy::nn
 {
@@ -26,24 +28,63 @@ ReLU::forwardInto(const std::vector<const Tensor *> &ins, Tensor &out,
         out[i] = in[i] > 0.0f ? in[i] : 0.0f;
 }
 
+namespace
+{
+
+/** x > 0.0f, as an all-ones/all-zeros word: bits(x) - 1 < bits(+inf)
+ *  holds for exactly the positive subnormals, normals and +inf (+0
+ *  wraps to 0xFFFFFFFF; -0, negatives and NaN sit at or above +inf's
+ *  pattern). Integer-only, so the loops below vectorize. */
+inline std::uint32_t
+positiveMask(float x)
+{
+    return std::bit_cast<std::uint32_t>(x) - 1u < 0x7F800000u ? ~0u : 0u;
+}
+
+/** All-ones when @p take, else zero. */
+inline std::uint32_t
+maskOf(bool take)
+{
+    return 0u - static_cast<std::uint32_t>(take);
+}
+
+/** @p m ? a : b, bitwise (@p m all-ones or zero). */
+inline float
+selectBits(std::uint32_t m, float a, float b)
+{
+    return std::bit_cast<float>((std::bit_cast<std::uint32_t>(a) & m) |
+                                (std::bit_cast<std::uint32_t>(b) & ~m));
+}
+
+} // namespace
+
 void
 ReLU::backwardInto(const std::vector<const Tensor *> &ins,
                    const Tensor &grad_out, const std::vector<GradSink> &sinks,
                    std::vector<float> *const *param_grads)
 {
     (void)param_grads;
-    // The mask is the recorded input's sign — no stash needed.
+    // The mask is the recorded input's sign — no stash needed. Both
+    // loops select by bit mask rather than branch on the sign: about
+    // half of the activations are positive, so a branch mispredicts.
     const Tensor &in = *ins[0];
     Tensor &d = *sinks[0].grad;
+    const std::size_t n = grad_out.size();
+    const float *__restrict x = in.data();
+    const float *__restrict g = grad_out.data();
     if (sinks[0].accumulate) {
-        for (std::size_t i = 0; i < grad_out.size(); ++i)
-            if (in[i] > 0.0f)
-                d[i] += grad_out[i];
+        // d + g only where x > 0: elsewhere d keeps its bits (nothing,
+        // not even +0, is added).
+        float *__restrict o = d.data();
+        for (std::size_t i = 0; i < n; ++i)
+            o[i] = selectBits(positiveMask(x[i]), o[i] + g[i], o[i]);
         return;
     }
     d.resize(in.shape());
-    for (std::size_t i = 0; i < grad_out.size(); ++i)
-        d[i] = in[i] > 0.0f ? grad_out[i] : 0.0f;
+    float *__restrict o = d.data();
+    for (std::size_t i = 0; i < n; ++i)
+        o[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(g[i]) &
+                                    positiveMask(x[i]));
 }
 
 // ----------------------------------------------------------- MaxPool2d ----
@@ -107,6 +148,44 @@ MaxPool2d::forwardInto(const std::vector<const Tensor *> &ins, Tensor &out,
     }
 }
 
+namespace
+{
+
+/**
+ * One output row of 2x2 max-pool backward. Per window the winner is the
+ * last tap that beat the running best in scan order (a, b, c, e) — the
+ * first maximum, NaN never winning, tap a when nothing beats -inf —
+ * and every tap is rewritten as (winner ? d + g : d). Bit masks rather
+ * than float ternaries keep the loop free of control flow, so it
+ * vectorizes across windows.
+ */
+inline void
+maxPoolBackRow2(const float *__restrict r0, const float *__restrict r1,
+                const float *__restrict g, float *__restrict d0,
+                float *__restrict d1, int ow)
+{
+    for (int ox = 0; ox < ow; ++ox) {
+        const float a = r0[2 * ox], b = r0[2 * ox + 1];
+        const float c = r1[2 * ox], e = r1[2 * ox + 1];
+        float best = selectBits(maskOf(a > -INFINITY), a, -INFINITY);
+        const std::uint32_t tb = maskOf(b > best);
+        best = selectBits(tb, b, best);
+        const std::uint32_t tc = maskOf(c > best);
+        best = selectBits(tc, c, best);
+        const std::uint32_t we = maskOf(e > best);
+        const std::uint32_t wc = tc & ~we;
+        const std::uint32_t wb = tb & ~tc & ~we;
+        const std::uint32_t wa = ~(we | wc | wb);
+        const float gv = g[ox];
+        d0[2 * ox] = selectBits(wa, d0[2 * ox] + gv, d0[2 * ox]);
+        d0[2 * ox + 1] = selectBits(wb, d0[2 * ox + 1] + gv, d0[2 * ox + 1]);
+        d1[2 * ox] = selectBits(wc, d1[2 * ox] + gv, d1[2 * ox]);
+        d1[2 * ox + 1] = selectBits(we, d1[2 * ox + 1] + gv, d1[2 * ox + 1]);
+    }
+}
+
+} // namespace
+
 void
 MaxPool2d::backwardInto(const std::vector<const Tensor *> &ins,
                         const Tensor &grad_out,
@@ -114,31 +193,42 @@ MaxPool2d::backwardInto(const std::vector<const Tensor *> &ins,
                         std::vector<float> *const *param_grads)
 {
     (void)param_grads;
-    // Re-derive each window's winner from the recorded input (first
-    // maximum in scan order — the same tie-break the forward pass used).
+    // Re-derive each window's winner from the recorded input: the first
+    // maximum in scan order, NaN never winning, the window start when
+    // nothing beats -inf — the forward's tie-break. The scan selects
+    // instead of branching, so post-ReLU ties and zeros cannot
+    // mispredict. The winner then takes d + g (0 + g on an overwrite
+    // sink: a -0 gradient lands as +0).
     const Tensor &in = *ins[0];
     Tensor &d = *sinks[0].grad;
     if (!sinks[0].accumulate)
         d.resizeZero(in.shape()); // scatter-add target must start clean
+    const int iw = in.shape().w;
     const int oh = grad_out.shape().h, ow = grad_out.shape().w;
+    const int ks = kSize;
     for (int c = 0; c < grad_out.shape().c; ++c) {
         for (int oy = 0; oy < oh; ++oy) {
+            const std::size_t row0 = in.index(c, oy * ks, 0);
+            const float *rows = in.data() + row0;
+            const float *g = grad_out.data() + grad_out.index(c, oy, 0);
+            if (ks == 2) {
+                maxPoolBackRow2(rows, rows + iw, g, d.data() + row0,
+                                d.data() + row0 + iw, ow);
+                continue;
+            }
             for (int ox = 0; ox < ow; ++ox) {
                 float best = -INFINITY;
-                std::size_t best_idx =
-                    in.index(c, oy * kSize, ox * kSize);
-                for (int ky = 0; ky < kSize; ++ky) {
-                    for (int kx = 0; kx < kSize; ++kx) {
-                        const int iy = oy * kSize + ky;
-                        const int ix = ox * kSize + kx;
-                        const float v = in.at(c, iy, ix);
-                        if (v > best) {
-                            best = v;
-                            best_idx = in.index(c, iy, ix);
-                        }
+                int arg = ox * ks;
+                for (int ky = 0; ky < ks; ++ky) {
+                    for (int kx = 0; kx < ks; ++kx) {
+                        const int at = ky * iw + ox * ks + kx;
+                        const float v = rows[at];
+                        const bool take = v > best;
+                        best = take ? v : best;
+                        arg = take ? at : arg;
                     }
                 }
-                d[best_idx] += grad_out.at(c, oy, ox);
+                d[row0 + arg] += g[ox];
             }
         }
     }
@@ -310,6 +400,8 @@ Add::backwardInto(const std::vector<const Tensor *> &ins,
     (void)param_grads;
     const Shape shape = ins[0]->shape();
     for (const auto &s : sinks) {
+        if (!s.grad)
+            continue;
         Tensor &d = *s.grad;
         if (s.accumulate) {
             d += grad_out;
@@ -365,8 +457,12 @@ Concat::backwardInto(const std::vector<const Tensor *> &ins,
     std::size_t off = 0;
     for (int slot = 0; slot < 2; ++slot) {
         const Shape shape = ins[slot]->shape();
-        Tensor &d = *sinks[slot].grad;
         const std::size_t n = shape.numel();
+        if (!sinks[slot].grad) {
+            off += n;
+            continue;
+        }
+        Tensor &d = *sinks[slot].grad;
         if (sinks[slot].accumulate) {
             for (std::size_t i = 0; i < n; ++i)
                 d[i] += grad_out[off + i];
@@ -510,10 +606,10 @@ Norm2d::backwardInto(const std::vector<const Tensor *> &ins,
                      std::vector<float> *const *param_grads)
 {
     const Tensor &in = *ins[0];
-    Tensor &d = *sinks[0].grad;
+    Tensor *const d = sinks[0].grad; // null: parameter gradients only
     const bool acc = sinks[0].accumulate;
-    if (!acc)
-        d.resize(in.shape());
+    if (d && !acc)
+        d->resize(in.shape());
     const int hw = std::max(1, in.shape().h * in.shape().w);
     if (param_grads == skipParamGrads()) {
         // Input-gradient-only backward: d depends only on gamma and
@@ -525,9 +621,9 @@ Norm2d::backwardInto(const std::vector<const Tensor *> &ins,
                 const std::size_t idx =
                     static_cast<std::size_t>(c) * hw + i;
                 if (acc)
-                    d[idx] += grad_out[idx] * scale;
+                    (*d)[idx] += grad_out[idx] * scale;
                 else
-                    d[idx] = grad_out[idx] * scale;
+                    (*d)[idx] = grad_out[idx] * scale;
             }
         }
         return;
@@ -545,10 +641,12 @@ Norm2d::backwardInto(const std::vector<const Tensor *> &ins,
             const float xhat = (in[idx] - runMean[c]) * inv;
             g_gamma[c] += grad_out[idx] * xhat;
             g_beta[c] += grad_out[idx];
+            if (!d)
+                continue;
             if (acc)
-                d[idx] += grad_out[idx] * scale;
+                (*d)[idx] += grad_out[idx] * scale;
             else
-                d[idx] = grad_out[idx] * scale;
+                (*d)[idx] = grad_out[idx] * scale;
         }
     }
 }

@@ -114,17 +114,12 @@ Conv2d::backwardInto(const std::vector<const Tensor *> &ins,
                      const std::vector<GradSink> &sinks,
                      std::vector<float> *const *param_grads)
 {
-    const Tensor &in = *ins[0];
     const bool skip = param_grads == skipParamGrads();
     auto *grad_w =
         skip ? nullptr : (param_grads ? param_grads[0] : &gradWeight);
     auto *grad_b =
         skip ? nullptr : (param_grads ? param_grads[1] : &gradBias);
-    // col2im scatter-adds into the input gradient, so an overwrite
-    // sink starts from zero and an accumulate sink keeps its contents.
-    if (!sinks[0].accumulate)
-        sinks[0].grad->resizeZero(in.shape());
-    backwardGemm(in, grad_out, sinks[0], grad_w, grad_b);
+    backwardGemm(*ins[0], grad_out, sinks[0], grad_w, grad_b);
 }
 
 void
@@ -132,13 +127,11 @@ Conv2d::backwardGemm(const Tensor &in, const Tensor &grad_out,
                      const GradSink &sink, std::vector<float> *grad_w,
                      std::vector<float> *grad_b)
 {
-    Tensor &grad_in = *sink.grad;
     const int ih = in.shape().h, iw = in.shape().w;
     const int oh = grad_out.shape().h, ow = grad_out.shape().w;
     const std::size_t ohw = static_cast<std::size_t>(oh) * ow;
     const int kdim = inC * kSize * kSize;
 
-    auto &scratch = gemmScratch();
     if (grad_b) {
         for (int oc = 0; oc < outC; ++oc) {
             const float *row =
@@ -152,18 +145,19 @@ Conv2d::backwardGemm(const Tensor &in, const Tensor &grad_out,
     if (grad_w) {
         // The im2col only feeds the dW product, so the input-only
         // backward skips both.
-        im2col(in.data(), inC, ih, iw, kSize, strd, padding, oh, ow,
-               scratch.col);
+        auto &col = gemmScratch().col;
+        im2col(in.data(), inC, ih, iw, kSize, strd, padding, oh, ow, col);
         // grad_W[outC x kdim] += grad_out[outC x ohw] * col^T.
         sgemmNT(outC, kdim, static_cast<int>(ohw), grad_out.data(),
-                scratch.col.data(), grad_w->data(), /*accumulate=*/true);
+                col.data(), grad_w->data(), /*accumulate=*/true);
     }
-    // col_grad[kdim x ohw] = W^T * grad_out, scattered back to the image.
-    scratch.colGrad.resize(static_cast<std::size_t>(kdim) * ohw);
-    sgemmTN(kdim, static_cast<int>(ohw), outC, weight.data(),
-            grad_out.data(), scratch.colGrad.data());
-    col2im(scratch.colGrad, inC, ih, iw, kSize, strd, padding, oh, ow,
-           grad_in.data());
+    if (!sink.grad)
+        return; // nothing consumes dL/d(in)
+    if (!sink.accumulate)
+        sink.grad->resize(in.shape());
+    convBackwardInput(grad_out.data(), outC, oh, ow, weight.data(), inC, ih,
+                      iw, kSize, strd, padding, sink.grad->data(),
+                      sink.accumulate);
 }
 
 void

@@ -106,8 +106,10 @@ class Conv2d : public Layer
     Shape outShapeFor(const Shape &in) const;
     /** Pack W^T into @p out (the persistent or a per-call pack). */
     void packWeightsInto(PackedB &out) const;
-    /** GEMM backward: grad_W via NT, grad_in via TN + col2im. Null
-     *  @p grad_w / @p grad_b skip the dW GEMM and its im2col. */
+    /** GEMM backward: grad_W via an NT product over im2col, grad_in
+     *  via the implicit-GEMM convBackwardInput. Null @p grad_w /
+     *  @p grad_b skip the dW product and its im2col; a null
+     *  @p sink.grad skips the input gradient. */
     void backwardGemm(const Tensor &in, const Tensor &grad_out,
                       const GradSink &sink, std::vector<float> *grad_w,
                       std::vector<float> *grad_b);

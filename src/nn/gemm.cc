@@ -43,27 +43,25 @@ usePoolFor(ThreadPool *pool, std::size_t n_tasks, double flops)
 }
 
 /**
- * Inner scalar kernel: C[i0..imax) x [j0..jmax) += A-panel * B-panel.
- * @p a_at maps (i, k) to the A element so the same kernel serves the
- * NN and TN variants without a transposed copy. Unchanged from the
- * pre-parallel implementation: per-element accumulation order depends
- * only on the absolute BK blocking, so tiling and threading do not
- * change the numerics.
+ * Inner scalar kernel: C[i0..imax) x [j0..jmax) += A-panel * B-panel,
+ * A [M x K] row-major. Unchanged from the pre-parallel implementation:
+ * per-element accumulation order depends only on the absolute BK
+ * blocking, so tiling and threading do not change the numerics.
  */
-template <typename AAt>
 inline void
-panelKernel(int i0, int imax, int j0, int jmax, int k0, int kmax, int N,
-            AAt a_at, const float *B, float *C)
+panelKernel(int i0, int imax, int j0, int jmax, int k0, int kmax, int K,
+            int N, const float *A, const float *B, float *C)
 {
     for (int i = i0; i < imax; ++i) {
         float *c = C + static_cast<std::size_t>(i) * N;
+        const float *a = A + static_cast<std::size_t>(i) * K;
         int k = k0;
         // Four A coefficients per pass quarters the C read/write traffic.
         for (; k + 3 < kmax; k += 4) {
-            const float a0 = a_at(i, k);
-            const float a1 = a_at(i, k + 1);
-            const float a2 = a_at(i, k + 2);
-            const float a3 = a_at(i, k + 3);
+            const float a0 = a[k];
+            const float a1 = a[k + 1];
+            const float a2 = a[k + 2];
+            const float a3 = a[k + 3];
             const float *b0 = B + static_cast<std::size_t>(k) * N;
             const float *b1 = b0 + N;
             const float *b2 = b1 + N;
@@ -72,18 +70,17 @@ panelKernel(int i0, int imax, int j0, int jmax, int k0, int kmax, int N,
                 c[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
         }
         for (; k < kmax; ++k) {
-            const float a = a_at(i, k);
+            const float ak = a[k];
             const float *b = B + static_cast<std::size_t>(k) * N;
             for (int j = j0; j < jmax; ++j)
-                c[j] += a * b[j];
+                c[j] += ak * b[j];
         }
     }
 }
 
 /** One scalar C tile: zero (unless accumulating), then k-blocked panels. */
-template <typename AAt>
 inline void
-scalarTile(int i0, int imax, int j0, int jmax, int K, int N, AAt a_at,
+scalarTile(int i0, int imax, int j0, int jmax, int K, int N, const float *A,
            const float *B, float *C, bool accumulate)
 {
     if (!accumulate)
@@ -91,7 +88,7 @@ scalarTile(int i0, int imax, int j0, int jmax, int K, int N, AAt a_at,
             std::fill(C + static_cast<std::size_t>(i) * N + j0,
                       C + static_cast<std::size_t>(i) * N + jmax, 0.0f);
     for (int k0 = 0; k0 < K; k0 += BK)
-        panelKernel(i0, imax, j0, jmax, k0, std::min(K, k0 + BK), N, a_at,
+        panelKernel(i0, imax, j0, jmax, k0, std::min(K, k0 + BK), K, N, A,
                     B, C);
 }
 
@@ -142,78 +139,80 @@ gemmPool()
     return pool;
 }
 
-namespace
-{
-
-/**
- * Shared NN/TN driver: the A element for output row i, depth k is
- * a_base[i * a_row_stride + k * a_elem_stride], so the NN layout is
- * (K, 1) and the TN layout is (1, M). Both kernel families take the
- * strides directly; the dispatch and pool gating live here once.
- */
 void
-gemmDriver(int M, int N, int K, const float *a_base,
-           std::ptrdiff_t a_row_stride, std::ptrdiff_t a_elem_stride,
-           const float *B, float *C, bool accumulate)
+sgemm(int M, int N, int K, const float *A, const float *B, float *C,
+      bool accumulate)
 {
     const double flops = 2.0 * M * N * K;
 #ifdef PTOLEMY_HAVE_AVX2
     if (useAvx2()) {
         forEachTile(M, N, flops, [&](int i0, int imax, int j0, int jmax) {
-            detail::avx2GemmTile(i0, imax, j0, jmax, K, a_base,
-                                 a_row_stride, a_elem_stride, B, N, C, N,
+            detail::avx2GemmTile(i0, imax, j0, jmax, K, A, K, B, N, C, N,
                                  accumulate);
         });
         return;
     }
 #endif
-    const auto a_at = [a_base, a_row_stride, a_elem_stride](int i, int k) {
-        return a_base[i * a_row_stride + k * a_elem_stride];
-    };
     forEachTile(M, N, flops, [&](int i0, int imax, int j0, int jmax) {
-        scalarTile(i0, imax, j0, jmax, K, N, a_at, B, C, accumulate);
+        scalarTile(i0, imax, j0, jmax, K, N, A, B, C, accumulate);
     });
-}
-
-} // namespace
-
-void
-sgemm(int M, int N, int K, const float *A, const float *B, float *C,
-      bool accumulate)
-{
-    gemmDriver(M, N, K, A, /*a_row_stride=*/K, /*a_elem_stride=*/1, B, C,
-               accumulate);
-}
-
-void
-sgemmTN(int M, int N, int K, const float *A, const float *B, float *C,
-        bool accumulate)
-{
-    gemmDriver(M, N, K, A, /*a_row_stride=*/1, /*a_elem_stride=*/M, B, C,
-               accumulate);
 }
 
 namespace
 {
 
+/**
+ * R x C block of scalar NT dots, each the sequential s += a[k]*b[k]
+ * from zero: R*C independent chains instead of one latency-bound one,
+ * every chain unchanged.
+ */
+template <int R, int C>
+inline void
+scalarNTBlock(const float *const *a, const float *const *b, int K, float *c,
+              std::ptrdiff_t ldc, bool accumulate)
+{
+    float s[R][C] = {};
+    for (int k = 0; k < K; ++k)
+        for (int r = 0; r < R; ++r)
+            for (int j = 0; j < C; ++j)
+                s[r][j] += a[r][k] * b[j][k];
+    for (int r = 0; r < R; ++r)
+        for (int j = 0; j < C; ++j) {
+            float &dst = c[r * ldc + j];
+            dst = accumulate ? dst + s[r][j] : s[r][j];
+        }
+}
+
+template <int R>
+inline void
+scalarNTRowBlock(int i, int N, int K, const float *A, const float *B,
+                 float *C, bool accumulate)
+{
+    const float *a[R];
+    for (int r = 0; r < R; ++r)
+        a[r] = A + static_cast<std::size_t>(i + r) * K;
+    float *c = C + static_cast<std::size_t>(i) * N;
+    int j = 0;
+    for (; j + 2 <= N; j += 2) {
+        const float *b[2] = {B + static_cast<std::size_t>(j) * K,
+                             B + static_cast<std::size_t>(j + 1) * K};
+        scalarNTBlock<R, 2>(a, b, K, c + j, N, accumulate);
+    }
+    if (j < N) {
+        const float *b[1] = {B + static_cast<std::size_t>(j) * K};
+        scalarNTBlock<R, 1>(a, b, K, c + j, N, accumulate);
+    }
+}
+
 void
 scalarNTRows(int i0, int i1, int N, int K, const float *A, const float *B,
              float *C, bool accumulate)
 {
-    for (int i = i0; i < i1; ++i) {
-        const float *a = A + static_cast<std::size_t>(i) * K;
-        float *c = C + static_cast<std::size_t>(i) * N;
-        for (int j = 0; j < N; ++j) {
-            const float *b = B + static_cast<std::size_t>(j) * K;
-            float s = 0.0f;
-            for (int k = 0; k < K; ++k)
-                s += a[k] * b[k];
-            if (accumulate)
-                c[j] += s;
-            else
-                c[j] = s;
-        }
-    }
+    int i = i0;
+    for (; i + 4 <= i1; i += 4)
+        scalarNTRowBlock<4>(i, N, K, A, B, C, accumulate);
+    for (; i < i1; ++i)
+        scalarNTRowBlock<1>(i, N, K, A, B, C, accumulate);
 }
 
 } // namespace
@@ -517,6 +516,237 @@ convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
         run(t);
 }
 
+namespace
+{
+
+/** Per-thread conv input-gradient scratch (see convBackwardInput). */
+struct ConvGradInputScratch
+{
+    util::AlignedF32 plane; ///< out_c output-gradient planes with margins
+    util::AlignedF32 acc;   ///< [in_c][lanes] one phase's gradient lanes
+    std::vector<int> rowOf; ///< lane -> phase row
+    std::vector<int> colOf; ///< lane -> phase column
+    std::vector<detail::ConvGradTap> taps;
+};
+
+ConvGradInputScratch &
+convGradInputScratch()
+{
+    thread_local ConvGradInputScratch scratch;
+    return scratch;
+}
+
+/**
+ * Portable conv input-gradient block: avx2ConvGradInputBlock's contract
+ * (see gemm_kernels.hh) with the scalar TN product's numerics (the
+ * reference kernel on W^T * dY), bit for bit.
+ * Per lane and tap the value is panelKernel's fold over oc: from zero,
+ * grouped-4 steps t += w0*d0 + w1*d1 + w2*d2 + w3*d3, then the outC%4
+ * single steps (BK is a multiple of 4, so panelKernel's groups are
+ * these groups). It is added onto the lane only where the tap lands
+ * inside the output gradient, as col2im adds it.
+ */
+void
+scalarConvGradInputBlock(const detail::ConvGradInputPhase &ph, int q0,
+                         int q1)
+{
+    static_assert(BK % 4 == 0, "grouped-4 fold must match panelKernel");
+    constexpr int ld = detail::kConvBlockPositions;
+    constexpr int RC = detail::kGradInChannelBlock;
+    assert(q1 - q0 >= 1 && q1 - q0 <= ld);
+    float t[RC * ld];
+    const int n = q1 - q0;
+    const int outC = ph.outC;
+    const int kk = ph.kTaps;
+    const std::ptrdiff_t ps = ph.planeStride;
+    const std::ptrdiff_t ocs = static_cast<std::ptrdiff_t>(ph.inC) * kk;
+    for (int ic0 = 0; ic0 < ph.inC; ic0 += RC) {
+        const int rc = std::min(RC, ph.inC - ic0);
+        for (int ti = 0; ti < ph.nTaps; ++ti) {
+            const detail::ConvGradTap tp = ph.taps[ti];
+            const float *d = ph.dyp + q0 + tp.cy * ph.width + tp.cx;
+            // Weight (oc, channel ic0 + c) of this tap: w[oc*ocs + c*kk].
+            const float *w =
+                ph.weight + static_cast<std::size_t>(ic0) * kk + tp.tap;
+            std::fill_n(t, rc * ld, 0.0f);
+            int oc = 0;
+            for (; oc + 3 < outC; oc += 4) {
+                const float *d0 = d + oc * ps;
+                const float *d1 = d0 + ps;
+                const float *d2 = d1 + ps;
+                const float *d3 = d2 + ps;
+                const float *w0 = w + oc * ocs;
+                for (int c = 0; c < rc; ++c) {
+                    const float a0 = w0[c * kk], a1 = w0[ocs + c * kk],
+                                a2 = w0[2 * ocs + c * kk],
+                                a3 = w0[3 * ocs + c * kk];
+                    float *acc = t + c * ld;
+                    for (int j = 0; j < n; ++j)
+                        acc[j] += a0 * d0[j] + a1 * d1[j] + a2 * d2[j] +
+                                  a3 * d3[j];
+                }
+            }
+            for (; oc < outC; ++oc) {
+                const float *d0 = d + oc * ps;
+                const float *w0 = w + oc * ocs;
+                for (int c = 0; c < rc; ++c) {
+                    const float a0 = w0[c * kk];
+                    float *acc = t + c * ld;
+                    for (int j = 0; j < n; ++j)
+                        acc[j] += a0 * d0[j];
+                }
+            }
+            const int *rows = ph.rowOf + q0;
+            const int *cols = ph.colOf + q0;
+            for (int c = 0; c < rc; ++c) {
+                float *dst = ph.acc + (ic0 + c) * ph.accStride + q0;
+                const float *src = t + c * ld;
+                for (int j = 0; j < n; ++j) {
+                    const bool live =
+                        (static_cast<unsigned>(rows[j] + tp.cy) <
+                         static_cast<unsigned>(ph.oh)) &
+                        (static_cast<unsigned>(cols[j] + tp.cx) <
+                         static_cast<unsigned>(ph.ow));
+                    dst[j] = live ? dst[j] + src[j] : dst[j];
+                }
+            }
+        }
+    }
+}
+
+} // namespace
+
+void
+convBackwardInput(const float *grad_out, int out_c, int oh, int ow,
+                  const float *weight, int in_c, int ih, int iw, int k,
+                  int stride, int pad, float *grad_in, bool accumulate)
+{
+    constexpr int kBlock = detail::kConvBlockPositions;
+    auto &sc = convGradInputScratch();
+    // Input row iy = py + s*a takes tap ky iff s divides py + pad - ky,
+    // from output row a + (py + pad - ky)/s; columns alike. The lane
+    // offsets (cy, cx) of every phase lie in [lo, hi].
+    const int s = stride;
+    int lo = 0, hi = 0;
+    for (int p = 0; p < s; ++p)
+        for (int t = 0; t < k; ++t)
+            if ((p + pad - t) % s == 0) {
+                lo = std::min(lo, (p + pad - t) / s);
+                hi = std::max(hi, (p + pad - t) / s);
+            }
+    // Lane q = a*width + b; width holds a phase row and a dY row. The
+    // dY planes get a front margin and a tail, so every lane of every
+    // tap reads in bounds; the blend discards the lanes outside dY.
+    const int width = std::max(ow, (iw + s - 1) / s);
+    const int rows = (ih + s - 1) / s;
+    const int lanes = (rows * width + kBlock - 1) / kBlock * kBlock;
+    const std::ptrdiff_t front = std::max(0, -(lo * width + lo));
+    const std::ptrdiff_t ps =
+        front + std::max(static_cast<std::ptrdiff_t>(oh) * width,
+                         static_cast<std::ptrdiff_t>(lanes) +
+                             std::max(0, hi * width + hi));
+    sc.plane.resize(static_cast<std::size_t>(out_c) * ps);
+    for (int oc = 0; oc < out_c; ++oc) {
+        float *p = sc.plane.data() + oc * ps;
+        std::fill_n(p, front, 0.0f);
+        p += front;
+        const float *src = grad_out + static_cast<std::size_t>(oc) * oh * ow;
+        for (int oy = 0; oy < oh; ++oy, p += width, src += ow) {
+            std::memcpy(p, src, sizeof(float) * ow);
+            std::fill_n(p + ow, width - ow, 0.0f);
+        }
+        std::fill_n(p, ps - front - static_cast<std::ptrdiff_t>(oh) * width,
+                    0.0f);
+    }
+    sc.rowOf.resize(static_cast<std::size_t>(lanes));
+    sc.colOf.resize(static_cast<std::size_t>(lanes));
+    for (int q = 0, a = 0, b = 0; q < lanes; ++q) {
+        sc.rowOf[q] = a;
+        sc.colOf[q] = b;
+        if (++b == width) {
+            b = 0;
+            ++a;
+        }
+    }
+    auto *block = &scalarConvGradInputBlock;
+#ifdef PTOLEMY_HAVE_AVX2
+    if (useAvx2())
+        block = &detail::avx2ConvGradInputBlock;
+#endif
+    detail::ConvGradInputPhase ph;
+    ph.inC = in_c;
+    ph.outC = out_c;
+    ph.oh = oh;
+    ph.ow = ow;
+    ph.width = width;
+    ph.planeStride = ps;
+    ph.dyp = sc.plane.data() + front;
+    ph.weight = weight;
+    ph.kTaps = k * k;
+    ph.rowOf = sc.rowOf.data();
+    ph.colOf = sc.colOf.data();
+    const std::size_t plane_in = static_cast<std::size_t>(ih) * iw;
+    for (int py = 0; py < std::min(s, ih); ++py) {
+        for (int px = 0; px < std::min(s, iw); ++px) {
+            sc.taps.clear();
+            for (int ky = 0; ky < k; ++ky) {
+                if ((py + pad - ky) % s != 0)
+                    continue;
+                for (int kx = 0; kx < k; ++kx)
+                    if ((px + pad - kx) % s == 0)
+                        sc.taps.push_back({ky * k + kx, (py + pad - ky) / s,
+                                           (px + pad - kx) / s});
+            }
+            if (sc.taps.empty() && accumulate)
+                continue; // no tap lands on this phase
+            const int na = (ih - py + s - 1) / s;
+            const int nb = (iw - px + s - 1) / s;
+            const int nq = na * width;
+            const int stride_q = (nq + kBlock - 1) / kBlock * kBlock;
+            // This phase's positions in lane order: the sink's contents,
+            // or +0 for an overwrite sink (col2im's zeroed start).
+            sc.acc.assign(static_cast<std::size_t>(in_c) * stride_q, 0.0f);
+            if (accumulate)
+                for (int ic = 0; ic < in_c; ++ic)
+                    for (int a = 0; a < na; ++a) {
+                        const float *src = grad_in + ic * plane_in +
+                                           (py + s * a) * iw + px;
+                        float *dst = sc.acc.data() + ic * stride_q + a * width;
+                        for (int b = 0; b < nb; ++b)
+                            dst[b] = src[s * b];
+                    }
+            if (!sc.taps.empty()) {
+                ph.taps = sc.taps.data();
+                ph.nTaps = static_cast<int>(sc.taps.size());
+                ph.acc = sc.acc.data();
+                ph.accStride = stride_q;
+                const std::size_t n_tasks =
+                    static_cast<std::size_t>(nq + kBlock - 1) / kBlock;
+                const double flops = 2.0 * out_c * in_c * ph.nTaps * nq;
+                auto run = [&](std::size_t t) {
+                    const int q0 = static_cast<int>(t) * kBlock;
+                    block(ph, q0, std::min(nq, q0 + kBlock));
+                };
+                ThreadPool *pool = gemmPool();
+                if (usePoolFor(pool, n_tasks, flops))
+                    pool->parallelFor(n_tasks, run);
+                else
+                    for (std::size_t t = 0; t < n_tasks; ++t)
+                        run(t);
+            }
+            for (int ic = 0; ic < in_c; ++ic)
+                for (int a = 0; a < na; ++a) {
+                    float *dst =
+                        grad_in + ic * plane_in + (py + s * a) * iw + px;
+                    const float *src =
+                        sc.acc.data() + ic * stride_q + a * width;
+                    for (int b = 0; b < nb; ++b)
+                        dst[s * b] = src[b];
+                }
+        }
+    }
+}
+
 void
 im2col(const float *in, int in_c, int ih, int iw, int k, int stride, int pad,
        int oh, int ow, util::AlignedF32 &col)
@@ -560,34 +790,6 @@ im2col(const float *in, int in_c, int ih, int iw, int k, int stride, int pad,
                         }
                     }
                 }
-            }
-        }
-    }
-}
-
-void
-col2im(const util::AlignedF32 &col, int in_c, int ih, int iw, int k,
-       int stride, int pad, int oh, int ow, float *grad_in)
-{
-    const std::size_t ohw = static_cast<std::size_t>(oh) * ow;
-    const float *src = col.data();
-    for (int ic = 0; ic < in_c; ++ic) {
-        float *plane = grad_in + static_cast<std::size_t>(ic) * ih * iw;
-        for (int ky = 0; ky < k; ++ky) {
-            for (int kx = 0; kx < k; ++kx) {
-                for (int oy = 0; oy < oh; ++oy) {
-                    const int iy = oy * stride - pad + ky;
-                    if (iy < 0 || iy >= ih)
-                        continue;
-                    const float *row = src + static_cast<std::size_t>(oy) * ow;
-                    float *drow = plane + static_cast<std::size_t>(iy) * iw;
-                    for (int ox = 0; ox < ow; ++ox) {
-                        const int ix = ox * stride - pad + kx;
-                        if (ix >= 0 && ix < iw)
-                            drow[ix] += row[ox];
-                    }
-                }
-                src += ohw;
             }
         }
     }

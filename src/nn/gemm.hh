@@ -1,16 +1,18 @@
 /**
  * @file
  * Single-precision GEMM kernels, the implicit-GEMM conv forward and
- * the im2col/col2im helpers.
+ * input gradient, and the im2col helper.
  *
  * Convolution is a [outC x K] * [K x OHW] product. The forward
  * (convForwardPacked, the only conv forward) computes it as an
  * implicit GEMM: each im2col element is read straight from a
  * zero-padded copy of the input against W^T packed into blocked
- * panels, so no column matrix is written. The backward pass uses the
- * explicit matrices: the weight gradient is an NT product over an
- * im2col matrix, the input gradient a TN product scattered back by
- * col2im. The Linear layer runs on the gemv kernels.
+ * panels, so no column matrix is written. The input gradient
+ * (convBackwardInput) is the transposed convolution, an implicit GEMM
+ * as well: each input position gathers its taps straight from a
+ * padded copy of the output gradient. Only the weight gradient uses an
+ * explicit matrix: an NT product over im2col. The Linear layer runs on
+ * the gemv kernels.
  *
  * All matrices are dense row-major. Two kernel families back every
  * entry point: a portable scalar reference (bit-identical to the
@@ -115,16 +117,33 @@ void convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
                        const PackedB &wt, const float *bias, float *out);
 
 /**
- * C[MxN] = A^T * B where A is [KxM] row-major, or += when @p accumulate.
- * Used for the convolution input gradient: col_grad = W^T * grad_out.
+ * Conv input gradient as an implicit GEMM, in both SIMD modes:
+ * grad_in [in_c x ih x iw] = (or += when @p accumulate) the transposed
+ * convolution of @p grad_out [out_c x oh x ow] with @p weight
+ * ([out_c][in_c][k][k]), for any stride and padding. Input positions
+ * are split into stride x stride phases; within one, every tap (ky, kx)
+ * that reaches it reads a contiguous run of a padded copy of grad_out,
+ * so no col-space matrix is written.
+ *
+ * Bit-identical in each mode to the explicit form, col = W^T * grad_out
+ * (a TN product) scattered onto grad_in by col2im: each tap's value is
+ * that product's chain over oc (AVX2: fma ascending from +0; scalar:
+ * the reference kernel's grouped-4 fold), the taps are added in
+ * col2im's (ky, kx) order, and a tap that col2im skips (outside the
+ * output, or stride-skipped) adds nothing — not even +0, so -0 in an
+ * accumulate sink stays -0. Blocks of detail::kConvBlockPositions
+ * lanes fan out on gemmPool() like sgemm tiles.
  */
-void sgemmTN(int M, int N, int K, const float *A, const float *B, float *C,
-             bool accumulate = false);
+void convBackwardInput(const float *grad_out, int out_c, int oh, int ow,
+                       const float *weight, int in_c, int ih, int iw, int k,
+                       int stride, int pad, float *grad_in, bool accumulate);
 
 /**
  * C[MxN] = A[MxK] * B^T where B is [NxK] row-major, or += when
  * @p accumulate. Each output element is a contiguous dot product; used
- * for the convolution weight gradient: grad_W = grad_out * col^T.
+ * for the convolution weight gradient: grad_W = grad_out * col^T. The
+ * kernels run 4 rows x 2 columns of dots at once, each element with
+ * its own unchanged chain.
  */
 void sgemmNT(int M, int N, int K, const float *A, const float *B, float *C,
              bool accumulate = false);
@@ -144,15 +163,14 @@ void sgemvT(int M, int K, const float *A, const float *x, float *y,
             bool accumulate = false);
 
 /**
- * Reusable im2col/col2im scratch for the conv backward. One instance
+ * Reusable im2col scratch for the conv weight gradient. One instance
  * lives per thread (see gemmScratch()), so a warmed-up training loop
  * performs no heap allocation regardless of how many conv layers share
  * it.
  */
 struct GemmScratch
 {
-    util::AlignedF32 col;     ///< im2col matrix [inC*k*k x oh*ow]
-    util::AlignedF32 colGrad; ///< col-space gradient for backward
+    util::AlignedF32 col; ///< im2col matrix [inC*k*k x oh*ow]
 };
 
 /** Thread-local scratch shared by every conv layer on this thread. */
@@ -166,14 +184,6 @@ GemmScratch &gemmScratch();
  */
 void im2col(const float *in, int in_c, int ih, int iw, int k, int stride,
             int pad, int oh, int ow, util::AlignedF32 &col);
-
-/**
- * Inverse scatter-add of im2col: accumulate the col-space gradient
- * @p col [in_c*k*k x oh*ow] back into the image gradient @p grad_in
- * (CHW, must be pre-zeroed by the caller).
- */
-void col2im(const util::AlignedF32 &col, int in_c, int ih, int iw, int k,
-            int stride, int pad, int oh, int ow, float *grad_in);
 
 } // namespace ptolemy::nn
 

@@ -33,26 +33,21 @@ namespace ptolemy::nn::detail
 namespace
 {
 
-/** A-element accessor: row r (relative to the block base), depth k. */
+/** A rows of one microkernel pass: row r starts at base + r * lda. */
 struct APanel
 {
     const float *base;
-    std::ptrdiff_t rowStride;
-    std::ptrdiff_t elemStride;
+    std::ptrdiff_t lda;
 
     const float *
     row(int r) const
     {
-        return base + static_cast<std::ptrdiff_t>(r) * rowStride;
+        return base + static_cast<std::ptrdiff_t>(r) * lda;
     }
 };
 
-/**
- * R x 16 register-tile kernel over the full K extent. STRIDE1 selects
- * the unit-stride A specialization (the NN layout, i.e. the conv
- * forward hot path) so the per-k A addressing is a pointer increment.
- */
-template <int R, bool STRIDE1>
+/** R x 16 register-tile kernel over the full K extent. */
+template <int R>
 inline void
 kernelRx16(int K, const APanel &a, const float *B, int ldb, float *c,
            int ldc, bool accumulate)
@@ -65,13 +60,12 @@ kernelRx16(int K, const APanel &a, const float *B, int ldb, float *c,
     const float *arow[R];
     for (int r = 0; r < R; ++r)
         arow[r] = a.row(r);
-    const std::ptrdiff_t astep = STRIDE1 ? 1 : a.elemStride;
     auto step = [&](int k) {
         const float *brow = B + static_cast<std::ptrdiff_t>(k) * ldb;
         const __m256 b0 = _mm256_loadu_ps(brow);
         const __m256 b1 = _mm256_loadu_ps(brow + 8);
         for (int r = 0; r < R; ++r) {
-            const __m256 av = _mm256_set1_ps(arow[r][k * astep]);
+            const __m256 av = _mm256_set1_ps(arow[r][k]);
             acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
             acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
         }
@@ -102,7 +96,7 @@ kernelRx16(int K, const APanel &a, const float *B, int ldb, float *c,
 }
 
 /** R x 8 kernel for the 8-wide column tail. */
-template <int R, bool STRIDE1>
+template <int R>
 inline void
 kernelRx8(int K, const APanel &a, const float *B, int ldb, float *c,
           int ldc, bool accumulate)
@@ -113,13 +107,11 @@ kernelRx8(int K, const APanel &a, const float *B, int ldb, float *c,
     const float *arow[R];
     for (int r = 0; r < R; ++r)
         arow[r] = a.row(r);
-    const std::ptrdiff_t astep = STRIDE1 ? 1 : a.elemStride;
     auto step = [&](int k) {
         const __m256 b0 =
             _mm256_loadu_ps(B + static_cast<std::ptrdiff_t>(k) * ldb);
         for (int r = 0; r < R; ++r)
-            acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(arow[r][k * astep]),
-                                     b0, acc[r]);
+            acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(arow[r][k]), b0, acc[r]);
     };
     int k = 0;
     // Same K x4 single-chain unroll as kernelRx16.
@@ -149,21 +141,15 @@ kernelRx8(int K, const APanel &a, const float *B, int ldb, float *c,
  * tile or block partition of a product is bit-identical to the whole.
  */
 inline void
-kernelScalarCols(int rows, int j0, int jmax, int K, const APanel &a,
-                 const float *B, int ldb, float *c, int ldc,
-                 bool accumulate)
+kernelScalarCols(int j0, int jmax, int K, const float *arow, const float *B,
+                 int ldb, float *crow, bool accumulate)
 {
-    for (int r = 0; r < rows; ++r) {
-        const float *arow = a.row(r);
-        float *crow = c + static_cast<std::ptrdiff_t>(r) * ldc;
-        for (int j = j0; j < jmax; ++j) {
-            float s = 0.0f;
-            for (int k = 0; k < K; ++k)
-                s = std::fmaf(arow[k * a.elemStride],
-                              B[static_cast<std::ptrdiff_t>(k) * ldb + j],
-                              s);
-            crow[j] = accumulate ? crow[j] + s : s;
-        }
+    for (int j = j0; j < jmax; ++j) {
+        float s = 0.0f;
+        for (int k = 0; k < K; ++k)
+            s = std::fmaf(arow[k], B[static_cast<std::ptrdiff_t>(k) * ldb + j],
+                          s);
+        crow[j] = accumulate ? crow[j] + s : s;
     }
 }
 
@@ -198,52 +184,50 @@ packScratch()
  * Run the 6-row microkernels over one packed B panel of @p width (16
  * or 8) columns at absolute column @p j.
  */
-template <bool STRIDE1>
 inline void
-panelColumns(int width, int i0, int i1, int j, int K, const float *a_base,
-             std::ptrdiff_t a_row_stride, std::ptrdiff_t a_elem_stride,
-             const float *bp, float *C, int ldc, bool accumulate)
+panelColumns(int width, int i0, int i1, int j, int K, const float *A,
+             std::ptrdiff_t lda, const float *bp, float *C, int ldc,
+             bool accumulate)
 {
     int i = i0;
     for (; i + 6 <= i1; i += 6) {
-        const APanel a{a_base + i * a_row_stride, a_row_stride,
-                       a_elem_stride};
+        const APanel a{A + i * lda, lda};
         float *c = C + static_cast<std::ptrdiff_t>(i) * ldc + j;
         if (width == 16)
-            kernelRx16<6, STRIDE1>(K, a, bp, 16, c, ldc, accumulate);
+            kernelRx16<6>(K, a, bp, 16, c, ldc, accumulate);
         else
-            kernelRx8<6, STRIDE1>(K, a, bp, 8, c, ldc, accumulate);
+            kernelRx8<6>(K, a, bp, 8, c, ldc, accumulate);
     }
     const int rem = i1 - i;
     if (rem > 0) {
-        const APanel a{a_base + i * a_row_stride, a_row_stride,
-                       a_elem_stride};
+        const APanel a{A + i * lda, lda};
         float *c = C + static_cast<std::ptrdiff_t>(i) * ldc + j;
         if (width == 16) {
             switch (rem) {
-              case 1: kernelRx16<1, STRIDE1>(K, a, bp, 16, c, ldc, accumulate); break;
-              case 2: kernelRx16<2, STRIDE1>(K, a, bp, 16, c, ldc, accumulate); break;
-              case 3: kernelRx16<3, STRIDE1>(K, a, bp, 16, c, ldc, accumulate); break;
-              case 4: kernelRx16<4, STRIDE1>(K, a, bp, 16, c, ldc, accumulate); break;
-              default: kernelRx16<5, STRIDE1>(K, a, bp, 16, c, ldc, accumulate); break;
+              case 1: kernelRx16<1>(K, a, bp, 16, c, ldc, accumulate); break;
+              case 2: kernelRx16<2>(K, a, bp, 16, c, ldc, accumulate); break;
+              case 3: kernelRx16<3>(K, a, bp, 16, c, ldc, accumulate); break;
+              case 4: kernelRx16<4>(K, a, bp, 16, c, ldc, accumulate); break;
+              default: kernelRx16<5>(K, a, bp, 16, c, ldc, accumulate); break;
             }
         } else {
             switch (rem) {
-              case 1: kernelRx8<1, STRIDE1>(K, a, bp, 8, c, ldc, accumulate); break;
-              case 2: kernelRx8<2, STRIDE1>(K, a, bp, 8, c, ldc, accumulate); break;
-              case 3: kernelRx8<3, STRIDE1>(K, a, bp, 8, c, ldc, accumulate); break;
-              case 4: kernelRx8<4, STRIDE1>(K, a, bp, 8, c, ldc, accumulate); break;
-              default: kernelRx8<5, STRIDE1>(K, a, bp, 8, c, ldc, accumulate); break;
+              case 1: kernelRx8<1>(K, a, bp, 8, c, ldc, accumulate); break;
+              case 2: kernelRx8<2>(K, a, bp, 8, c, ldc, accumulate); break;
+              case 3: kernelRx8<3>(K, a, bp, 8, c, ldc, accumulate); break;
+              case 4: kernelRx8<4>(K, a, bp, 8, c, ldc, accumulate); break;
+              default: kernelRx8<5>(K, a, bp, 8, c, ldc, accumulate); break;
             }
         }
     }
 }
 
-template <bool STRIDE1>
+} // namespace
+
 void
-gemmTileImpl(int i0, int i1, int j0, int j1, int K, const float *a_base,
-             std::ptrdiff_t a_row_stride, std::ptrdiff_t a_elem_stride,
-             const float *B, int ldb, float *C, int ldc, bool accumulate)
+avx2GemmTile(int i0, int i1, int j0, int j1, int K, const float *A,
+             std::ptrdiff_t lda, const float *B, int ldb, float *C, int ldc,
+             bool accumulate)
 {
     auto &pack = packScratch();
 
@@ -255,35 +239,16 @@ gemmTileImpl(int i0, int i1, int j0, int j1, int K, const float *a_base,
         const int width = (j + 16 <= j1) ? 16 : 8;
         pack.resize(static_cast<std::size_t>(K) * width);
         packBPanel(B, ldb, j, K, width, pack.data());
-        panelColumns<STRIDE1>(width, i0, i1, j, K, a_base, a_row_stride,
-                              a_elem_stride, pack.data(), C, ldc,
-                              accumulate);
+        panelColumns(width, i0, i1, j, K, A, lda, pack.data(), C, ldc,
+                     accumulate);
     }
     if (j < j1) {
         // Scalar column tail (fewer than 8 columns at the matrix edge).
-        for (int i = i0; i < i1; ++i) {
-            const APanel a{a_base + i * a_row_stride, a_row_stride,
-                           a_elem_stride};
-            kernelScalarCols(1, j, j1, K, a, B, ldb,
-                             C + static_cast<std::ptrdiff_t>(i) * ldc, ldc,
+        for (int i = i0; i < i1; ++i)
+            kernelScalarCols(j, j1, K, A + i * lda, B, ldb,
+                             C + static_cast<std::ptrdiff_t>(i) * ldc,
                              accumulate);
-        }
     }
-}
-
-} // namespace
-
-void
-avx2GemmTile(int i0, int i1, int j0, int j1, int K, const float *a_base,
-             std::ptrdiff_t a_row_stride, std::ptrdiff_t a_elem_stride,
-             const float *B, int ldb, float *C, int ldc, bool accumulate)
-{
-    if (a_elem_stride == 1)
-        gemmTileImpl<true>(i0, i1, j0, j1, K, a_base, a_row_stride, 1, B,
-                           ldb, C, ldc, accumulate);
-    else
-        gemmTileImpl<false>(i0, i1, j0, j1, K, a_base, a_row_stride,
-                            a_elem_stride, B, ldb, C, ldc, accumulate);
 }
 
 namespace
@@ -518,32 +483,268 @@ avx2ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
     }
 }
 
+namespace
+{
+
+/**
+ * One tap's chains for a strip: out[r*V + v] = the fold of
+ * fma(w_oc, dy_oc, acc) over oc ascending from +0 for RC channels
+ * (broadcast operand: the weight of (oc, channel r), at
+ * w[oc*oc_stride + r*kk]) x V vectors of 8 lanes (dY read in place),
+ * with V = 12/RC so every channel count fills the 12-accumulator tile —
+ * conv1's 3 channels run 32 lanes. Kept out of line so the strip's mask
+ * constants cannot push an accumulator out of the register file.
+ */
+template <int RC>
+__attribute__((noinline)) void
+gradInputChains(int outC, std::ptrdiff_t plane_stride, const float *d,
+                const float *w, std::ptrdiff_t oc_stride, int kk,
+                __m256 *out)
+{
+    constexpr int V = 12 / RC;
+    __m256 s[RC][V];
+    for (int r = 0; r < RC; ++r)
+        for (int v = 0; v < V; ++v)
+            s[r][v] = _mm256_setzero_ps();
+    auto step = [&](int oc) {
+        const float *dd = d + oc * plane_stride;
+        const float *ww = w + oc * oc_stride;
+        if constexpr (RC >= V) {
+            __m256 dv[V];
+            for (int v = 0; v < V; ++v)
+                dv[v] = _mm256_loadu_ps(dd + 8 * v);
+            for (int r = 0; r < RC; ++r) {
+                const __m256 wv = _mm256_broadcast_ss(ww + r * kk);
+                for (int v = 0; v < V; ++v)
+                    s[r][v] = _mm256_fmadd_ps(wv, dv[v], s[r][v]);
+            }
+        } else {
+            __m256 wv[RC];
+            for (int r = 0; r < RC; ++r)
+                wv[r] = _mm256_broadcast_ss(ww + r * kk);
+            for (int v = 0; v < V; ++v) {
+                const __m256 dv = _mm256_loadu_ps(dd + 8 * v);
+                for (int r = 0; r < RC; ++r)
+                    s[r][v] = _mm256_fmadd_ps(wv[r], dv, s[r][v]);
+            }
+        }
+    };
+    int oc = 0;
+    for (; oc + 4 <= outC; oc += 4) {
+        step(oc);
+        step(oc + 1);
+        step(oc + 2);
+        step(oc + 3);
+    }
+    for (; oc < outC; ++oc)
+        step(oc);
+    for (int r = 0; r < RC; ++r)
+        for (int v = 0; v < V; ++v)
+            out[r * V + v] = s[r][v];
+}
+
+/**
+ * One strip of the conv input gradient: for each tap in order, the
+ * chains of gradInputChains (the TN product W^T * dY's per-element
+ * chain), added onto
+ * the lanes whose output position exists and blended away elsewhere.
+ */
+template <int RC>
+void
+gradInputStrip(const ConvGradInputPhase &ph, const float *wblock,
+               float *acc, int q)
+{
+    const std::ptrdiff_t oc_stride =
+        static_cast<std::ptrdiff_t>(ph.inC) * ph.kTaps;
+    constexpr int V = 12 / RC;
+    const __m256i neg1 = _mm256_set1_epi32(-1);
+    const __m256i ohv = _mm256_set1_epi32(ph.oh);
+    const __m256i owv = _mm256_set1_epi32(ph.ow);
+    // All-ones where lane q + 8v, shifted by the tap, lands on an
+    // output position: 0 <= a + cy < oh and 0 <= b + cx < ow.
+    const auto live = [&](int v, const ConvGradTap &tp) {
+        const __m256i y = _mm256_add_epi32(
+            _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(ph.rowOf + q + 8 * v)),
+            _mm256_set1_epi32(tp.cy));
+        const __m256i x = _mm256_add_epi32(
+            _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(ph.colOf + q + 8 * v)),
+            _mm256_set1_epi32(tp.cx));
+        const __m256i m =
+            _mm256_and_si256(_mm256_and_si256(_mm256_cmpgt_epi32(y, neg1),
+                                              _mm256_cmpgt_epi32(ohv, y)),
+                             _mm256_and_si256(_mm256_cmpgt_epi32(x, neg1),
+                                              _mm256_cmpgt_epi32(owv, x)));
+        return _mm256_castsi256_ps(m);
+    };
+    __m256 t[RC * V];
+    for (int ti = 0; ti < ph.nTaps; ++ti) {
+        const ConvGradTap tp = ph.taps[ti];
+        __m256 m[V];
+        int any = 0;
+        for (int v = 0; v < V; ++v) {
+            m[v] = live(v, tp);
+            any |= _mm256_movemask_ps(m[v]);
+        }
+        if (any == 0)
+            continue; // the blend would keep every lane as it is
+        gradInputChains<RC>(ph.outC, ph.planeStride,
+                            ph.dyp + q + tp.cy * ph.width + tp.cx,
+                            wblock + tp.tap, oc_stride, ph.kTaps, t);
+        for (int r = 0; r < RC; ++r)
+            for (int v = 0; v < V; ++v) {
+                float *p = acc + r * ph.accStride + q + 8 * v;
+                const __m256 cur = _mm256_loadu_ps(p);
+                _mm256_storeu_ps(p, _mm256_blendv_ps(
+                                        cur, _mm256_add_ps(cur, t[r * V + v]),
+                                        m[v]));
+            }
+    }
+}
+
+} // namespace
+
+void
+avx2ConvGradInputBlock(const ConvGradInputPhase &ph, int q0, int q1)
+{
+    static constexpr decltype(&gradInputStrip<1>) kStrip[] = {
+        gradInputStrip<1>, gradInputStrip<2>, gradInputStrip<3>,
+        gradInputStrip<4>, gradInputStrip<5>, gradInputStrip<6>};
+    static_assert(kGradInChannelBlock == 6);
+    // Channel block OUTER, strip INNER: a block's weights (outC runs of
+    // rc*k*k floats) stay in L1 across the strips of the lane block.
+    for (int ic0 = 0; ic0 < ph.inC; ic0 += kGradInChannelBlock) {
+        const int rc = std::min(kGradInChannelBlock, ph.inC - ic0);
+        const float *wb = ph.weight + static_cast<std::size_t>(ic0) * ph.kTaps;
+        float *acc = ph.acc + ic0 * ph.accStride;
+        const int lanes = 8 * (12 / rc);
+        for (int q = q0; q < q1; q += lanes)
+            kStrip[rc - 1](ph, wb, acc, q);
+    }
+}
+
+namespace
+{
+
+/** Horizontal sum of one 8-lane accumulator: lo + hi, then two hadds. */
+inline float
+hsum(__m256 acc)
+{
+    __m128 lo = _mm256_castps256_ps128(acc);
+    __m128 hi = _mm256_extractf128_ps(acc, 1);
+    lo = _mm_add_ps(lo, hi);
+    lo = _mm_hadd_ps(lo, lo);
+    lo = _mm_hadd_ps(lo, lo);
+    return _mm_cvtss_f32(lo);
+}
+
+/**
+ * hsum of 8 accumulators at once, each lane's sum through the same
+ * adds in the same order: the lo + hi step of two accumulators is one
+ * 256-bit add of their 128-bit halves, and 256-bit hadds run the two
+ * hadd levels of four accumulators per instruction.
+ */
+inline void
+hsum8(const __m256 *x, float *out)
+{
+    __m256 p[4];
+    for (int i = 0; i < 4; ++i) {
+        const __m256 a = x[2 * i], b = x[2 * i + 1];
+        p[i] = _mm256_add_ps(_mm256_permute2f128_ps(a, b, 0x20),
+                             _mm256_permute2f128_ps(a, b, 0x31));
+    }
+    // [s0 s2 s4 s6 | s1 s3 s5 s7]
+    const __m256 f = _mm256_hadd_ps(_mm256_hadd_ps(p[0], p[1]),
+                                    _mm256_hadd_ps(p[2], p[3]));
+    alignas(32) float t[8];
+    _mm256_store_ps(t, f);
+    for (int i = 0; i < 4; ++i) {
+        out[2 * i] = t[i];
+        out[2 * i + 1] = t[4 + i];
+    }
+}
+
+/**
+ * R x C block of NT dot products: each element is its own 8-lane FMA
+ * chain over k, then the horizontal sum and the scalar remainder, the
+ * same operations in the same order as a lone dot. Only the
+ * interleaving changes: R*C independent chains hide the FMA latency
+ * that a single chain is bound by, and a full 4 x 2 block shares its
+ * horizontal sums (hsum8), which short rows (8 x 8 maps) are bound by.
+ */
+template <int R, int C>
+inline void
+ntBlock(const float *const *a, const float *const *b, int K, float *c,
+        std::ptrdiff_t ldc, bool accumulate)
+{
+    __m256 acc[R][C];
+    for (int r = 0; r < R; ++r)
+        for (int j = 0; j < C; ++j)
+            acc[r][j] = _mm256_setzero_ps();
+    int k = 0;
+    for (; k + 8 <= K; k += 8) {
+        __m256 bv[C];
+        for (int j = 0; j < C; ++j)
+            bv[j] = _mm256_loadu_ps(b[j] + k);
+        for (int r = 0; r < R; ++r) {
+            const __m256 av = _mm256_loadu_ps(a[r] + k);
+            for (int j = 0; j < C; ++j)
+                acc[r][j] = _mm256_fmadd_ps(av, bv[j], acc[r][j]);
+        }
+    }
+    // Horizontal sums, then the scalar remainders.
+    float sums[R * C];
+    if constexpr (R * C == 8)
+        hsum8(&acc[0][0], sums);
+    else
+        for (int r = 0; r < R; ++r)
+            for (int j = 0; j < C; ++j)
+                sums[r * C + j] = hsum(acc[r][j]);
+    for (int r = 0; r < R; ++r) {
+        for (int j = 0; j < C; ++j) {
+            float s = sums[r * C + j];
+            for (int kk = k; kk < K; ++kk)
+                s += a[r][kk] * b[j][kk];
+            float &dst = c[r * ldc + j];
+            dst = accumulate ? dst + s : s;
+        }
+    }
+}
+
+/** ntBlock over rows [i, i + R) and every column, 2 at a time. */
+template <int R>
+inline void
+ntRows(int i, int N, int K, const float *A, const float *B, float *C,
+       bool accumulate)
+{
+    const float *a[R];
+    for (int r = 0; r < R; ++r)
+        a[r] = A + static_cast<std::ptrdiff_t>(i + r) * K;
+    float *c = C + static_cast<std::ptrdiff_t>(i) * N;
+    int j = 0;
+    for (; j + 2 <= N; j += 2) {
+        const float *b[2] = {B + static_cast<std::ptrdiff_t>(j) * K,
+                             B + static_cast<std::ptrdiff_t>(j + 1) * K};
+        ntBlock<R, 2>(a, b, K, c + j, N, accumulate);
+    }
+    if (j < N) {
+        const float *b[1] = {B + static_cast<std::ptrdiff_t>(j) * K};
+        ntBlock<R, 1>(a, b, K, c + j, N, accumulate);
+    }
+}
+
+} // namespace
+
 void
 avx2GemmNTRows(int i0, int i1, int N, int K, const float *A, const float *B,
                float *C, bool accumulate)
 {
-    for (int i = i0; i < i1; ++i) {
-        const float *a = A + static_cast<std::ptrdiff_t>(i) * K;
-        float *c = C + static_cast<std::ptrdiff_t>(i) * N;
-        for (int j = 0; j < N; ++j) {
-            const float *b = B + static_cast<std::ptrdiff_t>(j) * K;
-            __m256 acc = _mm256_setzero_ps();
-            int k = 0;
-            for (; k + 8 <= K; k += 8)
-                acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + k),
-                                      _mm256_loadu_ps(b + k), acc);
-            // Horizontal sum, then the scalar remainder.
-            __m128 lo = _mm256_castps256_ps128(acc);
-            __m128 hi = _mm256_extractf128_ps(acc, 1);
-            lo = _mm_add_ps(lo, hi);
-            lo = _mm_hadd_ps(lo, lo);
-            lo = _mm_hadd_ps(lo, lo);
-            float s = _mm_cvtss_f32(lo);
-            for (; k < K; ++k)
-                s += a[k] * b[k];
-            c[j] = accumulate ? c[j] + s : s;
-        }
-    }
+    int i = i0;
+    for (; i + 4 <= i1; i += 4)
+        ntRows<4>(i, N, K, A, B, C, accumulate);
+    for (; i < i1; ++i)
+        ntRows<1>(i, N, K, A, B, C, accumulate);
 }
 
 namespace

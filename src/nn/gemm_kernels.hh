@@ -80,19 +80,60 @@ packedBLayout(int K, int N)
  */
 constexpr int kConvBlockPositions = 96;
 
+/**
+ * Input channels per block of the conv input gradient: a 6-channel
+ * block is the AVX2 strip's broadcast operand (6 channels x 16 lanes =
+ * 12 accumulators); a narrower last block widens its strip so small
+ * channel counts still fill the register tile.
+ */
+constexpr int kGradInChannelBlock = 6;
+
+/** One tap (ky, kx) of a conv input-gradient phase: a lane at phase
+ *  position (a, b) reads output gradient (a + cy, b + cx). */
+struct ConvGradTap
+{
+    int tap; ///< ky * k + kx
+    int cy;
+    int cx;
+};
+
+/**
+ * One stride phase of the conv input gradient (see convBackwardInput):
+ * the input positions (py + stride*a, px + stride*b) for one phase
+ * (py, px), laid out as lanes q = a*width + b. Every field is built by
+ * the driver in gemm.cc; both block kernels only read it.
+ *
+ * Lane q, tap t reads dY channel oc at
+ *   dyp[oc*planeStride + q + taps[t].cy*width + taps[t].cx],
+ * which is the output gradient at (a + cy, b + cx) whenever that lies
+ * in [0, oh) x [0, ow). Lanes where it does not (image borders, and
+ * the junk lanes b >= the phase's row length) read some in-bounds plane
+ * value, and the per-lane blend discards the result.
+ */
+struct ConvGradInputPhase
+{
+    int inC = 0, outC = 0;
+    int oh = 0, ow = 0;
+    int width = 0;                 ///< lanes per phase row = dY row stride
+    std::ptrdiff_t planeStride = 0; ///< floats between dY channel planes
+    const float *dyp = nullptr;    ///< dY (0, 0) of channel 0
+    const float *weight = nullptr; ///< conv weights [outC][inC][k][k]
+    int kTaps = 0;                 ///< k*k
+    const ConvGradTap *taps = nullptr; ///< this phase's taps, (ky, kx) order
+    int nTaps = 0;
+    const int *rowOf = nullptr;    ///< lane q -> a
+    const int *colOf = nullptr;    ///< lane q -> b
+    float *acc = nullptr;          ///< [inC][accStride] gradient lanes
+    std::ptrdiff_t accStride = 0;
+};
+
 #ifdef PTOLEMY_HAVE_AVX2
 
 /**
  * C tile [i0,i1) x [j0,j1) = A * B over the full K extent (or += when
  * @p accumulate), with register-resident accumulators (6x16 FMA
- * microkernel plus 8-wide and scalar column tails).
- *
- * The A element for output row i, depth k is
- *   a_base[i * a_row_stride + k * a_elem_stride]
- * which serves both the NN layout (row_stride = K, elem_stride = 1)
- * and the TN layout (row_stride = 1, elem_stride = M) without a
- * transposed copy. B and C are row-major with leading dimensions
- * @p ldb / @p ldc.
+ * microkernel plus 8-wide and scalar column tails). A, B and C are
+ * row-major with leading dimensions @p lda, @p ldb and @p ldc.
  *
  * Per-element results depend only on (i, j, K) — never on the tile
  * partition or where the 16/8-column blocking lands: every column
@@ -100,10 +141,9 @@ constexpr int kConvBlockPositions = 96;
  * fma(a_k, b_kj, acc) over k ascending. Outputs are therefore
  * bit-identical across thread counts AND across column placement.
  */
-void avx2GemmTile(int i0, int i1, int j0, int j1, int K,
-                  const float *a_base, std::ptrdiff_t a_row_stride,
-                  std::ptrdiff_t a_elem_stride, const float *B, int ldb,
-                  float *C, int ldc, bool accumulate);
+void avx2GemmTile(int i0, int i1, int j0, int j1, int K, const float *A,
+                  std::ptrdiff_t lda, const float *B, int ldb, float *C,
+                  int ldc, bool accumulate);
 
 /**
  * Implicit-GEMM conv-forward block: out[i * ldc + j] = bias[i] +
@@ -138,9 +178,24 @@ void avx2ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
                            std::ptrdiff_t ldc);
 
 /**
+ * Conv input-gradient block: lanes [q0, q1) of phase @p ph (q0 a
+ * multiple of kConvBlockPositions, q1 - q0 <= kConvBlockPositions) for
+ * every input channel. Per lane and tap in order, the tap's value is
+ * the fold fma(w_oc, dy_oc, t) over oc ascending from +0 — the AVX2 TN
+ * product W^T * dY's chain for that col-gradient element — and it is
+ * added onto the lane's
+ * accumulator only where the tap lands inside the output gradient (a
+ * per-lane blend), exactly as col2im adds it. The result is therefore
+ * bit-identical to that product scattered by col2im, signed zeros
+ * included.
+ */
+void avx2ConvGradInputBlock(const ConvGradInputPhase &ph, int q0, int q1);
+
+/**
  * NT row block: C[i][j] = dot(A row i, B row j) for i in [i0,i1),
  * j in [0,N), rows of length K (or += when @p accumulate). 8-wide FMA
  * accumulation with a scalar remainder; per-element deterministic.
+ * Dots run 4 rows x 2 columns at a time, each with its own chain.
  */
 void avx2GemmNTRows(int i0, int i1, int N, int K, const float *A,
                     const float *B, float *C, bool accumulate);

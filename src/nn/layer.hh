@@ -110,7 +110,11 @@ struct PsumRow
  * a warmed-up backward pass performs no heap allocation. When
  * @p accumulate is false the layer resizes the tensor and overwrites
  * it; when true the tensor already holds another consumer's gradient
- * of the same shape and the layer adds element-wise.
+ * of the same shape and the layer adds element-wise. A null @p grad
+ * means nothing consumes this input's gradient (Network::
+ * backwardParams): layers with parameters still compute those and skip
+ * the input gradient, and multi-input layers skip that slot. Network
+ * never calls a parameterless layer whose every sink is null.
  */
 struct GradSink
 {
@@ -121,9 +125,9 @@ struct GradSink
 /**
  * Sentinel accepted as backwardInto's @p param_grads: compute no
  * parameter gradients at all. Layers with parameters skip the dW/db
- * arithmetic outright (for conv that also drops the im2col that only
- * feeds dW — roughly half the backward cost); the input gradients they
- * produce are bit-identical to a full backward's. The batched attack
+ * arithmetic outright (for conv that drops the NT product and the
+ * im2col that only feeds it); the input gradients they produce are
+ * bit-identical to a full backward's. The batched attack
  * engine rides this: attacks consume dLoss/dInput only, and the legacy
  * sample-serial path wasted the parameter-gradient work every
  * iteration. Compare by address; never dereference.

@@ -57,14 +57,15 @@ Linear::backwardInto(const std::vector<const Tensor *> &ins,
                      std::vector<float> *const *param_grads)
 {
     const Tensor &in = *ins[0];
-    Tensor &grad_in = *sinks[0].grad;
-    if (!sinks[0].accumulate)
-        grad_in.resize(in.shape());
-    // grad_in = W^T * grad_out; the kernel skips zero gradient rows just
-    // like the fused scalar loop did, and its accumulate flag directly
-    // implements the sink's overwrite/accumulate contract.
-    sgemvT(outN, inN, weight.data(), grad_out.data(), grad_in.data(),
-           sinks[0].accumulate);
+    if (Tensor *grad_in = sinks[0].grad) {
+        if (!sinks[0].accumulate)
+            grad_in->resize(in.shape());
+        // grad_in = W^T * grad_out; the kernel skips zero gradient rows
+        // just like the fused scalar loop did, and its accumulate flag
+        // directly implements the sink's overwrite/accumulate contract.
+        sgemvT(outN, inN, weight.data(), grad_out.data(), grad_in->data(),
+               sinks[0].accumulate);
+    }
     if (param_grads == skipParamGrads())
         return; // input-gradient-only backward
     auto &grad_w = param_grads ? *param_grads[0] : gradWeight;

@@ -142,46 +142,37 @@ Network::forwardBatch(std::span<const Tensor *const> xs,
 const Tensor &
 Network::backward(const Record &rec, const Tensor &grad_logits)
 {
-    return backward(rec, grad_logits, arena, /*param_grads=*/nullptr);
+    seedLogits(arena, grad_logits);
+    backwardWalk(rec, arena.seeds, arena, /*param_grads=*/nullptr,
+                 Pass::Full);
+    return arena.gradInput;
 }
 
-const Tensor &
-Network::backward(const Record &rec, const Tensor &grad_logits,
-                  GradArena &slot, std::vector<std::vector<float>> *param_grads)
+void
+Network::backwardParams(const Record &rec, const Tensor &grad_logits,
+                        GradArena &slot,
+                        std::vector<std::vector<float>> &param_grads)
 {
-    slot.seeds.resize(1);
-    slot.seeds[0].first = numNodes() - 1;
-    slot.seeds[0].second = grad_logits; // copy-assign reuses the buffer
-    return backwardMulti(rec, slot.seeds, slot, param_grads);
+    seedLogits(slot, grad_logits);
+    backwardWalk(rec, slot.seeds, slot, &param_grads, Pass::ParamsOnly);
 }
 
 const Tensor &
 Network::backwardInputOnly(const Record &rec, const Tensor &grad_logits,
                            GradArena &slot)
 {
-    slot.seeds.resize(1);
-    slot.seeds[0].first = numNodes() - 1;
-    slot.seeds[0].second = grad_logits; // copy-assign reuses the buffer
-    return backwardMultiImpl(rec, slot.seeds, slot,
-                             /*param_grads=*/nullptr,
-                             /*input_only=*/true);
+    seedLogits(slot, grad_logits);
+    backwardWalk(rec, slot.seeds, slot, /*param_grads=*/nullptr,
+                 Pass::InputOnly);
+    return slot.gradInput;
 }
 
 const Tensor &
 Network::backwardMulti(const Record &rec,
                        const std::vector<std::pair<int, Tensor>> &seeds)
 {
-    return backwardMulti(rec, seeds, arena, /*param_grads=*/nullptr);
-}
-
-const Tensor &
-Network::backwardMulti(const Record &rec,
-                       const std::vector<std::pair<int, Tensor>> &seeds,
-                       GradArena &slot,
-                       std::vector<std::vector<float>> *param_grads)
-{
-    return backwardMultiImpl(rec, seeds, slot, param_grads,
-                             /*input_only=*/false);
+    backwardWalk(rec, seeds, arena, /*param_grads=*/nullptr, Pass::Full);
+    return arena.gradInput;
 }
 
 const Tensor &
@@ -189,16 +180,24 @@ Network::backwardMultiInputOnly(
     const Record &rec, const std::vector<std::pair<int, Tensor>> &seeds,
     GradArena &slot)
 {
-    return backwardMultiImpl(rec, seeds, slot, /*param_grads=*/nullptr,
-                             /*input_only=*/true);
+    backwardWalk(rec, seeds, slot, /*param_grads=*/nullptr, Pass::InputOnly);
+    return slot.gradInput;
 }
 
-const Tensor &
-Network::backwardMultiImpl(const Record &rec,
-                           const std::vector<std::pair<int, Tensor>> &seeds,
-                           GradArena &slot,
-                           std::vector<std::vector<float>> *param_grads,
-                           bool input_only)
+void
+Network::seedLogits(GradArena &slot, const Tensor &grad_logits) const
+{
+    slot.seeds.resize(1);
+    slot.seeds[0].first = numNodes() - 1;
+    slot.seeds[0].second = grad_logits; // copy-assign reuses the buffer
+}
+
+void
+Network::backwardWalk(const Record &rec,
+                      const std::vector<std::pair<int, Tensor>> &seeds,
+                      GradArena &slot,
+                      std::vector<std::vector<float>> *param_grads,
+                      Pass pass)
 {
     if (rec.outputs.size() != nodes.size())
         throw std::logic_error(
@@ -212,6 +211,7 @@ Network::backwardMultiImpl(const Record &rec,
         for (std::size_t i = 0; i < flatParamCache.size(); ++i)
             slot.pgradPtrs[i] = &(*param_grads)[i];
     }
+    const bool params_only = pass == Pass::ParamsOnly;
 
     // Gradients accumulate at each node's *output* (plus the net input)
     // inside the slot arena; seeded flags gate every read so stale
@@ -231,6 +231,8 @@ Network::backwardMultiImpl(const Record &rec,
     for (int id = numNodes() - 1; id >= 0; --id) {
         if (!slot.seeded[id])
             continue; // node does not reach the loss
+        if (params_only && !feedsParams[id])
+            continue; // no parameter at or upstream of this node
         auto &n = nodes[id];
         slot.sinks.clear();
         slot.ins.clear();
@@ -238,7 +240,9 @@ Network::backwardMultiImpl(const Record &rec,
             slot.ins.push_back(in_id < 0 ? &rec.input
                                          : &rec.outputs[in_id]);
             GradSink s;
-            if (in_id < 0) {
+            if (params_only && (in_id < 0 || !feedsParams[in_id])) {
+                // Null sink: no parameter gradient depends on dL/d(in).
+            } else if (in_id < 0) {
                 s.grad = &slot.gradInput;
                 s.accumulate = slot.gradInputSeeded;
                 slot.gradInputSeeded = true;
@@ -251,15 +255,14 @@ Network::backwardMultiImpl(const Record &rec,
         }
         n.layer->backwardInto(
             slot.ins, slot.gradAt[id], slot.sinks,
-            input_only
+            pass == Pass::InputOnly
                 ? skipParamGrads()
                 : (param_grads
                        ? slot.pgradPtrs.data() + nodeParamOffset[id]
                        : nullptr));
     }
-    if (!slot.gradInputSeeded)
+    if (!params_only && !slot.gradInputSeeded)
         slot.gradInput.resizeZero(inShape); // loss unreachable from input
-    return slot.gradInput;
 }
 
 std::size_t
@@ -286,11 +289,16 @@ Network::ensureParamIndex()
     flatParamCache.clear();
     nodeParamOffset.assign(nodes.size(), 0);
     nodeStateOffset.assign(nodes.size(), 0);
+    feedsParams.assign(nodes.size(), 0);
     stateFloats = 0;
     for (std::size_t id = 0; id < nodes.size(); ++id) {
         nodeParamOffset[id] = flatParamCache.size();
         for (auto p : nodes[id].layer->params())
             flatParamCache.push_back(p);
+        feedsParams[id] = flatParamCache.size() > nodeParamOffset[id];
+        for (int in_id : nodes[id].inputs)
+            if (in_id >= 0 && feedsParams[in_id])
+                feedsParams[id] = 1;
         nodeStateOffset[id] = stateFloats;
         stateFloats += nodes[id].layer->trainStateSize();
     }

@@ -204,27 +204,31 @@ class Network
     const Tensor &backward(const Record &rec, const Tensor &grad_logits);
 
     /**
-     * As backward(rec, grad_logits), but with caller-owned scratch and
-     * gradient destinations so several samples can back-propagate
-     * concurrently on one network.
-     * @param slot this pass's scratch arena; the returned tensor is
-     *        borrowed from it.
-     * @param param_grads when non-null, parameter gradients accumulate
-     *        into these flat buffers (flatParams() order, sized like
-     *        each parameter) instead of the layers' own grad buffers.
+     * Parameter gradients of one recorded pass, with caller-owned
+     * scratch and destinations so several samples can back-propagate
+     * concurrently on one network (the trainer's per-sample step).
+     * Accumulates (+=) into @p param_grads (flatParams() order, sized
+     * like each parameter) and computes no gradient that no parameter
+     * gradient depends on: a layer fed by the network input — or by a
+     * node with no parameter at or above it — gets a null sink and
+     * skips its input gradient (for a conv first layer, the whole
+     * transposed convolution). Every parameter gradient is
+     * bit-identical to a full backward's.
+     * @param slot this pass's scratch arena.
      */
-    const Tensor &backward(const Record &rec, const Tensor &grad_logits,
-                           GradArena &slot,
-                           std::vector<std::vector<float>> *param_grads);
+    void backwardParams(const Record &rec, const Tensor &grad_logits,
+                        GradArena &slot,
+                        std::vector<std::vector<float>> &param_grads);
 
     /**
-     * As the slot-scratch backward, but computing the input gradient
-     * ONLY: parameter gradients are neither computed nor written
-     * anywhere — weighted layers skip the dW/db arithmetic outright
-     * (roughly half of a conv backward), and the returned input
-     * gradient is bit-identical to the full backward's. This is the
-     * batched attack engine's fast path: attacks consume dLoss/dInput
-     * and nothing else.
+     * As backward(), but with caller-owned scratch (@p slot; the
+     * returned tensor is borrowed from it) and computing the input
+     * gradient ONLY: parameter gradients are neither computed nor
+     * written anywhere — weighted layers skip the dW/db arithmetic
+     * outright (for conv, the NT product and its im2col), and the
+     * returned input gradient is bit-identical to the full backward's.
+     * This is the batched attack engine's fast path: attacks consume
+     * dLoss/dInput and nothing else.
      */
     const Tensor &backwardInputOnly(const Record &rec,
                                     const Tensor &grad_logits,
@@ -238,11 +242,6 @@ class Network
      */
     const Tensor &backwardMulti(
         const Record &rec, const std::vector<std::pair<int, Tensor>> &seeds);
-
-    /** Slot-scratch variant of backwardMulti (see backward above). */
-    const Tensor &backwardMulti(
-        const Record &rec, const std::vector<std::pair<int, Tensor>> &seeds,
-        GradArena &slot, std::vector<std::vector<float>> *param_grads);
 
     /** Input-gradient-only variant of backwardMulti (see
      *  backwardInputOnly). */
@@ -317,11 +316,23 @@ class Network
     /** Build the cached parameter index (flat list + per-node spans). */
     void ensureParamIndex();
 
-    /** Shared walk behind every backward entry point. */
-    const Tensor &backwardMultiImpl(
-        const Record &rec, const std::vector<std::pair<int, Tensor>> &seeds,
-        GradArena &slot, std::vector<std::vector<float>> *param_grads,
-        bool input_only);
+    /** Which gradients a backward walk produces. */
+    enum class Pass
+    {
+        Full,       ///< input and parameter gradients
+        InputOnly,  ///< dL/d(input) only (skipParamGrads)
+        ParamsOnly, ///< parameter gradients only (null sinks)
+    };
+
+    /** Seed @p slot with dL/dLogits at the output node. */
+    void seedLogits(GradArena &slot, const Tensor &grad_logits) const;
+
+    /** Shared walk behind every backward entry point; the input
+     *  gradient lands in @p slot.gradInput unless ParamsOnly. */
+    void backwardWalk(const Record &rec,
+                      const std::vector<std::pair<int, Tensor>> &seeds,
+                      GradArena &slot,
+                      std::vector<std::vector<float>> *param_grads, Pass pass);
 
     std::string netName;
     Shape inShape;
@@ -334,6 +345,9 @@ class Network
     std::vector<Param> flatParamCache;
     std::vector<std::size_t> nodeParamOffset; ///< per node, into flat list
     std::vector<std::size_t> nodeStateOffset; ///< per node, into state blob
+    /** Per node: it or a node upstream of it has parameters, i.e. some
+     *  parameter gradient depends on its output gradient. */
+    std::vector<std::uint8_t> feedsParams;
     std::size_t stateFloats = 0;
     std::size_t paramIndexNodes = static_cast<std::size_t>(-1);
 };

@@ -116,8 +116,8 @@ Trainer::trainInto(Network &net, const Dataset &data,
                     softmaxCrossEntropyInto(sc.rec.logits(), s.label,
                                             sc.lg);
                     ln.lossSum += sc.lg.loss;
-                    net.backward(sc.rec, sc.lg.grad, sc.arena,
-                                 &ln.paramGrads);
+                    net.backwardParams(sc.rec, sc.lg.grad, sc.arena,
+                                       ln.paramGrads);
                     if (state_sz > 0)
                         net.collectTrainState(
                             sc.rec,

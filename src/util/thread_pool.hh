@@ -45,10 +45,34 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/tuning.hh"
 
 namespace ptolemy
 {
+
+/**
+ * CPUs this thread may run on: the size of its affinity mask where the
+ * platform reports one (a container cpuset or `taskset` restricts it),
+ * std::thread::hardware_concurrency() otherwise — which counts every
+ * CPU of the machine and so oversubscribes a restricted process.
+ */
+inline unsigned
+availableCpus()
+{
+#ifdef __linux__
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        const int n = CPU_COUNT(&set);
+        if (n > 0)
+            return static_cast<unsigned>(n);
+    }
+#endif
+    return std::thread::hardware_concurrency();
+}
 
 namespace detail
 {
@@ -75,11 +99,10 @@ currentTidRef()
 class ThreadPool
 {
   public:
-    /** @param n_threads total worker count; 0 = hardware concurrency. */
+    /** @param n_threads total worker count; 0 = availableCpus(). */
     explicit ThreadPool(unsigned n_threads = 0)
     {
-        unsigned n =
-            n_threads ? n_threads : std::thread::hardware_concurrency();
+        unsigned n = n_threads ? n_threads : availableCpus();
         if (n == 0)
             n = 1;
         for (unsigned i = 0; i + 1 < n; ++i)
@@ -296,7 +319,7 @@ class ThreadPool
 /**
  * The process-wide pool every library-internal parallel section uses.
  * Sized from PTOLEMY_NUM_THREADS when set (1 forces fully serial
- * execution), hardware concurrency otherwise. Constructed on first use;
+ * execution), availableCpus() otherwise. Constructed on first use;
  * workers idle on a condition variable between loops.
  */
 inline ThreadPool &
@@ -311,7 +334,7 @@ globalPool()
             if (n > 0)
                 return static_cast<unsigned>(n);
         }
-        return 0u; // hardware concurrency
+        return 0u; // availableCpus()
     }());
     return pool;
 }

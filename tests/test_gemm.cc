@@ -107,17 +107,6 @@ TEST(Sgemm, TransposedVariantsMatchPlainGemm)
     std::vector<float> ref;
     naiveGemmRef(M, N, K, A, B, ref);
 
-    // sgemmTN consumes A stored transposed ([K x M]).
-    std::vector<float> At(static_cast<std::size_t>(K) * M);
-    for (int i = 0; i < M; ++i)
-        for (int k = 0; k < K; ++k)
-            At[static_cast<std::size_t>(k) * M + i] =
-                A[static_cast<std::size_t>(i) * K + k];
-    std::vector<float> C(static_cast<std::size_t>(M) * N);
-    sgemmTN(M, N, K, At.data(), B.data(), C.data());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-        ASSERT_NEAR(C[i], ref[i], 1e-3f);
-
     // sgemmNT consumes B stored transposed ([N x K]).
     std::vector<float> Bt(static_cast<std::size_t>(N) * K);
     for (int k = 0; k < K; ++k)
@@ -274,13 +263,8 @@ TEST(SgemmSimd, Avx2MatchesScalarAcrossOddRemainders)
                 std::vector<float> A(static_cast<std::size_t>(M) * K);
                 std::vector<float> B(static_cast<std::size_t>(K) * N);
                 std::vector<float> Bt(static_cast<std::size_t>(N) * K);
-                std::vector<float> At(static_cast<std::size_t>(K) * M);
                 fillRandom(A, rng);
                 fillRandom(B, rng);
-                for (int i = 0; i < M; ++i)
-                    for (int k = 0; k < K; ++k)
-                        At[static_cast<std::size_t>(k) * M + i] =
-                            A[static_cast<std::size_t>(i) * K + k];
                 for (int k = 0; k < K; ++k)
                     for (int j = 0; j < N; ++j)
                         Bt[static_cast<std::size_t>(j) * K + k] =
@@ -300,16 +284,6 @@ TEST(SgemmSimd, Avx2MatchesScalarAcrossOddRemainders)
                     ASSERT_NEAR(cs[i], cv[i], tol)
                         << "sgemm M=" << M << " N=" << N << " K=" << K
                         << " acc=" << acc << " i=" << i;
-
-                std::fill(cs.begin(), cs.end(), 0.5f);
-                std::fill(cv.begin(), cv.end(), 0.5f);
-                simdMode() = SimdMode::Scalar;
-                sgemmTN(M, N, K, At.data(), B.data(), cs.data(), acc);
-                simdMode() = SimdMode::Avx2;
-                sgemmTN(M, N, K, At.data(), B.data(), cv.data(), acc);
-                for (std::size_t i = 0; i < cn; ++i)
-                    ASSERT_NEAR(cs[i], cv[i], tol)
-                        << "sgemmTN M=" << M << " N=" << N << " K=" << K;
 
                 std::fill(cs.begin(), cs.end(), 0.5f);
                 std::fill(cv.begin(), cv.end(), 0.5f);

@@ -5,7 +5,8 @@
  * lowest-indexed exception is rethrown on the calling thread
  * (deterministically, at any thread count), and the pool remains fully
  * usable afterwards. Also the job hand-off: a worker that wakes after
- * the caller has run every index skips the closed job.
+ * the caller has run every index skips the closed job, and the default
+ * pool size follows the affinity mask.
  */
 
 #include <gtest/gtest.h>
@@ -120,6 +121,29 @@ TEST(ThreadPool, BackToBackShortLoopsRunEveryIndexOnceInDistinctSlots)
         }
     }
 }
+
+#ifdef __linux__
+TEST(ThreadPool, DefaultSizeFollowsTheAffinityMask)
+{
+    // Under a one-CPU mask (a container cpuset, taskset -c 0) the
+    // default pool must not count the machine's other CPUs.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned cpus = availableCpus();
+    const unsigned size = ThreadPool(0).size();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(cpus, 1u);
+    EXPECT_EQ(size, 1u);
+    EXPECT_EQ(availableCpus(), static_cast<unsigned>(CPU_COUNT(&saved)));
+}
+#endif
 
 } // namespace
 } // namespace ptolemy
