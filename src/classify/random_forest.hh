@@ -44,12 +44,6 @@ class RandomForest
     /** Mean class-1 probability across trees. */
     double predictProb(const std::vector<double> &features) const;
 
-    /** Hard decision at the 0.5 operating point. */
-    bool predictAdversarial(const std::vector<double> &features) const
-    {
-        return predictProb(features) >= 0.5;
-    }
-
     int numTrees() const { return static_cast<int>(trees.size()); }
 
     /** Mean tree depth (paper quotes ~12). */

@@ -66,6 +66,12 @@ DetectorModel::load(const std::string &path)
     std::ifstream is(path, std::ios::binary);
     if (!is)
         throw ModelLoadError("cannot open '" + path + "'");
+    load(is);
+}
+
+void
+DetectorModel::load(std::istream &is)
+{
     std::string magic, sig;
     std::uint64_t num_classes;
     if (!readString(is, magic) || magic != kModelMagic)

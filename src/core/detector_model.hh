@@ -30,6 +30,7 @@
 #ifndef PTOLEMY_CORE_DETECTOR_MODEL_HH
 #define PTOLEMY_CORE_DETECTOR_MODEL_HH
 
+#include <istream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -137,6 +138,10 @@ class DetectorModel
      * a fresh model and publishes it instead; see serve::DetectorServer).
      */
     void load(const std::string &path);
+
+    /** load() from an open stream positioned at the artifact: the same
+     *  checks and the same strong guarantee, minus the file open. */
+    void load(std::istream &is);
 
     /** load() variant returning false instead of throwing. */
     bool tryLoad(const std::string &path);

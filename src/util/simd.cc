@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "util/tuning.hh"
-
 namespace ptolemy
 {
 
@@ -12,7 +10,6 @@ SimdMode &
 simdMode()
 {
     static SimdMode mode = [] {
-        ensureTuningApplied();
         if (const char *s = std::getenv("PTOLEMY_SIMD")) {
             if (std::string(s) == "scalar")
                 return SimdMode::Scalar;

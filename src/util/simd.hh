@@ -33,10 +33,10 @@ enum class SimdMode
 };
 
 /**
- * Process-wide kernel selector. Initialized to Avx2 when the build
- * compiled the AVX2 TUs and the CPU supports them (override with the
- * PTOLEMY_SIMD=scalar environment variable); tests and benches may
- * flip it at runtime.
+ * Process-wide kernel selector. Initialized on first use to Scalar
+ * when the PTOLEMY_SIMD environment variable is "scalar" (the one
+ * place the library reads it), to avx2Available() otherwise; tests
+ * and benches may flip it at runtime.
  */
 SimdMode &simdMode();
 

@@ -49,8 +49,6 @@
 #include <sched.h>
 #endif
 
-#include "util/tuning.hh"
-
 namespace ptolemy
 {
 
@@ -319,16 +317,14 @@ class ThreadPool
 /**
  * The process-wide pool every library-internal parallel section uses.
  * Sized from PTOLEMY_NUM_THREADS when set (1 forces fully serial
- * execution), availableCpus() otherwise. Constructed on first use;
- * workers idle on a condition variable between loops.
+ * execution), availableCpus() otherwise. This is the one place the
+ * library reads that variable, once, on first use; workers idle on a
+ * condition variable between loops.
  */
 inline ThreadPool &
 globalPool()
 {
     static ThreadPool pool([] {
-        // Honor a bench_sweep picks file before the first env read
-        // (explicit environment still wins; see util/tuning.hh).
-        ensureTuningApplied();
         if (const char *s = std::getenv("PTOLEMY_NUM_THREADS")) {
             const long n = std::strtol(s, nullptr, 10);
             if (n > 0)

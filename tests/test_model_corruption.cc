@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,9 +30,9 @@ namespace
 
 /**
  * A deliberately small fitted model (3 classes, untrained net, 3-tree
- * forest) so its artifact file stays in the few-KB range: the
- * truncation sweep re-parses a prefix of the file for every byte
- * offset, which is quadratic in file size.
+ * forest) so its artifact stays in the few-KB range: the truncation
+ * sweep re-parses a prefix of it for every byte offset, which is
+ * quadratic in artifact size.
  */
 struct SmallWorld
 {
@@ -109,6 +110,16 @@ writeAll(const std::string &path, const char *data, std::size_t n)
     ASSERT_TRUE(os.good());
 }
 
+/** Parse the first @p n bytes of @p data as an artifact. The sweeps
+ *  parse from memory: a file write and open per offset would cost
+ *  orders of magnitude more than the parse it feeds. */
+void
+loadBytes(DetectorModel &target, const char *data, std::size_t n)
+{
+    std::istringstream is(std::string(data, n), std::ios::binary);
+    target.load(is);
+}
+
 DetectorModel
 freshTarget()
 {
@@ -129,21 +140,19 @@ TEST(ModelCorruption, TruncationAtEveryByteOffsetThrowsTyped)
     ASSERT_GT(bytes.size(), 0u);
     // Keep the quadratic sweep honest-but-bounded: the fixture is
     // sized for this, a ballooned artifact would silently turn the
-    // sweep into minutes of I/O.
+    // sweep into minutes of parsing.
     ASSERT_LT(bytes.size(), 600u * 1024)
         << "fixture artifact grew too large for an every-offset sweep";
 
     DetectorModel target = freshTarget();
     for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-        writeAll(path, bytes.data(), cut);
-        EXPECT_THROW(target.load(path), ModelLoadError)
+        EXPECT_THROW(loadBytes(target, bytes.data(), cut), ModelLoadError)
             << "truncation at byte " << cut << " of " << bytes.size();
     }
 
-    // The full file still loads — the sweep didn't lose the original —
-    // and the target, having survived every failed load unchanged,
-    // accepts it (strong guarantee end-to-end).
-    writeAll(path, bytes.data(), bytes.size());
+    // The saved file loads through the path overload, and the target,
+    // having survived every failed load unchanged, accepts it (strong
+    // guarantee end-to-end).
     EXPECT_NO_THROW(target.load(path));
     std::remove(path.c_str());
 }
@@ -154,6 +163,7 @@ TEST(ModelCorruption, HeaderAndSignatureByteFlipsThrowTyped)
     const std::string path = "corrupt_flip.model";
     ASSERT_TRUE(w.model.save(path));
     const std::vector<char> bytes = readAll(path);
+    std::remove(path.c_str());
 
     // The header/signature region: length-prefixed magic, length-
     // prefixed architecture signature, and the u64 class count. Every
@@ -173,17 +183,15 @@ TEST(ModelCorruption, HeaderAndSignatureByteFlipsThrowTyped)
             mutated[off] =
                 static_cast<char>(static_cast<unsigned char>(bytes[off]) ^
                                   mask);
-            writeAll(path, mutated.data(), mutated.size());
-            EXPECT_THROW(target.load(path), ModelLoadError)
+            EXPECT_THROW(loadBytes(target, mutated.data(), mutated.size()),
+                         ModelLoadError)
                 << "flip mask 0x" << std::hex << +mask << std::dec
                 << " at byte " << off;
             mutated[off] = bytes[off]; // restore for the next offset
         }
     }
 
-    writeAll(path, bytes.data(), bytes.size());
-    EXPECT_NO_THROW(target.load(path));
-    std::remove(path.c_str());
+    EXPECT_NO_THROW(loadBytes(target, bytes.data(), bytes.size()));
 }
 
 TEST(ModelCorruption, FailedLoadLeavesServingModelUntouched)

@@ -5,9 +5,11 @@
  *   ptolemy_determinism <train|attack|detect|telemetry>
  *
  * Every probe trains a small CNN on synthetic data on the process-wide
- * pool and prints one line of FNV-1a hashes. Running a probe under
- * different PTOLEMY_NUM_THREADS values must print the same hashes; CI
- * also pins them per SIMD mode.
+ * pool and prints one line of FNV-1a hashes, led by the pool width and
+ * SIMD mode in effect (`threads=` and `simd=`, so a run shows that the
+ * PTOLEMY_NUM_THREADS and PTOLEMY_SIMD it was given took effect).
+ * Running a probe under different PTOLEMY_NUM_THREADS values must
+ * print the same hashes; CI also pins them per SIMD mode.
  *
  *  - train: hash of every trained parameter and state buffer. The
  *    probe net carries a Norm2d layer, so the data-parallel trainer's
@@ -59,6 +61,7 @@
 #include "nn/trainer.hh"
 #include "telemetry/hub.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 #include "util/thread_pool.hh"
 
 namespace
@@ -172,8 +175,9 @@ trainProbe()
         for (auto p : w.net.layerAt(id).state())
             h = fnv1a(h, p.value->data(), p.value->size() * sizeof(float));
 
-    std::printf("threads=%u weights_hash=%016llx acc=%.4f\n",
-                globalPool().size(), static_cast<unsigned long long>(h),
+    std::printf("threads=%u simd=%s weights_hash=%016llx acc=%.4f\n",
+                globalPool().size(), simdModeName(),
+                static_cast<unsigned long long>(h),
                 nn::Trainer::evaluate(w.net, w.ds.test));
     return 0;
 }
@@ -205,8 +209,8 @@ attackProbe()
                                         /*iters=*/15, /*lr=*/0.08);
     h = hashAttack(h, at);
 
-    std::printf("threads=%u suite_hash=%016llx full_hash=%016llx\n",
-                globalPool().size(),
+    std::printf("threads=%u simd=%s suite_hash=%016llx full_hash=%016llx\n",
+                globalPool().size(), simdModeName(),
                 static_cast<unsigned long long>(suite_hash),
                 static_cast<unsigned long long>(h));
     return 0;
@@ -274,9 +278,9 @@ detectProbe()
     std::remove(path);
     h = fnv1a(h, &roundtrip_ok, sizeof(roundtrip_ok));
 
-    std::printf("threads=%u roundtrip=%llu batch_hash=%016llx "
+    std::printf("threads=%u simd=%s roundtrip=%llu batch_hash=%016llx "
                 "full_hash=%016llx\n",
-                globalPool().size(),
+                globalPool().size(), simdModeName(),
                 static_cast<unsigned long long>(roundtrip_ok),
                 static_cast<unsigned long long>(batch_hash),
                 static_cast<unsigned long long>(h));
@@ -336,11 +340,11 @@ telemetryProbe()
     folded *= kFnvPrime;
 
     std::printf(
-        "threads=%u slots=%zu ref_records=%llu "
+        "threads=%u simd=%s slots=%zu ref_records=%llu "
         "events_unshifted=%llu events_shifted=%llu proposed=%d "
         "proposed_threshold=%.6f window1_hash=%016llx "
         "window2_hash=%016llx full_hash=%016llx\n",
-        globalPool().size(), hub.numSlots(),
+        globalPool().size(), simdModeName(), hub.numSlots(),
         static_cast<unsigned long long>(refRecords),
         static_cast<unsigned long long>(eventsUnshifted),
         static_cast<unsigned long long>(eventsShifted),
