@@ -1,7 +1,8 @@
 /**
  * @file
  * Hot-path perf smoke: conv GFLOP/s (implicit GEMM vs im2col + sgemm
- * and vs the naive reference), path extractions/sec (single-stream and
+ * and vs the naive reference, plus the AVX-512 conv tile vs AVX2 on
+ * hosts that have it), path extractions/sec (single-stream and
  * pool-parallel extractBatch vs the legacy allocate-and-sort strategy),
  * forward+backward passes/sec (full and input-only, plus the conv input
  * gradient's speedup over the TN product + col2im it replaced),
@@ -241,6 +242,86 @@ benchConv(double min_time)
         medianSecsPerCall([&] { conv.forwardNaive(in, out); }, min_time)
             .median /
         1e9;
+    return r;
+}
+
+/**
+ * The AVX-512 conv tile against the AVX2 one it widens, as an
+ * interleaved in-process A/B on one thread: one call runs
+ * convForwardPacked over the end-to-end benchmark's conv shapes, and
+ * the arms differ only in simdMode() (Avx512 vs Avx2, bit-identical
+ * outputs). Per trial pair the speedup is avx2 / avx512 seconds;
+ * reported as their median and spread. Informational, and measured
+ * only where the tile can run (avx512Available()).
+ */
+struct Avx512ConvResult
+{
+    bool measured = false;
+    double speedup = 0.0;    ///< median of the per-pair ratios
+    double speedupMin = 0.0; ///< spread (smallest pair ratio)
+    double speedupMax = 0.0; ///< spread (largest pair ratio)
+};
+
+Avx512ConvResult
+benchConvAvx512(double min_time)
+{
+    Avx512ConvResult r;
+    if (!nn::avx512Available())
+        return r;
+    // {in_c, out_c, h = w}: detect_full, detect_early and serving nets.
+    static constexpr int kShapes[][3] = {
+        {3, 16, 32}, {16, 32, 16}, {32, 32, 8}, {3, 32, 32}, {32, 32, 16},
+        {32, 64, 8}, {64, 64, 8},  {3, 8, 16},  {8, 12, 8}};
+    struct Shape
+    {
+        int inC, outC, hw;
+        std::vector<float> x, y, b;
+        nn::PackedB wt;
+    };
+    std::vector<Shape> shapes;
+    Rng rng(0xA512);
+    for (const auto &sh : kShapes) {
+        Shape s{sh[0], sh[1], sh[2], {}, {}, {}, {}};
+        const int K = s.inC * 9;
+        std::vector<float> w(static_cast<std::size_t>(s.outC) * K);
+        s.x.resize(static_cast<std::size_t>(s.inC) * s.hw * s.hw);
+        s.y.resize(static_cast<std::size_t>(s.outC) * s.hw * s.hw);
+        s.b.resize(static_cast<std::size_t>(s.outC));
+        randomFill(w, rng, 0.2f);
+        randomFill(s.x, rng, 1.0f);
+        randomFill(s.b, rng, 0.2f);
+        nn::packBMatrixStrided(w.data(), 1, K, K, s.outC, s.wt);
+        shapes.push_back(std::move(s));
+    }
+    auto forwardAll = [&] {
+        for (auto &s : shapes)
+            nn::convForwardPacked(s.x.data(), s.inC, s.hw, s.hw, 3, 1, 1,
+                                  s.hw, s.hw, s.wt, s.b.data(), s.y.data());
+    };
+    const SimdMode saved_mode = ptolemy::simdMode();
+    ThreadPool *saved_pool = nn::gemmPool();
+    nn::gemmPool() = nullptr;
+    for (SimdMode m : {SimdMode::Avx2, SimdMode::Avx512}) {
+        ptolemy::simdMode() = m;
+        forwardAll(); // warm both arms outside the timing
+    }
+    constexpr int kTrials = 7;
+    const double budget = 2.0 * min_time / (2 * kTrials);
+    std::vector<double> ratio;
+    for (int i = 0; i < kTrials; ++i) {
+        ptolemy::simdMode() = SimdMode::Avx2;
+        const double t_avx2 = secsPerCall(forwardAll, budget);
+        ptolemy::simdMode() = SimdMode::Avx512;
+        const double t_avx512 = secsPerCall(forwardAll, budget);
+        ratio.push_back(t_avx2 / t_avx512);
+    }
+    ptolemy::simdMode() = saved_mode;
+    nn::gemmPool() = saved_pool;
+    const TimingStat st = statOf(std::move(ratio));
+    r.measured = true;
+    r.speedup = st.median;
+    r.speedupMin = st.min;
+    r.speedupMax = st.max;
     return r;
 }
 
@@ -1122,6 +1203,7 @@ main(int argc, char **argv)
     const double min_time = minMeasureTime();
 
     const auto conv = benchConv(min_time);
+    const auto conv512 = benchConvAvx512(min_time);
     const auto ext = benchExtraction(min_time);
     const auto bwd = benchBackward(min_time);
     const auto trn = benchTrain(min_time);
@@ -1155,6 +1237,11 @@ main(int argc, char **argv)
     j.kv("prepack_speedup", conv.gemmGflops / conv.nopackGflops);
     j.kv("naive_gflops", conv.naiveGflops);
     j.kv("speedup", conv.gemmGflops / conv.naiveGflops);
+    if (conv512.measured) {
+        j.kv("avx512_speedup", conv512.speedup);
+        j.kv("avx512_speedup_trial_min", conv512.speedupMin);
+        j.kv("avx512_speedup_trial_max", conv512.speedupMax);
+    }
     j.endObject();
     j.key("extraction_bwcu").beginObject();
     j.kv("model", "3conv+2fc on 3x32x32, theta=0.5");
@@ -1288,7 +1375,13 @@ main(int argc, char **argv)
               << "x; trial spread " << conv.gemmGflopsMin << ".."
               << conv.gemmGflopsMax << "), naive " << conv.naiveGflops
               << " GFLOP/s (" << conv.gemmGflops / conv.naiveGflops
-              << "x)\n"
+              << "x)\n";
+    if (conv512.measured)
+        std::cout << "conv fwd e2e shapes, 1 thread: avx512 tile "
+                  << conv512.speedup << "x avx2 (pair spread "
+                  << conv512.speedupMin << ".." << conv512.speedupMax
+                  << ")\n";
+    std::cout
               << "extraction BwCu: " << ext.newPerSec
               << " extractions/s single-stream, " << ext.batchPerSec
               << "/s batched (legacy " << ext.legacyPerSec << "/s, "

@@ -237,7 +237,7 @@ Conv2d::partialSums(const Tensor &input, std::size_t out_index, PsumRow &out,
             static_cast<std::uint32_t>(static_cast<std::size_t>(iy0) * iw +
                                        static_cast<std::size_t>(ix0));
 #ifdef PTOLEMY_HAVE_AVX2
-        if (simdMode() == SimdMode::Avx2) {
+        if (avx2Active()) {
             detail::avx2GatherProducts(w, input.data(), base, rf_offsets, n,
                                        out.value.data(), out.index.data());
             return;

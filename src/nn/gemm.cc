@@ -120,16 +120,6 @@ forEachTile(int M, int N, double flops, TileFn tile)
         run(t);
 }
 
-bool
-useAvx2()
-{
-#ifdef PTOLEMY_HAVE_AVX2
-    return simdMode() == SimdMode::Avx2;
-#else
-    return false;
-#endif
-}
-
 } // namespace
 
 ThreadPool *&
@@ -145,7 +135,7 @@ sgemm(int M, int N, int K, const float *A, const float *B, float *C,
 {
     const double flops = 2.0 * M * N * K;
 #ifdef PTOLEMY_HAVE_AVX2
-    if (useAvx2()) {
+    if (avx2Active()) {
         forEachTile(M, N, flops, [&](int i0, int imax, int j0, int jmax) {
             detail::avx2GemmTile(i0, imax, j0, jmax, K, A, K, B, N, C, N,
                                  accumulate);
@@ -232,7 +222,7 @@ sgemmNT(int M, int N, int K, const float *A, const float *B, float *C,
         const int i0 = static_cast<int>(t) * rows_per_task;
         const int i1 = std::min(M, i0 + rows_per_task);
 #ifdef PTOLEMY_HAVE_AVX2
-        if (useAvx2()) {
+        if (avx2Active()) {
             detail::avx2GemmNTRows(i0, i1, N, K, A, B, C, accumulate);
             return;
         }
@@ -268,6 +258,33 @@ scalarGemvRowDotBias(const float *a, const float *x, int K, float bias)
     return s;
 }
 
+/**
+ * Rows [i, i + 4) at once: four bias-seeded chains share each x[k]
+ * load and hide one another's add latency; each row's fold is
+ * scalarGemvRowDotBias's, term for term.
+ */
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((noinline))
+#endif
+void
+scalarGemvRows4DotBias(const float *A, int K, const float *x,
+                       const float *bias, float *y)
+{
+    const float *a0 = A, *a1 = A + K, *a2 = A + 2 * K, *a3 = A + 3 * K;
+    float s0 = bias[0], s1 = bias[1], s2 = bias[2], s3 = bias[3];
+    for (int k = 0; k < K; ++k) {
+        const float xk = x[k];
+        s0 += a0[k] * xk;
+        s1 += a1[k] * xk;
+        s2 += a2[k] * xk;
+        s3 += a3[k] * xk;
+    }
+    y[0] = s0;
+    y[1] = s1;
+    y[2] = s2;
+    y[3] = s3;
+}
+
 } // namespace
 
 void
@@ -275,12 +292,16 @@ sgemvBias(int M, int K, const float *A, const float *x, const float *bias,
           float *y)
 {
 #ifdef PTOLEMY_HAVE_AVX2
-    if (useAvx2()) {
+    if (avx2Active()) {
         detail::avx2GemvBias(M, K, A, x, bias, y);
         return;
     }
 #endif
-    for (int i = 0; i < M; ++i)
+    int i = 0;
+    for (; i + 4 <= M; i += 4)
+        scalarGemvRows4DotBias(A + static_cast<std::size_t>(i) * K, K, x,
+                               bias + i, y + i);
+    for (; i < M; ++i)
         y[i] = scalarGemvRowDotBias(A + static_cast<std::size_t>(i) * K, x,
                                     K, bias[i]);
 }
@@ -491,8 +512,12 @@ convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
             poff[oy * ow + ox] = oy * stride * iwp + ox * stride;
     auto *block = &scalarConvImplicitBlock;
 #ifdef PTOLEMY_HAVE_AVX2
-    if (useAvx2())
+    if (avx2Active())
         block = &detail::avx2ConvImplicitBlock;
+#endif
+#ifdef PTOLEMY_HAVE_AVX512
+    if (simdMode() == SimdMode::Avx512)
+        block = &detail::avx512ConvImplicitBlock;
 #endif
     // One block of kConvBlockPositions output positions is both the
     // kernel's weight-reuse unit and the pool-task grain. Positions are
@@ -670,7 +695,7 @@ convBackwardInput(const float *grad_out, int out_c, int oh, int ow,
     }
     auto *block = &scalarConvGradInputBlock;
 #ifdef PTOLEMY_HAVE_AVX2
-    if (useAvx2())
+    if (avx2Active())
         block = &detail::avx2ConvGradInputBlock;
 #endif
     detail::ConvGradInputPhase ph;

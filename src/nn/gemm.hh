@@ -47,7 +47,9 @@ namespace ptolemy::nn
 using ptolemy::SimdMode;
 using ptolemy::simdMode;
 using ptolemy::simdModeName;
+using ptolemy::avx2Active;
 using ptolemy::avx2Available;
+using ptolemy::avx512Available;
 
 /**
  * Pool the tiled kernels fan work out on. Defaults to the process-wide
@@ -153,7 +155,9 @@ void sgemmNT(int M, int N, int K, const float *A, const float *B, float *C,
  * through simdMode() like the sgemm entry points — AVX2/FMA rows when
  * available, otherwise the scalar reference that seeds each dot
  * product's accumulator with the bias (the historical Linear numerics;
- * statistical fixtures are calibrated to hold under both).
+ * statistical fixtures are calibrated to hold under both). Both run
+ * several rows at once (AVX2 8, scalar 4), each row keeping its own
+ * chain, so y[i] is the same bits for any M.
  */
 void sgemvBias(int M, int K, const float *A, const float *x,
                const float *bias, float *y);

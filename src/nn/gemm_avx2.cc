@@ -297,12 +297,14 @@ transpose8x8(__m256 r[8])
     r[7] = _mm256_permute2f128_ps(s[3], s[7], 0x31);
 }
 
-/**
- * Row stride of the per-panel output stage: one block's positions plus
- * the two lanes a full-width store of the block's last strip runs past
- * them. A multiple of 8, so stage rows are never 4 KiB apart.
- */
-constexpr int kStageLd = kConvBlockPositions + 8;
+/** Copy @p rows stage rows of @p P floats out to @p out, @p ldc apart. */
+inline void
+flushStage(const float *stage, int rows, int P, float *out,
+           std::ptrdiff_t ldc)
+{
+    for (int c = 0; c < rows; ++c)
+        std::memcpy(out + c * ldc, stage + c * kStageLd, sizeof(float) * P);
+}
 
 /**
  * Implicit-GEMM conv register tile: R output positions (broadcast
@@ -433,10 +435,6 @@ avx2ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
     static constexpr decltype(&implicitStripKx16<6>) kShort16[] = {
         implicitStripKx16<1>, implicitStripKx16<2>, implicitStripKx16<3>,
         implicitStripKx16<4>, implicitStripKx16<5>};
-    static constexpr decltype(&implicitStripKx8<6>) kShort8[] = {
-        implicitStripKx8<1>, implicitStripKx8<2>, implicitStripKx8<3>,
-        implicitStripKx8<4>, implicitStripKx8<5>};
-    const PackedBLayout L = packedBLayout(K, N);
     const int n_full = P / 6;
     const int r_last = P % 6;
     const int *poff_last = poff + n_full * 6;
@@ -446,14 +444,9 @@ avx2ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
     // oh*ow floats apart per strip — one L1 set when that is 1024.
     alignas(32) float stage[16 * kStageLd];
     float *stage_last = stage + n_full * 6;
-    const auto flush = [&](int c0, int width) {
-        for (int c = 0; c < width; ++c)
-            std::memcpy(out + static_cast<std::ptrdiff_t>(c0 + c) * ldc,
-                        stage + c * kStageLd, sizeof(float) * P);
-    };
     // Channel panel OUTER, strip INNER: each K x 16 weight panel streams
     // from cache once per block rather than once per strip.
-    for (int blk = 0; blk < L.nFull; ++blk) {
+    for (int blk = 0; blk < N / 16; ++blk) {
         const float *wp = packed + static_cast<std::size_t>(blk) * K * 16;
         const float *bv = bias + blk * 16;
         assert(util::isAligned(wp));
@@ -462,8 +455,27 @@ avx2ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
                                  stage + s * 6);
         if (r_last > 0)
             kShort16[r_last - 1](K, xp, koff, poff_last, wp, bv, stage_last);
-        flush(blk * 16, 16);
+        flushStage(stage, 16, P, out + blk * 16 * ldc, ldc);
     }
+    avx2ConvImplicitNarrowPanels(K, N, xp, koff, poff, P, packed, bias, out,
+                                 ldc);
+}
+
+void
+avx2ConvImplicitNarrowPanels(int K, int N, const float *xp, const int *koff,
+                             const int *poff, int P, const float *packed,
+                             const float *bias, float *out,
+                             std::ptrdiff_t ldc)
+{
+    static constexpr decltype(&implicitStripKx8<6>) kShort8[] = {
+        implicitStripKx8<1>, implicitStripKx8<2>, implicitStripKx8<3>,
+        implicitStripKx8<4>, implicitStripKx8<5>};
+    const PackedBLayout L = packedBLayout(K, N);
+    const int n_full = P / 6;
+    const int r_last = P % 6;
+    const int *poff_last = poff + n_full * 6;
+    alignas(32) float stage[8 * kStageLd];
+    float *stage_last = stage + n_full * 6;
     // The 8-wide panel, then the <8-channel tail panel, through the
     // same 8-lane tile.
     int c0 = L.nFull * 16;
@@ -478,7 +490,7 @@ avx2ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
         if (r_last > 0)
             kShort8[r_last - 1](K, xp, koff, poff_last, wp, W, bias + c0,
                                 stage_last);
-        flush(c0, W);
+        flushStage(stage, W, P, out + c0 * ldc, ldc);
         c0 += W;
     }
 }
@@ -762,15 +774,43 @@ gemvRowDotBias(const float *a, const float *x, int K, float bias)
     for (; k + 8 <= K; k += 8)
         acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + k),
                               _mm256_loadu_ps(x + k), acc);
-    __m128 lo = _mm256_castps256_ps128(acc);
-    __m128 hi = _mm256_extractf128_ps(acc, 1);
-    lo = _mm_add_ps(lo, hi);
-    lo = _mm_hadd_ps(lo, lo);
-    lo = _mm_hadd_ps(lo, lo);
-    float s = bias + _mm_cvtss_f32(lo);
+    float s = bias + hsum(acc);
     for (; k < K; ++k)
         s += a[k] * x[k];
     return s;
+}
+
+/**
+ * Rows [i, i + 8) of the gemv at once: one x load per k feeds 8
+ * independent FMA chains (a single row's chain is bound by FMA
+ * latency), and hsum8 folds the 8 accumulators. Per row the operations
+ * and their order are gemvRowDotBias's: the chain over k, the hsum,
+ * bias + sum, then the scalar remainder.
+ */
+inline void
+gemvRows8DotBias(const float *A, int K, const float *x, const float *bias,
+                 float *y)
+{
+    const float *a[8];
+    __m256 acc[8];
+    for (int r = 0; r < 8; ++r) {
+        a[r] = A + static_cast<std::ptrdiff_t>(r) * K;
+        acc[r] = _mm256_setzero_ps();
+    }
+    int k = 0;
+    for (; k + 8 <= K; k += 8) {
+        const __m256 xv = _mm256_loadu_ps(x + k);
+        for (int r = 0; r < 8; ++r)
+            acc[r] = _mm256_fmadd_ps(_mm256_loadu_ps(a[r] + k), xv, acc[r]);
+    }
+    float sums[8];
+    hsum8(acc, sums);
+    for (int r = 0; r < 8; ++r) {
+        float s = bias[r] + sums[r];
+        for (int kk = k; kk < K; ++kk)
+            s += a[r][kk] * x[kk];
+        y[r] = s;
+    }
 }
 
 } // namespace
@@ -779,7 +819,11 @@ void
 avx2GemvBias(int M, int K, const float *A, const float *x, const float *bias,
              float *y)
 {
-    for (int i = 0; i < M; ++i)
+    int i = 0;
+    for (; i + 8 <= M; i += 8)
+        gemvRows8DotBias(A + static_cast<std::ptrdiff_t>(i) * K, K, x,
+                         bias + i, y + i);
+    for (; i < M; ++i)
         y[i] = gemvRowDotBias(A + static_cast<std::ptrdiff_t>(i) * K, x, K,
                               bias[i]);
 }

@@ -1,13 +1,15 @@
 /**
  * @file
  * Internal SGEMM tile-kernel interface shared between the portable
- * driver (gemm.cc) and the AVX2/FMA translation unit (gemm_avx2.cc).
+ * driver (gemm.cc) and the AVX2/FMA and AVX-512 translation units
+ * (gemm_avx2.cc, gemm_avx512.cc).
  *
- * The AVX2 kernels live in their own TU so only that file is compiled
- * with -mavx2 -mfma: the rest of the library keeps the default ISA and
- * the scalar reference kernels keep their exact historical numerics.
- * When the build does not define PTOLEMY_HAVE_AVX2 the TU is empty and
- * the driver never references these symbols. The packed-panel layout
+ * Each ISA's kernels live in their own TU so only that file is
+ * compiled with the ISA's flags: the rest of the library keeps the
+ * default ISA and the scalar reference kernels keep their exact
+ * historical numerics. When the build does not define
+ * PTOLEMY_HAVE_AVX2 (PTOLEMY_HAVE_AVX512) the TU is empty and the
+ * driver never references its symbols. The packed-panel layout
  * and the conv block size are shared by both kernel families.
  */
 
@@ -75,10 +77,19 @@ packedBLayout(int K, int N)
 /**
  * Output positions per implicit-GEMM conv block: the pool-task grain of
  * convForwardPacked and the largest @p P its block kernels take. 16
- * AVX2 strips of 6 positions, so each K x 16 weight panel is reused
- * across 16 strips per load from cache.
+ * AVX2 strips of 6 positions (8 AVX-512 strips of 12), so each K x 16
+ * weight panel is reused across a block's strips per load from cache.
  */
 constexpr int kConvBlockPositions = 96;
+
+/**
+ * Row stride of the implicit-GEMM conv blocks' per-panel output stage
+ * ([16][kStageLd]): one block's positions plus the lanes a full-width
+ * store of the block's last strip runs past them (2 for the AVX2
+ * 6-position strip, 4 for the AVX-512 12-position one). A multiple of
+ * 8, so stage rows are never 4 KiB apart.
+ */
+constexpr int kStageLd = kConvBlockPositions + 8;
 
 /**
  * Input channels per block of the conv input gradient: a 6-channel
@@ -178,6 +189,17 @@ void avx2ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
                            std::ptrdiff_t ldc);
 
 /**
+ * The part of avx2ConvImplicitBlock after the 16-wide panels: the
+ * 8-wide panel and the scalar-tail panel (channels [16 * (N / 16), N))
+ * through the 8-lane AVX2 tile. Same arguments; avx512ConvImplicitBlock
+ * finishes its blocks with it.
+ */
+void avx2ConvImplicitNarrowPanels(int K, int N, const float *xp,
+                                  const int *koff, const int *poff, int P,
+                                  const float *packed, const float *bias,
+                                  float *out, std::ptrdiff_t ldc);
+
+/**
  * Conv input-gradient block: lanes [q0, q1) of phase @p ph (q0 a
  * multiple of kConvBlockPositions, q1 - q0 <= kConvBlockPositions) for
  * every input channel. Per lane and tap in order, the tap's value is
@@ -205,12 +227,32 @@ void avx2GemmNTRows(int i0, int i1, int N, int K, const float *A,
  * accumulation per row (horizontal sum, then bias and the scalar
  * remainder); per-element deterministic, tolerance-equal — not
  * bit-equal — to the scalar reference, whose statistical fixtures were
- * recalibrated when this path landed.
+ * recalibrated when this path landed. Rows run 8 at a time, each with
+ * its own unchanged chain, so a row's bits do not depend on M.
  */
 void avx2GemvBias(int M, int K, const float *A, const float *x,
                   const float *bias, float *y);
 
 #endif // PTOLEMY_HAVE_AVX2
+
+#ifdef PTOLEMY_HAVE_AVX512
+
+/**
+ * avx2ConvImplicitBlock with each 16-wide weight panel run as one
+ * AVX-512 tile of 12 output positions x 16 channels (gemm_avx512.cc,
+ * the only TU built with -mavx512f): one zmm accumulator per position,
+ * one aligned panel-row load and 12 broadcasts per tap. The 8-wide and
+ * tail panels go through avx2ConvImplicitNarrowPanels. Per output
+ * element the chain is the AVX2 tile's — fma over k ascending from +0,
+ * then one bias addition — so the result is bit-identical to
+ * avx2ConvImplicitBlock.
+ */
+void avx512ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
+                             const int *poff, int P, const float *packed,
+                             const float *bias, float *out,
+                             std::ptrdiff_t ldc);
+
+#endif // PTOLEMY_HAVE_AVX512
 
 } // namespace ptolemy::nn::detail
 

@@ -97,7 +97,7 @@ Linear::partialSums(const Tensor &input, std::size_t out_index, PsumRow &out,
     out.resize(n);
     std::iota(out.index.begin(), out.index.end(), 0u);
 #ifdef PTOLEMY_HAVE_AVX2
-    if (simdMode() == SimdMode::Avx2) {
+    if (avx2Active()) {
         detail::avx2Products(wrow, input.data(), n, out.value.data());
         return;
     }

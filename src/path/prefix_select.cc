@@ -52,7 +52,7 @@ struct RowOps
     RowOps()
     {
 #ifdef PTOLEMY_HAVE_AVX2
-        avx2 = simdMode() == SimdMode::Avx2;
+        avx2 = avx2Active();
 #endif
     }
 

@@ -1,5 +1,7 @@
 #include "trace.hh"
 
+#include <algorithm>
+
 #include "nn/conv.hh"
 #include "nn/linear.hh"
 #include "nn/network.hh"
@@ -7,42 +9,63 @@
 namespace ptolemy::path
 {
 
+namespace
+{
+
+/** The per-sample work counters of a LayerTrace: what averageTraces
+ *  sums and divides (the other fields describe the layer itself). */
+constexpr std::size_t LayerTrace::*kLayerCounters[] = {
+    &LayerTrace::importantOut,     &LayerTrace::psumsConsidered,
+    &LayerTrace::sortedElems,      &LayerTrace::thresholdCmps,
+    &LayerTrace::masksWritten,     &LayerTrace::importantIn,
+    &LayerTrace::selectScanPasses, &LayerTrace::heapFallbackNeurons,
+    &LayerTrace::heapPops};
+
+} // namespace
+
 ExtractionTrace
 averageTraces(const std::vector<ExtractionTrace> &traces)
 {
     ExtractionTrace avg;
     if (traces.empty())
         return avg;
-    avg = traces[0];
-    const std::size_t n = traces.size();
-    for (std::size_t t = 1; t < n; ++t) {
-        avg.pathBits += traces[t].pathBits;
-        for (std::size_t l = 0; l < avg.layers.size(); ++l) {
-            auto &dst = avg.layers[l];
-            const auto &src = traces[t].layers[l];
-            dst.importantOut += src.importantOut;
-            dst.psumsConsidered += src.psumsConsidered;
-            dst.sortedElems += src.sortedElems;
-            dst.thresholdCmps += src.thresholdCmps;
-            dst.masksWritten += src.masksWritten;
-            dst.importantIn += src.importantIn;
-            dst.selectScanPasses += src.selectScanPasses;
-            dst.heapFallbackNeurons += src.heapFallbackNeurons;
-            dst.heapPops += src.heapPops;
+    avg.direction = traces[0].direction;
+    avg.totalMacs = traces[0].totalMacs;
+    // Merge by weightedIndex, not by position: on a DAG net the set of
+    // layers a backward extraction reaches varies per sample. A layer's
+    // description comes from the first sample that extracted it; its
+    // counters start at zero, so a sample that skipped it adds nothing.
+    int n_weighted = 0;
+    for (const auto &t : traces)
+        for (const auto &lt : t.layers)
+            n_weighted = std::max(n_weighted, lt.weightedIndex + 1);
+    std::vector<int> slot(static_cast<std::size_t>(n_weighted), -1);
+    for (const auto &t : traces) {
+        avg.pathBits += t.pathBits;
+        for (const auto &lt : t.layers) {
+            int &s = slot[static_cast<std::size_t>(lt.weightedIndex)];
+            if (s < 0) {
+                s = static_cast<int>(avg.layers.size());
+                avg.layers.push_back(lt);
+                for (auto counter : kLayerCounters)
+                    avg.layers.back().*counter = 0;
+            }
+            auto &dst = avg.layers[static_cast<std::size_t>(s)];
+            for (auto counter : kLayerCounters)
+                dst.*counter += lt.*counter;
         }
     }
+    // Emit the union in layer order (every trace lists its own layers
+    // ascending); then the mean over all samples.
+    std::sort(avg.layers.begin(), avg.layers.end(),
+              [](const LayerTrace &a, const LayerTrace &b) {
+                  return a.weightedIndex < b.weightedIndex;
+              });
+    const std::size_t n = traces.size();
     avg.pathBits /= n;
-    for (auto &lt : avg.layers) {
-        lt.importantOut /= n;
-        lt.psumsConsidered /= n;
-        lt.sortedElems /= n;
-        lt.thresholdCmps /= n;
-        lt.masksWritten /= n;
-        lt.importantIn /= n;
-        lt.selectScanPasses /= n;
-        lt.heapFallbackNeurons /= n;
-        lt.heapPops /= n;
-    }
+    for (auto &lt : avg.layers)
+        for (auto counter : kLayerCounters)
+            lt.*counter /= n;
     return avg;
 }
 

@@ -80,9 +80,11 @@ struct ExtractionTrace
 };
 
 /**
- * Element-wise average of several traces (all from the same network and
- * config). The compiler consumes an averaged trace as the profiled
- * workload when generating a program.
+ * Per-layer average of several traces (all from the same network and
+ * config), merged by weightedIndex: the result lists the union of the
+ * traces' layers in layer order, and a layer a sample did not extract
+ * counts as zero work for that sample. The compiler consumes an
+ * averaged trace as the profiled workload when generating a program.
  */
 ExtractionTrace averageTraces(const std::vector<ExtractionTrace> &traces);
 

@@ -26,7 +26,7 @@ inline bool
 useAvx2(std::size_t nwords)
 {
 #ifdef PTOLEMY_HAVE_AVX2
-    return nwords >= kAvx2MinWords && simdMode() == SimdMode::Avx2;
+    return nwords >= kAvx2MinWords && avx2Active();
 #else
     (void)nwords;
     return false;

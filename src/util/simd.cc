@@ -14,6 +14,8 @@ simdMode()
             if (std::string(s) == "scalar")
                 return SimdMode::Scalar;
         }
+        if (avx512Available())
+            return SimdMode::Avx512;
         return avx2Available() ? SimdMode::Avx2 : SimdMode::Scalar;
     }();
     return mode;
@@ -22,7 +24,15 @@ simdMode()
 const char *
 simdModeName()
 {
-    return simdMode() == SimdMode::Avx2 ? "avx2" : "scalar";
+    switch (simdMode()) {
+    case SimdMode::Avx512:
+        return "avx512";
+    case SimdMode::Avx2:
+        return "avx2";
+    case SimdMode::Scalar:
+        break;
+    }
+    return "scalar";
 }
 
 bool
@@ -38,6 +48,18 @@ avx2Available()
 #else
     return false;
 #endif
+#else
+    return false;
+#endif
+}
+
+bool
+avx512Available()
+{
+#if defined(PTOLEMY_HAVE_AVX512) && (defined(__GNUC__) || defined(__clang__))
+    static const bool ok =
+        avx2Available() && __builtin_cpu_supports("avx512f");
+    return ok;
 #else
     return false;
 #endif

@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/simd_modes.hh"
 #include "models/zoo.hh"
 #include "nn/common_layers.hh"
 #include "nn/conv.hh"
@@ -33,26 +34,9 @@ namespace ptolemy::nn
 namespace
 {
 
-struct SimdModeGuard
-{
-    SimdMode saved = simdMode();
-    ~SimdModeGuard() { simdMode() = saved; }
-};
-
-struct GemmPoolGuard
-{
-    ThreadPool *saved = gemmPool();
-    ~GemmPoolGuard() { gemmPool() = saved; }
-};
-
-std::vector<SimdMode>
-modesToTest()
-{
-    std::vector<SimdMode> m{SimdMode::Scalar};
-    if (avx2Available())
-        m.push_back(SimdMode::Avx2);
-    return m;
-}
+using testing::GemmPoolGuard;
+using testing::modesToTest;
+using testing::SimdModeGuard;
 
 void
 fillRandom(float *v, std::size_t n, Rng &rng)

@@ -234,6 +234,47 @@ TEST(ExtractionTraceTest, AverageTracesDividesCounts)
     EXPECT_EQ(avg.layers[0].importantIn, 10u);
 }
 
+TEST(ExtractionTraceTest, AverageTracesMergesDifferingLayerSetsByIndex)
+{
+    // On a DAG net a backward extraction reaches a different set of
+    // weighted layers per sample. The average merges by weightedIndex:
+    // the union in layer order, a skipped layer counting as zero.
+    auto layer = [](int w, std::size_t out, std::size_t in) {
+        LayerTrace lt;
+        lt.weightedIndex = w;
+        lt.nodeId = 10 + w;
+        lt.rfSize = 9 + w;
+        lt.importantOut = out;
+        lt.importantIn = in;
+        lt.heapPops = out + in;
+        return lt;
+    };
+    ExtractionTrace a, b;
+    a.pathBits = 40;
+    b.pathBits = 20;
+    a.totalMacs = b.totalMacs = 1000;
+    a.layers = {layer(0, 2, 4), layer(2, 6, 8), layer(3, 10, 12),
+                layer(6, 14, 16)};
+    b.layers = {layer(0, 4, 6), layer(3, 20, 30), layer(6, 2, 2)};
+    const auto avg = averageTraces({b, a});
+
+    EXPECT_EQ(avg.pathBits, 30u);
+    EXPECT_EQ(avg.totalMacs, 1000u);
+    ASSERT_EQ(avg.layers.size(), 4u);
+    const int want_w[] = {0, 2, 3, 6};
+    const std::size_t want_out[] = {3, 3, 15, 8};
+    const std::size_t want_in[] = {5, 4, 21, 9};
+    for (std::size_t l = 0; l < 4; ++l) {
+        const LayerTrace &lt = avg.layers[l];
+        EXPECT_EQ(lt.weightedIndex, want_w[l]) << l;
+        EXPECT_EQ(lt.nodeId, 10 + want_w[l]) << l;
+        EXPECT_EQ(lt.rfSize, static_cast<std::size_t>(9 + want_w[l])) << l;
+        EXPECT_EQ(lt.importantOut, want_out[l]) << l;
+        EXPECT_EQ(lt.importantIn, want_in[l]) << l;
+        EXPECT_EQ(lt.heapPops, want_out[l] + want_in[l]) << l;
+    }
+}
+
 TEST(Calibration, AbsoluteThresholdsHitTargetFraction)
 {
     auto &w = testing::world();

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "common/simd_modes.hh"
 #include "nn/conv.hh"
 #include "nn/gemm.hh"
 #include "nn/linear.hh"
@@ -38,28 +40,9 @@ randomTensor(Shape s, Rng &rng, float scale = 1.0f)
     return t;
 }
 
-/** RAII guard restoring the process-wide SIMD mode. */
-struct SimdModeGuard
-{
-    SimdMode saved = simdMode();
-    ~SimdModeGuard() { simdMode() = saved; }
-};
-
-/** RAII guard restoring the gemm pool pointer. */
-struct GemmPoolGuard
-{
-    ThreadPool *saved = gemmPool();
-    ~GemmPoolGuard() { gemmPool() = saved; }
-};
-
-std::vector<SimdMode>
-modesToTest()
-{
-    std::vector<SimdMode> modes = {SimdMode::Scalar};
-    if (avx2Available())
-        modes.push_back(SimdMode::Avx2);
-    return modes;
-}
+using testing::GemmPoolGuard;
+using testing::modesToTest;
+using testing::SimdModeGuard;
 
 void
 naiveGemmRef(int M, int N, int K, const std::vector<float> &A,
@@ -326,6 +309,39 @@ TEST(SgemvBias, Avx2MatchesScalarAcrossOddLengths)
             for (int i = 0; i < M; ++i)
                 ASSERT_NEAR(ys[i], yv[i], tol)
                     << "M=" << M << " K=" << K << " i=" << i;
+        }
+    }
+}
+
+TEST(SgemvBias, RowBlocksMatchSingleRowCalls)
+{
+    // The kernels run several rows at once (AVX2 8, scalar 4), each with
+    // its own chain: every row of an M-row call must be the bytes of a
+    // lone 1-row call, whatever block or remainder the row lands in.
+    SimdModeGuard guard;
+    Rng rng(14);
+    const int ms[] = {1, 7, 8, 9, 17, 64};
+    const int ks[] = {1, 5, 9, 23, 192, 2048};
+    for (SimdMode mode : modesToTest()) {
+        simdMode() = mode;
+        for (int M : ms) {
+            for (int K : ks) {
+                std::vector<float> A(static_cast<std::size_t>(M) * K);
+                std::vector<float> x(static_cast<std::size_t>(K));
+                std::vector<float> b(static_cast<std::size_t>(M));
+                fillRandom(A, rng);
+                fillRandom(x, rng);
+                fillRandom(b, rng);
+                std::vector<float> block(M, -7.0f), rows(M, -7.0f);
+                sgemvBias(M, K, A.data(), x.data(), b.data(), block.data());
+                for (int i = 0; i < M; ++i)
+                    sgemvBias(1, K, A.data() + static_cast<std::size_t>(i) * K,
+                              x.data(), b.data() + i, rows.data() + i);
+                ASSERT_EQ(0, std::memcmp(block.data(), rows.data(),
+                                         sizeof(float) * M))
+                    << "mode=" << simdModeName() << " M=" << M
+                    << " K=" << K;
+            }
         }
     }
 }

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/simd_modes.hh"
 #include "nn/conv.hh"
 #include "nn/linear.hh"
 #include "path/prefix_select.hh"
@@ -31,21 +32,8 @@ namespace
 
 using path::PrefixMass;
 
-/** RAII guard restoring the process-wide SIMD mode. */
-struct SimdModeGuard
-{
-    SimdMode saved = simdMode();
-    ~SimdModeGuard() { simdMode() = saved; }
-};
-
-std::vector<SimdMode>
-modes()
-{
-    std::vector<SimdMode> m = {SimdMode::Scalar};
-    if (avx2Available())
-        m.push_back(SimdMode::Avx2);
-    return m;
-}
+using testing::modesToTest;
+using testing::SimdModeGuard;
 
 nn::PsumRow
 rowOf(const std::vector<float> &values)
@@ -96,7 +84,7 @@ void
 expectMatchesReference(const nn::PsumRow &row, const std::string &what)
 {
     SimdModeGuard guard;
-    for (SimdMode mode : modes()) {
+    for (SimdMode mode : modesToTest()) {
         simdMode() = mode;
         for (PrefixMass mass : {PrefixMass::Signed, PrefixMass::ClampAtZero})
             for (double target : targetsFor(row, mass))
@@ -182,7 +170,7 @@ TEST(PrefixSelect, WidePrefixesPastTheScanPassCap)
         double total = 0.0;
         for (float x : v)
             total += x;
-        for (SimdMode mode : modes()) {
+        for (SimdMode mode : modesToTest()) {
             simdMode() = mode;
             const auto fast = fastSelect(row, 0.98 * total, PrefixMass::Signed);
             EXPECT_GT(fast.size(),
@@ -262,7 +250,7 @@ TEST(PrefixSelect, NaNRowsSelectTheHistoricalScanSet)
                 auto want = historicalScan(row, theta * total);
                 std::sort(want.begin(), want.end());
                 std::vector<std::size_t> first;
-                for (SimdMode mode : modes()) {
+                for (SimdMode mode : modesToTest()) {
                     simdMode() = mode;
                     auto got = fastSelect(row, theta * total,
                                           PrefixMass::Signed);
@@ -335,7 +323,7 @@ TEST(PsumRow, LayerRowsAscendInInputIndex)
         wx[i] = static_cast<float>(rng.uniform());
 
     nn::PsumRow row;
-    for (SimdMode mode : modes()) {
+    for (SimdMode mode : modesToTest()) {
         simdMode() = mode;
         for (std::size_t o = 0; o < 3; ++o) {
             fc.partialSums(fx, o, row);

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/simd_modes.hh"
 #include "common/test_models.hh"
 #include "nn/conv.hh"
 #include "nn/gemm.hh"
@@ -44,28 +45,9 @@ randomTensor(Shape s, Rng &rng, float scale = 1.0f)
     return t;
 }
 
-/** RAII guard restoring the process-wide SIMD mode. */
-struct SimdModeGuard
-{
-    SimdMode saved = simdMode();
-    ~SimdModeGuard() { simdMode() = saved; }
-};
-
-/** RAII guard restoring the gemm pool pointer. */
-struct GemmPoolGuard
-{
-    ThreadPool *saved = gemmPool();
-    ~GemmPoolGuard() { gemmPool() = saved; }
-};
-
-std::vector<SimdMode>
-modesToTest()
-{
-    std::vector<SimdMode> modes = {SimdMode::Scalar};
-    if (avx2Available())
-        modes.push_back(SimdMode::Avx2);
-    return modes;
-}
+using testing::GemmPoolGuard;
+using testing::modesToTest;
+using testing::SimdModeGuard;
 
 bool
 sameBits(const Tensor &a, const Tensor &b)
@@ -212,6 +194,59 @@ TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
                 << " in_c=" << cs[0] << " out_c=" << cs[1]
                 << " k=" << cs[2] << " s=" << cs[3] << " p=" << cs[4]
                 << " h=" << cs[5] << " w=" << cs[6];
+        }
+    }
+}
+
+TEST(Prepack, Avx512TileBitIdenticalToAvx2AndClassicPath)
+{
+    // The AVX-512 conv tile runs 12-position strips over each 16-channel
+    // panel (the 8-wide and tail panels stay on the AVX2 tile). Its
+    // bytes must equal the AVX2 implicit GEMM's and im2col + sgemm +
+    // bias's on: every short last strip (P % 12 = 1..11, alone and
+    // after full strips), blocks past the first (P > 96), strips that
+    // straddle output rows (widths 1, 3, 5, 7, 9, 17), stride 2, and
+    // channel counts with one to four 16-wide panels plus an 8-wide one.
+    if (!avx512Available())
+        GTEST_SKIP() << "AVX-512 conv tile not compiled in or not supported";
+    SimdModeGuard mode_guard;
+    GemmPoolGuard pool_guard;
+    gemmPool() = nullptr;
+    Rng rng(50);
+
+    // {h, w} at k=3, s=1, p=1 (so oh x ow = h x w), except the stride-2
+    // {13, 13} -> 7 x 7.
+    const int maps[][2] = {{1, 1}, {1, 2},  {3, 1},  {2, 2},   {1, 5},
+                           {2, 3}, {7, 1},  {2, 4},  {3, 3},   {2, 5},
+                           {11, 1}, {5, 5}, {7, 7},  {9, 9},   {10, 10},
+                           {13, 13}, {11, 17}, {8, 8}, {16, 16}};
+    for (int out_c : {16, 24, 32, 40, 64}) {
+        for (int in_c : {3, 5}) {
+            for (const auto &m : maps) {
+                const int stride = (m[0] == 13 && in_c == 5) ? 2 : 1;
+                Conv2d conv("c", in_c, out_c, 3, stride, 1);
+                fillRandom(conv.weights(), rng);
+                fillRandom(conv.biases(), rng);
+                const std::vector<float> w = conv.weights();
+                const std::vector<float> b = conv.biases();
+                conv.prepackWeights();
+                const Tensor x = randomTensor(mapShape(in_c, m[0], m[1]), rng);
+
+                simdMode() = SimdMode::Avx2;
+                Tensor avx2;
+                conv.forwardInto({&x}, avx2, false);
+                simdMode() = SimdMode::Avx512;
+                Tensor avx512;
+                conv.forwardInto({&x}, avx512, false);
+                const Tensor classic =
+                    classicForward(w, b, out_c, 3, stride, 1, x);
+                ASSERT_TRUE(sameBits(avx512, avx2))
+                    << "in_c=" << in_c << " out_c=" << out_c << " s="
+                    << stride << " h=" << m[0] << " w=" << m[1];
+                ASSERT_TRUE(sameBits(avx512, classic))
+                    << "in_c=" << in_c << " out_c=" << out_c << " s="
+                    << stride << " h=" << m[0] << " w=" << m[1];
+            }
         }
     }
 }

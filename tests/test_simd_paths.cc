@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/simd_modes.hh"
 #include "common/test_models.hh"
 #include "nn/conv.hh"
 #include "nn/linear.hh"
@@ -30,12 +31,7 @@ namespace ptolemy
 namespace
 {
 
-/** RAII guard restoring the process-wide SIMD mode. */
-struct SimdModeGuard
-{
-    SimdMode saved = simdMode();
-    ~SimdModeGuard() { simdMode() = saved; }
-};
+using testing::SimdModeGuard;
 
 BitVector
 randomBits(std::size_t nbits, Rng &rng, double density)
