@@ -26,6 +26,7 @@
 #include <iostream>
 #include <memory>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "attack/gradient_attacks.hh"
@@ -181,7 +182,7 @@ interleavedABSecsPerCall(FnA &&fa, FnB &&fb, double min_seconds,
 }
 
 void
-randomFill(std::vector<float> &v, Rng &rng, float scale)
+randomFill(std::span<float> v, Rng &rng, float scale)
 {
     for (auto &x : v)
         x = (static_cast<float>(rng.uniform()) - 0.5f) * scale;
@@ -202,8 +203,11 @@ benchConv(double min_time)
 {
     nn::Conv2d conv("bench_conv", 64, 64, 3, 1, 1);
     Rng rng(0xC0FFEE);
-    randomFill(conv.weights(), rng, 0.2f);
+    std::vector<float> w(conv.weights().size());
+    randomFill(w, rng, 0.2f);
+    conv.setWeights(w);
     randomFill(conv.biases(), rng, 0.2f);
+    const auto &b = conv.biases();
     nn::Tensor in(nn::mapShape(64, 32, 32));
     for (std::size_t i = 0; i < in.size(); ++i)
         in[i] = static_cast<float>(rng.uniform());
@@ -214,11 +218,8 @@ benchConv(double min_time)
     ConvBenchResult r;
 
     // Arm B is the explicit conv forward, built from the public kernels
-    // on a copy of the same weights: im2col into a column matrix, sgemm
-    // (which packs its B panels per tile), then a bias pass.
-    const std::vector<float> w = conv.weights();
-    const std::vector<float> b = conv.biases();
-    conv.prepackWeights(); // after the copies (accessors invalidate)
+    // on the same weights: im2col into a column matrix, sgemm (which
+    // packs its B panels per tile), then a bias pass.
     const int ohw = 32 * 32, kdim = 64 * 3 * 3;
     util::AlignedF32 col;
     auto fwd = [&] { conv.forwardInto({&in}, out, false); };
@@ -456,7 +457,9 @@ benchInputGradSpeedup(double min_time)
     constexpr int kdim = C * K * K, ohw = HW * HW;
     nn::Conv2d conv("bench_conv", C, C, K, 1, 1);
     Rng rng(0xC0FFEE);
-    randomFill(conv.weights(), rng, 0.2f);
+    std::vector<float> w(conv.weights().size());
+    randomFill(w, rng, 0.2f);
+    conv.setWeights(w);
     nn::Tensor in(nn::mapShape(C, HW, HW)), gout(nn::mapShape(C, HW, HW));
     for (std::size_t i = 0; i < in.size(); ++i) {
         in[i] = static_cast<float>(rng.uniform());
@@ -469,7 +472,6 @@ benchInputGradSpeedup(double min_time)
         conv.backwardInto(ins, gout, sinks, nn::skipParamGrads());
     };
 
-    const std::vector<float> &w = conv.weights();
     std::vector<float> wt(static_cast<std::size_t>(kdim) * C);
     for (int oc = 0; oc < C; ++oc)
         for (int j = 0; j < kdim; ++j)

@@ -33,10 +33,6 @@ DetectorModel::DetectorModel(const nn::Network &net_ref,
     : net(&net_ref), pathExtractor(net_ref, std::move(cfg)),
       store(num_classes, pathExtractor.layout().totalBits()), rf(forest_cfg)
 {
-    // Owner phase: this thread still holds the network exclusively, so
-    // filling the layers' packed-weight caches here is race-free; every
-    // serving forward after this point is a pure read of the panels.
-    net_ref.prepackForServing();
 }
 
 bool

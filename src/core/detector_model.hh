@@ -82,9 +82,9 @@ struct Decision
  * one non-const member, load(), is an owner-phase operation: call it
  * before the model is shared, never while sessions are serving.
  *
- * The network is borrowed and must outlive the model; it must likewise
- * stay frozen while the model serves (training it would invalidate the
- * profiled class paths anyway).
+ * The network is borrowed and must outlive the model; the model never
+ * writes it. It must stay frozen while the model serves (training it
+ * would invalidate the profiled class paths anyway).
  */
 class DetectorModel
 {

@@ -46,9 +46,20 @@ DetectorSession::detectInto(const nn::Tensor &x, Decision &d, Slot &s)
     }
 }
 
+void
+DetectorSession::requireInputShape(const nn::Tensor *x) const
+{
+    // The conv and fc kernels trust the layer's declared shapes, so a
+    // mis-shaped input would read past its tensor: refuse it up front.
+    if (x == nullptr || x->shape() != mdl->network().inputShape())
+        throw std::invalid_argument("DetectorSession: null input or input "
+                                    "shape differs from the network's");
+}
+
 Decision
 DetectorSession::detect(const nn::Tensor &x)
 {
+    requireInputShape(&x);
     Decision d;
     detectInto(x, d, slots[0]);
     return d;
@@ -67,6 +78,8 @@ DetectorSession::detectBatch(std::span<const nn::Tensor *const> xs,
     if (xs.size() != out.size())
         throw std::invalid_argument(
             "DetectorSession::detectBatch: xs.size() != out.size()");
+    for (const nn::Tensor *x : xs)
+        requireInputShape(x);
     // Empty batch: explicit no-op — no pool touch, no slot growth.
     if (xs.empty())
         return;

@@ -56,7 +56,9 @@ class DetectorSession
     const DetectorModel &model() const { return *mdl; }
 
     /** Full online pipeline for one input: inference + extraction +
-     *  canary comparison + classification. */
+     *  canary comparison + classification. Throws
+     *  std::invalid_argument unless @p x has the network's input
+     *  shape. */
     Decision detect(const nn::Tensor &x);
 
     /**
@@ -73,7 +75,10 @@ class DetectorSession
      * Contract: @p out must pair up with @p xs one-to-one —
      * out.size() == xs.size(). A mismatch is a caller bug: it
      * debug-asserts, and throws std::invalid_argument in release
-     * builds (never writes out of bounds). An empty @p xs is an
+     * builds (never writes out of bounds). Every input must be
+     * non-null with the network's input shape; otherwise the call
+     * throws std::invalid_argument before any work, in every build
+     * (the kernels trust the declared shapes). An empty @p xs is an
      * explicit no-op: the session returns immediately without touching
      * the pool or growing any scratch.
      *
@@ -115,6 +120,9 @@ class DetectorSession
     double score(const nn::Network::Record &rec);
 
   private:
+    /** Throw std::invalid_argument for a null or mis-shaped input. */
+    void requireInputShape(const nn::Tensor *x) const;
+
     /** Per-pool-slot scratch for the fused batch pipeline. Slot 0 also
      *  serves single-stream detect(), so both paths share warm
      *  buffers. */

@@ -566,9 +566,9 @@ DownsamplePad::backmapImportant(
 
 Norm2d::Norm2d(std::string name, int channels, float momentum, float eps)
     : Layer(std::move(name)), chans(channels), mom(momentum), epsilon(eps),
-      gamma(channels, 1.0f), beta(channels, 0.0f),
-      gradGamma(channels, 0.0f), gradBeta(channels, 0.0f),
-      runMean(channels, 0.0f), runVar(channels, 1.0f)
+      gamma(channels, 1.0f), beta(channels, 0.0f), runMean(channels, 0.0f),
+      runVar(channels, 1.0f), gradGamma(channels, 0.0f),
+      gradBeta(channels, 0.0f)
 {
 }
 

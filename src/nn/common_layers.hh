@@ -202,8 +202,8 @@ class Norm2d : public Layer
   private:
     int chans;
     float mom, epsilon;
-    std::vector<float> gamma, beta, gradGamma, gradBeta;
-    std::vector<float> runMean, runVar;
+    util::AlignedF32 gamma, beta, runMean, runVar;
+    std::vector<float> gradGamma, gradBeta;
 };
 
 } // namespace ptolemy::nn

@@ -1,6 +1,7 @@
 #include "conv.hh"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "nn/gemm.hh"
 #include "nn/psum_kernels.hh"
@@ -16,6 +17,7 @@ Conv2d::Conv2d(std::string name, int in_c, int out_c, int k, int stride,
       bias(out_c, 0.0f), gradWeight(weight.size(), 0.0f),
       gradBias(out_c, 0.0f)
 {
+    weightsChanged();
 }
 
 Shape
@@ -42,38 +44,30 @@ Conv2d::forwardInto(const std::vector<const Tensor *> &ins, Tensor &out,
     // outShapeFor instead of outputShape({...}): the braced vector
     // temporary was the hot path's only steady-state heap allocation.
     out.resize(outShapeFor(in.shape()));
-    // Without a fresh persistent pack (training, attacks, any network
-    // not prepacked for serving) W^T is packed per call into this
-    // thread's buffer. Nothing is written into the shared layer, so
-    // concurrent lanes over one network stay race-free, and the kernel
-    // and its bits are the same either way.
-    const PackedB *wt = &packedWt;
-    if (packedWt.empty()) {
-        thread_local PackedB per_call;
-        packWeightsInto(per_call);
-        wt = &per_call;
-    }
     convForwardPacked(in.data(), inC, in.shape().h, in.shape().w, kSize,
-                      strd, padding, out.shape().h, out.shape().w, *wt,
+                      strd, padding, out.shape().h, out.shape().w, packedWt,
                       bias.data(), out.data());
 }
 
 void
-Conv2d::packWeightsInto(PackedB &out) const
+Conv2d::weightsChanged()
 {
     // B[k][oc] = W^T, packed straight from the [outC x K] weight rows.
     const int K = inC * kSize * kSize;
     packBMatrixStrided(weight.data(), /*k_stride=*/1, /*n_stride=*/K, K,
-                       outC, out);
+                       outC, packedWt);
 }
 
 void
-Conv2d::prepackWeights() const
+Conv2d::setWeights(std::span<const float> w)
 {
-    if (!packedWt.empty() && packedWt.K == inC * kSize * kSize &&
-        packedWt.N == outC)
-        return; // fresh — stay a pure read (serving-safe no-op)
-    packWeightsInto(packedWt);
+    if (w.size() != weight.size())
+        throw std::invalid_argument("Conv2d::setWeights: expected " +
+                                    std::to_string(weight.size()) +
+                                    " weights, got " +
+                                    std::to_string(w.size()));
+    weight.assign(w.begin(), w.end());
+    weightsChanged();
 }
 
 void

@@ -6,6 +6,7 @@
 #ifndef PTOLEMY_NN_CONV_HH
 #define PTOLEMY_NN_CONV_HH
 
+#include <span>
 #include <vector>
 
 #include "nn/gemm.hh"
@@ -17,7 +18,11 @@ namespace ptolemy::nn
 /**
  * Standard 2-D convolution with bias.
  *
- * Weight layout: [outC][inC][k][k]; bias: [outC].
+ * Weight layout: [outC][inC][k][k]; bias: [outC]. The layer always
+ * holds W^T packed into the blocked panels the forward consumes
+ * (convForwardPacked): packed in the constructor and repacked by
+ * weightsChanged, which every weight writer calls. The forward only
+ * reads the panels, so any number of threads can run it at once.
  */
 class Conv2d : public Layer
 {
@@ -54,14 +59,8 @@ class Conv2d : public Layer
     receptiveFieldOffsets(const Shape &in) const override;
     std::size_t receptiveFieldSize() const override;
 
-    /**
-     * Pack W^T [inC*k*k x outC] into the persistent blocked panel
-     * layout the forward consumes (convForwardPacked). Pure read when
-     * already fresh; see Layer::prepackWeights for the ownership
-     * contract. Without it the forward packs per call.
-     */
-    void prepackWeights() const override;
-    void invalidatePackedWeights() override { packedWt.clear(); }
+    /** Repack W^T [inC*k*k x outC] from the current weights. */
+    void weightsChanged() override;
 
     /**
      * Scalar reference forward, a direct 6-deep loop (equivalence
@@ -84,28 +83,19 @@ class Conv2d : public Layer
     int strideOf() const { return strd; }
     int padOf() const { return padding; }
 
-    /** Direct access for initializers and tests. Non-const access
-     *  invalidates the packed weight cache (the values may change). */
-    std::vector<float> &
-    weights()
-    {
-        invalidatePackedWeights();
-        return weight;
-    }
-    std::vector<float> &
-    biases()
-    {
-        // Bias is read live by the forward (never packed), but dropping
-        // the cache keeps the staleness story uniform.
-        invalidatePackedWeights();
-        return bias;
-    }
+    const util::AlignedF32 &weights() const { return weight; }
+    /**
+     * Replace the weights ([outC][inC][k][k], weights().size() floats;
+     * std::invalid_argument otherwise) and repack the panels.
+     */
+    void setWeights(std::span<const float> w);
+    /** Bias is read live by the forward (never packed), so it may be
+     *  written in place. */
+    util::AlignedF32 &biases() { return bias; }
 
   private:
     /** Output shape for one input shape, allocation-free. */
     Shape outShapeFor(const Shape &in) const;
-    /** Pack W^T into @p out (the persistent or a per-call pack). */
-    void packWeightsInto(PackedB &out) const;
     /** GEMM backward: grad_W via an NT product over im2col, grad_in
      *  via the implicit-GEMM convBackwardInput. Null @p grad_w /
      *  @p grad_b skip the dW product and its im2col; a null
@@ -113,13 +103,6 @@ class Conv2d : public Layer
     void backwardGemm(const Tensor &in, const Tensor &grad_out,
                       const GradSink &sink, std::vector<float> *grad_w,
                       std::vector<float> *grad_b);
-
-    float &
-    wAt(int oc, int ic, int ky, int kx)
-    {
-        return weight[((static_cast<std::size_t>(oc) * inC + ic) * kSize +
-                       ky) * kSize + kx];
-    }
 
     float
     wAt(int oc, int ic, int ky, int kx) const
@@ -129,12 +112,9 @@ class Conv2d : public Layer
     }
 
     int inC, outC, kSize, strd, padding;
-    std::vector<float> weight, bias;
+    util::AlignedF32 weight, bias;
     std::vector<float> gradWeight, gradBias;
-    /** Persistent packed W^T panels; mutable const-cache filled by
-     *  prepackWeights (owner phase only — see Layer contract). Empty
-     *  means the forward packs per call. */
-    mutable PackedB packedWt;
+    PackedB packedWt; ///< W^T panels of weight (see weightsChanged)
 };
 
 } // namespace ptolemy::nn

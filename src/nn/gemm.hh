@@ -67,25 +67,14 @@ void sgemm(int M, int N, int K, const float *A, const float *B, float *C,
 
 /**
  * A B matrix [K x N] packed into the blocked panel layout the conv
- * kernels consume (see detail::packedBLayout), 64-byte-aligned.
- * Serving-path conv weights are immutable, so DetectorModel packs them
- * once at build time; a layer without that persistent pack packs per
- * call into a thread-local PackedB instead.
+ * kernels consume (see detail::packedBLayout), 64-byte-aligned. Each
+ * Conv2d holds one, repacked whenever its weights change.
  */
 struct PackedB
 {
     int K = 0;
     int N = 0;
     util::AlignedF32 data;
-
-    bool empty() const { return data.empty(); }
-
-    void
-    clear()
-    {
-        K = N = 0;
-        util::AlignedF32().swap(data);
-    }
 };
 
 /**

@@ -22,7 +22,7 @@ namespace ptolemy::nn::detail
 {
 
 /**
- * Blocked layout of a persistent packed B matrix [K x N]: the column
+ * Blocked layout of a packed B matrix [K x N]: the column
  * space is split exactly the way the tile kernels block it — 16-wide
  * panels, then one 8-wide panel when 8 <= N%16, then a <8-column
  * scalar tail — and each panel is stored [k][width] contiguous, the

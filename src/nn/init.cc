@@ -1,6 +1,7 @@
 #include "init.hh"
 
 #include <cmath>
+#include <vector>
 
 #include "nn/conv.hh"
 #include "nn/linear.hh"
@@ -21,8 +22,10 @@ heInit(Network &net, std::uint64_t seed)
             const double fan_in = static_cast<double>(conv.inChannels()) *
                                   conv.kernel() * conv.kernel();
             const double std_dev = std::sqrt(2.0 / fan_in);
-            for (float &w : conv.weights())
-                w = static_cast<float>(rng.gaussian(0.0, std_dev));
+            std::vector<float> w(conv.weights().size());
+            for (float &v : w)
+                v = static_cast<float>(rng.gaussian(0.0, std_dev));
+            conv.setWeights(w);
         } else if (layer.kind() == LayerKind::Linear) {
             auto &lin = static_cast<Linear &>(layer);
             const double std_dev = std::sqrt(2.0 / lin.inFeatures());

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "nn/tensor.hh"
+#include "util/aligned.hh"
 
 namespace ptolemy::nn
 {
@@ -57,10 +58,16 @@ enum class LayerKind
 /** Human-readable kind name (for dumps and error messages). */
 const char *layerKindName(LayerKind k);
 
-/** A mutable view of one parameter (or state buffer) and its gradient. */
+/**
+ * A mutable view of one parameter (or state buffer) and its gradient.
+ * Values are stored 64-byte aligned, so the kernels stream them in
+ * place with aligned vector loads; gradients are plain scratch. A
+ * caller that writes through @p value must call Layer::weightsChanged
+ * (or Network::weightsChanged) before the next forward.
+ */
 struct Param
 {
-    std::vector<float> *value = nullptr;
+    util::AlignedF32 *value = nullptr;
     std::vector<float> *grad = nullptr; ///< null for non-trainable state
 };
 
@@ -254,25 +261,14 @@ class Layer
     virtual void applyTrainState(const float *src) { (void)src; }
 
     /**
-     * Build this layer's serving-time packed weight cache (see
-     * Conv2d/Linear). Const cache-fill into mutable members, called
-     * from Network::prepackForServing while the caller still owns the
-     * network exclusively (DetectorModel's constructor — before the
-     * model is shared with serving threads). Idempotent: when the
-     * cache is already fresh this is a pure read, so repeated calls
-     * (e.g. a hot-swap building a second model over an already-packed
-     * network) never write during serving. Default: no cache, no-op.
+     * Rebuild whatever this layer derives from its parameter values
+     * (Conv2d's packed W^T panels). Every writer of the values calls it
+     * once it is done — the trainer after each SGD step, Network::load,
+     * Conv2d::setWeights — single-threaded, before the next forward, so
+     * a forward only ever reads derived state that matches the values.
+     * Default: nothing derived, no-op.
      */
-    virtual void prepackWeights() const {}
-
-    /**
-     * Drop the packed weight cache after a weight mutation (training,
-     * load, direct weights() access). Until the next prepackWeights()
-     * Conv2d's forward packs W^T per call into a thread-local buffer
-     * and Linear reads its live weights — same kernels, same bits,
-     * just slower.
-     */
-    virtual void invalidatePackedWeights() {}
+    virtual void weightsChanged() {}
 
     /** True for layers that own weights and define partial sums. */
     virtual bool weighted() const { return false; }

@@ -16,20 +16,6 @@ Linear::Linear(std::string name, int in_n, int out_n)
 {
 }
 
-void
-Linear::prepackWeights() const
-{
-    if (packedW.size() == weight.size())
-        return; // fresh — stay a pure read (serving-safe no-op)
-    packedW.assign(weight.begin(), weight.end());
-}
-
-const float *
-Linear::servingWeights() const
-{
-    return packedW.empty() ? weight.data() : packedW.data();
-}
-
 Shape
 Linear::outputShape(const std::vector<Shape> &ins) const
 {
@@ -46,7 +32,7 @@ Linear::forwardInto(const std::vector<const Tensor *> &ins, Tensor &out,
     const Tensor &in = *ins[0];
     assert(static_cast<int>(in.size()) == inN);
     out.resize(flatShape(outN));
-    sgemvBias(outN, inN, servingWeights(), in.data(), bias.data(),
+    sgemvBias(outN, inN, weight.data(), in.data(), bias.data(),
               out.data());
 }
 

@@ -16,6 +16,8 @@ namespace ptolemy::nn
 
 /**
  * Dense layer y = W x + b over flat vectors. Weight layout: [out][in].
+ * The forward's gemv streams the 64-byte-aligned weight storage in
+ * place; nothing is derived from it, so writers need no repack.
  */
 class Linear : public Layer
 {
@@ -37,48 +39,17 @@ class Linear : public Layer
                      const std::uint32_t *rf_offsets = nullptr) const override;
     std::size_t receptiveFieldSize() const override;
 
-    /**
-     * Copy the weight matrix into a 64-byte-aligned buffer the serving
-     * gemv streams from. The values are identical, so every SIMD mode
-     * is trivially bit-identical; the win is aligned vector loads and a
-     * cache-line-aligned stream. See Layer::prepackWeights for the
-     * ownership contract.
-     */
-    void prepackWeights() const override;
-    void invalidatePackedWeights() override
-    {
-        util::AlignedF32().swap(packedW);
-    }
-
     int inFeatures() const { return inN; }
     int outFeatures() const { return outN; }
-    /** Direct access for initializers and tests. Non-const access
-     *  invalidates the packed weight cache (the values may change). */
-    std::vector<float> &
-    weights()
-    {
-        invalidatePackedWeights();
-        return weight;
-    }
-    std::vector<float> &
-    biases()
-    {
-        // Bias is read live (never packed), but dropping the cache
-        // keeps the staleness story uniform.
-        invalidatePackedWeights();
-        return bias;
-    }
+    /** Direct access for initializers and tests (read live by the
+     *  forward, so in-place writes need no weightsChanged). */
+    util::AlignedF32 &weights() { return weight; }
+    util::AlignedF32 &biases() { return bias; }
 
   private:
-    /** Serving weight pointer: aligned copy when fresh, else live. */
-    const float *servingWeights() const;
-
     int inN, outN;
-    std::vector<float> weight, bias;
+    util::AlignedF32 weight, bias;
     std::vector<float> gradWeight, gradBias;
-    /** Aligned serving-time copy of weight; mutable const-cache filled
-     *  by prepackWeights (owner phase only — see Layer contract). */
-    mutable util::AlignedF32 packedW;
 };
 
 } // namespace ptolemy::nn

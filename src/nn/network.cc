@@ -373,17 +373,10 @@ Network::applyTrainState(const float *src)
 }
 
 void
-Network::prepackForServing() const
+Network::weightsChanged()
 {
-    for (int id : weightedIds)
-        nodes[id].layer->prepackWeights();
-}
-
-void
-Network::invalidatePackedWeights()
-{
-    for (int id : weightedIds)
-        nodes[id].layer->invalidatePackedWeights();
+    for (auto &n : nodes)
+        n.layer->weightsChanged();
 }
 
 std::string
@@ -412,6 +405,19 @@ Network::signature() const
     return oss.str();
 }
 
+std::vector<util::AlignedF32 *>
+Network::valueBuffers()
+{
+    std::vector<util::AlignedF32 *> out;
+    for (auto &n : nodes) {
+        for (auto p : n.layer->params())
+            out.push_back(p.value);
+        for (auto p : n.layer->state())
+            out.push_back(p.value);
+    }
+    return out;
+}
+
 bool
 Network::save(const std::string &path)
 {
@@ -419,16 +425,10 @@ Network::save(const std::string &path)
     if (!os)
         return false;
     writeString(os, signature());
-    std::uint64_t n_bufs = 0;
-    for (auto &n : nodes)
-        n_bufs += n.layer->params().size() + n.layer->state().size();
-    writeU64(os, n_bufs);
-    for (auto &n : nodes) {
-        for (auto p : n.layer->params())
-            writeFloats(os, *p.value);
-        for (auto p : n.layer->state())
-            writeFloats(os, *p.value);
-    }
+    const auto bufs = valueBuffers();
+    writeU64(os, bufs.size());
+    for (const auto *b : bufs)
+        writeFloats(os, *b);
     return os.good();
 }
 
@@ -441,24 +441,19 @@ Network::load(const std::string &path)
     std::string sig;
     if (!readString(is, sig) || sig != signature())
         return false;
+    const auto dst = valueBuffers();
     std::uint64_t n_bufs;
-    if (!readU64(is, n_bufs))
+    if (!readU64(is, n_bufs) || n_bufs != dst.size())
         return false;
-    invalidatePackedWeights(); // the weights below replace the packed ones
-    for (auto &n : nodes) {
-        for (auto p : n.layer->params()) {
-            std::vector<float> v;
-            if (!readFloats(is, v) || v.size() != p.value->size())
-                return false;
-            *p.value = std::move(v);
-        }
-        for (auto p : n.layer->state()) {
-            std::vector<float> v;
-            if (!readFloats(is, v) || v.size() != p.value->size())
-                return false;
-            *p.value = std::move(v);
-        }
-    }
+    // Parse everything before touching the layers, so a truncated or
+    // corrupt file leaves the network exactly as it was.
+    std::vector<util::AlignedF32> bufs(dst.size());
+    for (std::size_t i = 0; i < dst.size(); ++i)
+        if (!readFloats(is, bufs[i]) || bufs[i].size() != dst[i]->size())
+            return false;
+    for (std::size_t i = 0; i < dst.size(); ++i)
+        dst[i]->swap(bufs[i]);
+    weightsChanged();
     return true;
 }
 

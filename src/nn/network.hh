@@ -287,18 +287,12 @@ class Network
     void applyTrainState(const float *src);
 
     /**
-     * Build every weighted layer's serving-time packed weight cache
-     * (packed conv panels, aligned fc weights; see
-     * Layer::prepackWeights).
-     * Call while this thread still owns the network exclusively —
-     * core::DetectorModel's constructor does, before the model is
-     * shared with serving threads. Idempotent pure read when fresh.
+     * Rebuild every layer's derived weight state (Layer::weightsChanged)
+     * after writing parameter values through params()/flatParams().
+     * Single-threaded, before the next forward; load() and the trainer
+     * call it themselves.
      */
-    void prepackForServing() const;
-
-    /** Drop all packed weight caches (weights are about to change).
-     *  Forward then packs per call, bit-identically. */
-    void invalidatePackedWeights();
+    void weightsChanged();
 
     /**
      * Architecture signature used to validate weight caches: layer names,
@@ -309,10 +303,18 @@ class Network
     /** Serialize parameters + state to @p path. @return success. */
     bool save(const std::string &path);
 
-    /** Load parameters + state; fails if the signature mismatches. */
+    /**
+     * Load parameters + state. All or nothing: a signature or buffer
+     * count mismatch, or a short or corrupt buffer, returns false with
+     * every value unchanged.
+     */
     bool load(const std::string &path);
 
   private:
+    /** Every parameter and state value buffer in file order: per
+     *  node, params() then state(). */
+    std::vector<util::AlignedF32 *> valueBuffers();
+
     /** Build the cached parameter index (flat list + per-node spans). */
     void ensureParamIndex();
 

@@ -26,11 +26,6 @@ Trainer::trainInto(Network &net, const Dataset &data,
     if (data.empty())
         return; // nothing to fit; also keeps the shuffle below(0)-free
 
-    // Training writes weights through the flat-param pointers, which the
-    // layers cannot observe — drop any serving-time packed caches up
-    // front so a later forward never reads stale panels.
-    net.invalidatePackedWeights();
-
     ThreadPool &pool = config.pool ? *config.pool : globalPool();
     const auto &params = net.flatParams();
 
@@ -75,6 +70,9 @@ Trainer::trainInto(Network &net, const Dataset &data,
                 val[i] += vel[i];
             }
         }
+        // The pool has joined: repack once per step, before the next
+        // batch's forwards read the panels.
+        net.weightsChanged();
         net.zeroGrads();
     };
 

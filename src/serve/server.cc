@@ -159,9 +159,10 @@ DetectorServer::executeBatch(std::vector<ServeRequest *> &formed)
         }
     }
 
-    // Triage: expire and poison BEFORE the fused batch, so one bad
-    // request can't take its batchmates down with it.
+    // Triage: expire, poison and shape-check BEFORE the fused batch, so
+    // one bad request can't take its batchmates down with it.
     const Clock::time_point now = Clock::now();
+    const nn::Shape &in_shape = pinned->network().inputShape();
     live.clear();
     xs.clear();
     for (ServeRequest *r : formed) {
@@ -177,6 +178,12 @@ DetectorServer::executeBatch(std::vector<ServeRequest *> &formed)
                 r->error = "poisoned request";
                 resolve(*r, RequestStatus::kError);
             }
+            continue;
+        }
+        // detectBatch would throw for the whole batch; fail just this.
+        if (r->x == nullptr || r->x->shape() != in_shape) {
+            r->error = "input shape mismatch";
+            resolve(*r, RequestStatus::kError);
             continue;
         }
         live.push_back(r);

@@ -24,7 +24,7 @@ writeF64(std::ostream &os, double v)
 }
 
 void
-writeFloats(std::ostream &os, const std::vector<float> &v)
+writeFloats(std::ostream &os, std::span<const float> v)
 {
     writeU64(os, v.size());
     os.write(reinterpret_cast<const char *>(v.data()),
@@ -68,10 +68,10 @@ namespace
 // allocator: under AddressSanitizer an absurd allocation is a hard
 // error, and even without it the stream would fault or OOM.
 constexpr std::uint64_t kMaxLenPrefix = 1ull << 26;
-} // namespace
 
+template <typename Alloc>
 bool
-readFloats(std::istream &is, std::vector<float> &v)
+readFloatsInto(std::istream &is, std::vector<float, Alloc> &v)
 {
     std::uint64_t n;
     if (!readU64(is, n) || n > kMaxLenPrefix)
@@ -81,6 +81,19 @@ readFloats(std::istream &is, std::vector<float> &v)
             static_cast<std::streamsize>(n * sizeof(float)));
     return is.good() || (is.eof() && is.gcount() ==
         static_cast<std::streamsize>(n * sizeof(float)));
+}
+} // namespace
+
+bool
+readFloats(std::istream &is, std::vector<float> &v)
+{
+    return readFloatsInto(is, v);
+}
+
+bool
+readFloats(std::istream &is, util::AlignedF32 &v)
+{
+    return readFloatsInto(is, v);
 }
 
 bool

@@ -11,8 +11,11 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "util/aligned.hh"
 
 namespace ptolemy
 {
@@ -25,7 +28,7 @@ void writeU32(std::ostream &os, std::uint32_t v);
 void writeF64(std::ostream &os, double v);
 
 /** Write a float vector with a length prefix. */
-void writeFloats(std::ostream &os, const std::vector<float> &v);
+void writeFloats(std::ostream &os, std::span<const float> v);
 
 /** Write a length-prefixed string. */
 void writeString(std::ostream &os, const std::string &s);
@@ -38,6 +41,7 @@ bool readU64(std::istream &is, std::uint64_t &v);
 bool readU32(std::istream &is, std::uint32_t &v);
 bool readF64(std::istream &is, double &v);
 bool readFloats(std::istream &is, std::vector<float> &v);
+bool readFloats(std::istream &is, util::AlignedF32 &v);
 bool readString(std::istream &is, std::string &s);
 
 } // namespace ptolemy

@@ -10,6 +10,7 @@
 #define PTOLEMY_TESTS_COMMON_TEST_MODELS_HH
 
 #include <memory>
+#include <vector>
 
 #include "data/synthetic.hh"
 #include "nn/common_layers.hh"
@@ -21,6 +22,18 @@
 
 namespace ptolemy::testing
 {
+
+/** Set @p conv's weights to successive @p gen() values, in storage
+ *  order, through Conv2d::setWeights (which repacks the panels). */
+template <typename Gen>
+void
+setConvWeights(nn::Conv2d &conv, Gen &&gen)
+{
+    std::vector<float> w(conv.weights().size());
+    for (float &v : w)
+        v = gen();
+    conv.setWeights(w);
+}
 
 /** A small 4-weighted-layer CNN for 3x16x16 inputs. */
 inline nn::Network

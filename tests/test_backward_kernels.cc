@@ -165,7 +165,9 @@ TEST(ConvBackwardInput, ConvLayerInputOnlyBackwardUsesIt)
     for (SimdMode mode : modesToTest()) {
         simdMode() = mode;
         Conv2d conv("c", 3, 8, 3, 2, 1);
-        fillRandom(conv.weights().data(), conv.weights().size(), rng);
+        std::vector<float> w(conv.weights().size());
+        fillRandom(w.data(), w.size(), rng);
+        conv.setWeights(w);
         Tensor x(mapShape(3, 9, 10));
         fillRandom(x.data(), x.size(), rng);
         Tensor out;

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/simd_modes.hh"
@@ -25,10 +26,20 @@ namespace
 {
 
 void
-fillRandom(std::vector<float> &v, Rng &rng, float scale = 1.0f)
+fillRandom(std::span<float> v, Rng &rng, float scale = 1.0f)
 {
     for (auto &x : v)
         x = (static_cast<float>(rng.uniform()) - 0.5f) * scale;
+}
+
+/** Random weights (through setWeights), then random biases. */
+void
+randomizeConv(Conv2d &conv, Rng &rng)
+{
+    std::vector<float> w(conv.weights().size());
+    fillRandom(w, rng);
+    conv.setWeights(w);
+    fillRandom(conv.biases(), rng);
 }
 
 Tensor
@@ -143,8 +154,7 @@ TEST(ConvGemm, ForwardMatchesNaiveAcrossStridesAndPadding)
         simdMode() = mode;
         for (const auto &cs : kConvCases) {
             Conv2d conv("c", cs[0], cs[1], cs[2], cs[3], cs[4]);
-            fillRandom(conv.weights(), rng);
-            fillRandom(conv.biases(), rng);
+            randomizeConv(conv, rng);
             const Tensor x = randomTensor(mapShape(cs[0], cs[5], cs[6]), rng);
 
             Tensor out_gemm, out_naive;
@@ -171,8 +181,7 @@ TEST(ConvGemm, BackwardMatchesNaiveAcrossStridesAndPadding)
             // A fresh layer per case, so its own gradient buffers start
             // at zero like the oracle's.
             Conv2d conv("c", cs[0], cs[1], cs[2], cs[3], cs[4]);
-            fillRandom(conv.weights(), rng);
-            fillRandom(conv.biases(), rng);
+            randomizeConv(conv, rng);
             const Tensor x = randomTensor(mapShape(cs[0], cs[5], cs[6]), rng);
 
             auto out = conv.forward({&x}, false);
@@ -210,8 +219,7 @@ TEST(ConvGemm, PartialSumsStillMatchForwardOutput)
     // noise regardless of the forward implementation.
     Rng rng(6);
     Conv2d conv("c", 2, 3, 3, 1, 1);
-    fillRandom(conv.weights(), rng);
-    fillRandom(conv.biases(), rng);
+    randomizeConv(conv, rng);
     const Tensor x = randomTensor(mapShape(2, 6, 6), rng);
     Tensor out;
     conv.forwardInto({&x}, out, false);

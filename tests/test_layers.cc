@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/test_models.hh"
 #include "nn/common_layers.hh"
 #include "nn/conv.hh"
 #include "nn/linear.hh"
@@ -126,7 +127,7 @@ TEST(ConvLayer, ForwardIdentityKernel)
 {
     // 1x1 kernel with weight 1 and zero bias must copy the input.
     Conv2d conv("c", 1, 1, 1, 1, 0);
-    conv.weights() = {1.0f};
+    conv.setWeights(std::vector<float>{1.0f});
     Tensor x = randomTensor(mapShape(1, 4, 4), 5);
     auto y = conv.forward({&x}, false);
     for (std::size_t i = 0; i < x.size(); ++i)
@@ -146,8 +147,8 @@ TEST(ConvLayer, PartialSumsSumToOutputMinusBias)
 {
     Conv2d conv("c", 2, 3, 3, 1, 1);
     Rng rng(8);
-    for (auto &w : conv.weights())
-        w = static_cast<float>(rng.gaussian(0.0, 0.5));
+    testing::setConvWeights(
+        conv, [&] { return static_cast<float>(rng.gaussian(0.0, 0.5)); });
     conv.biases() = {0.1f, -0.2f, 0.3f};
     const Tensor x = randomTensor(mapShape(2, 5, 5), 21);
     auto y = conv.forward({&x}, false);
@@ -173,8 +174,8 @@ TEST(ConvLayer, BackwardNumericalGradient)
 {
     Conv2d conv("c", 2, 3, 3, 1, 1);
     Rng rng(4);
-    for (auto &w : conv.weights())
-        w = static_cast<float>(rng.gaussian(0.0, 0.5));
+    testing::setConvWeights(
+        conv, [&] { return static_cast<float>(rng.gaussian(0.0, 0.5)); });
     const Tensor x = randomTensor(mapShape(2, 4, 4), 12);
     const Tensor lw = randomTensor(mapShape(3, 4, 4), 13);
     expectGradsClose(analyticInputGrad(conv, x, lw),
@@ -185,8 +186,8 @@ TEST(ConvLayer, StridedBackwardNumericalGradient)
 {
     Conv2d conv("c", 2, 2, 3, 2, 1);
     Rng rng(6);
-    for (auto &w : conv.weights())
-        w = static_cast<float>(rng.gaussian(0.0, 0.5));
+    testing::setConvWeights(
+        conv, [&] { return static_cast<float>(rng.gaussian(0.0, 0.5)); });
     const Tensor x = randomTensor(mapShape(2, 6, 6), 14);
     const Tensor lw = randomTensor(mapShape(2, 3, 3), 15);
     expectGradsClose(analyticInputGrad(conv, x, lw),

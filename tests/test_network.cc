@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "models/zoo.hh"
 #include "nn/common_layers.hh"
@@ -140,6 +145,97 @@ TEST(Network, LoadRejectsArchitectureMismatch)
     ASSERT_TRUE(net.save(path));
     auto other = models::makeMiniAlexNet(10);
     EXPECT_FALSE(other.load(path));
+    std::remove(path.c_str());
+}
+
+/** Every parameter and state byte of @p net, in file order. */
+std::vector<float>
+valueBytes(Network &net)
+{
+    std::vector<float> out;
+    for (int id = 0; id < net.numNodes(); ++id) {
+        for (auto p : net.layerAt(id).params())
+            out.insert(out.end(), p.value->begin(), p.value->end());
+        for (auto p : net.layerAt(id).state())
+            out.insert(out.end(), p.value->begin(), p.value->end());
+    }
+    return out;
+}
+
+TEST(Network, LoadIsAllOrNothing)
+{
+    // A file that fails to parse anywhere — truncated mid-buffer, or
+    // declaring the wrong buffer count — must leave every parameter
+    // and state value, and hence the forward, exactly as it was.
+    auto make = [](std::uint64_t seed) {
+        Network net("norm", mapShape(3, 8, 8));
+        net.add(std::make_unique<Conv2d>("c1", 3, 4, 3, 1, 1));
+        net.add(std::make_unique<Norm2d>("n1", 4));
+        net.add(std::make_unique<ReLU>("r1"));
+        net.add(std::make_unique<Flatten>("f"));
+        net.add(std::make_unique<Linear>("fc", 4 * 8 * 8, 5));
+        heInit(net, seed);
+        return net;
+    };
+    auto src = make(3);
+    const Tensor x = [] {
+        Rng rng(8);
+        Tensor t(mapShape(3, 8, 8));
+        for (std::size_t i = 0; i < t.size(); ++i)
+            t[i] = static_cast<float>(rng.uniform());
+        return t;
+    }();
+    // Distinct running statistics, so a leaked state buffer shows.
+    for (int i = 0; i < 3; ++i)
+        src.forward(x, /*train=*/true);
+    const std::string path = ::testing::TempDir() + "/net_partial.bin";
+    ASSERT_TRUE(src.save(path));
+    std::string bytes;
+    {
+        std::ifstream is(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(is), {});
+    }
+    const std::size_t nbufs_at = 8 + src.signature().size();
+    std::uint64_t nbufs;
+    std::memcpy(&nbufs, bytes.data() + nbufs_at, sizeof nbufs);
+    ASSERT_EQ(nbufs, 8u); // conv w/b, norm gamma/beta + mean/var, fc w/b
+
+    std::vector<std::string> bad;
+    for (std::size_t cut : {nbufs_at + 8 + 4, bytes.size() / 2,
+                            bytes.size() - 4, bytes.size() - 1})
+        bad.push_back(bytes.substr(0, cut));
+    for (std::uint64_t n : {nbufs - 1, nbufs + 1}) {
+        bad.push_back(bytes);
+        std::memcpy(bad.back().data() + nbufs_at, &n, sizeof n);
+    }
+
+    auto dst = make(99);
+    const std::vector<float> before = valueBytes(dst);
+    const Tensor logits_before = dst.forward(x).logits();
+    for (std::size_t b = 0; b < bad.size(); ++b) {
+        {
+            std::ofstream os(path, std::ios::binary | std::ios::trunc);
+            os.write(bad[b].data(), static_cast<std::streamsize>(
+                                        bad[b].size()));
+        }
+        EXPECT_FALSE(dst.load(path)) << "bad file " << b;
+        const std::vector<float> after = valueBytes(dst);
+        ASSERT_EQ(before.size(), after.size());
+        EXPECT_EQ(0, std::memcmp(before.data(), after.data(),
+                                 before.size() * sizeof(float)))
+            << "bad file " << b;
+        const Tensor logits = dst.forward(x).logits();
+        EXPECT_EQ(0, std::memcmp(logits_before.data(), logits.data(),
+                                 logits.size() * sizeof(float)))
+            << "bad file " << b;
+    }
+    // The intact file still loads, and takes effect.
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    ASSERT_TRUE(dst.load(path));
+    EXPECT_EQ(valueBytes(dst), valueBytes(src));
     std::remove(path.c_str());
 }
 

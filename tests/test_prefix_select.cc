@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/simd_modes.hh"
+#include "common/test_models.hh"
 #include "nn/conv.hh"
 #include "nn/linear.hh"
 #include "path/prefix_select.hh"
@@ -278,8 +279,8 @@ TEST(PrefixSelect, ConvBorderRowsWithPaddingAndStride)
     for (const Cfg c : {Cfg{3, 3, 1, 1, 7}, Cfg{4, 3, 2, 1, 9},
                         Cfg{2, 5, 2, 2, 8}, Cfg{16, 3, 1, 0, 6}}) {
         nn::Conv2d conv("c", c.in_c, 2, c.k, c.stride, c.pad);
-        for (auto &w : conv.weights())
-            w = static_cast<float>(rng.gaussian(0.0, 0.5));
+        testing::setConvWeights(
+            conv, [&] { return static_cast<float>(rng.gaussian(0.0, 0.5)); });
         nn::Tensor x(nn::mapShape(c.in_c, c.hw, c.hw));
         for (std::size_t i = 0; i < x.size(); ++i)
             x[i] = static_cast<float>(std::max(0.0, rng.gaussian(0.0, 1.0)));

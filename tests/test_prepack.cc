@@ -1,21 +1,27 @@
 /**
  * @file
  * Packed-weight conv forward: the panel packer's layout and alignment,
- * bitwise identity of the implicit-GEMM conv forward (persistent and
- * per-call pack) against im2col + sgemm + bias in every SIMD mode,
- * network-level identity of the unpacked and prepacked forwards,
- * inline-vs-pooled scheduling, and weight-mutation invalidation.
- * Everything here asserts EXACT float equality — the packed path's
- * contract is bit-identity, not tolerance.
+ * bitwise identity of the implicit-GEMM conv forward against im2col +
+ * sgemm + bias in every SIMD mode, inline-vs-pooled scheduling, and the
+ * pack lifecycle — setWeights, the trainer's per-step repack and
+ * Network::load all leave panels that match the weights. Everything
+ * here asserts EXACT float equality — the packed path's contract is
+ * bit-identity, not tolerance.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/simd_modes.hh"
 #include "common/test_models.hh"
+#include "core/detector_model.hh"
+#include "core/detector_session.hh"
 #include "nn/conv.hh"
 #include "nn/gemm.hh"
 #include "nn/gemm_kernels.hh"
@@ -30,10 +36,20 @@ namespace
 {
 
 void
-fillRandom(std::vector<float> &v, Rng &rng, float scale = 1.0f)
+fillRandom(std::span<float> v, Rng &rng, float scale = 1.0f)
 {
     for (auto &x : v)
         x = (static_cast<float>(rng.uniform()) - 0.5f) * scale;
+}
+
+/** Random weights (through setWeights), then random biases. */
+void
+randomizeConv(Conv2d &conv, Rng &rng)
+{
+    std::vector<float> w(conv.weights().size());
+    fillRandom(w, rng);
+    conv.setWeights(w);
+    fillRandom(conv.biases(), rng);
 }
 
 Tensor
@@ -62,7 +78,7 @@ sameBits(const Tensor &a, const Tensor &b)
  * The implicit GEMM must reproduce its bytes in the current SIMD mode.
  */
 Tensor
-classicForward(const std::vector<float> &w, const std::vector<float> &b,
+classicForward(std::span<const float> w, std::span<const float> b,
                int out_c, int k, int stride, int pad, const Tensor &x)
 {
     const int in_c = x.shape().c, ih = x.shape().h, iw = x.shape().w;
@@ -133,8 +149,7 @@ TEST(Prepack, PackedPanelsAreCacheLineAligned)
 
 TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
 {
-    // The end-to-end contract, in every SIMD mode: a Conv2d forward —
-    // with the persistent packed panel and with the per-call pack —
+    // The end-to-end contract, in every SIMD mode: a Conv2d forward
     // produces the exact bytes of im2col + sgemm + bias. Geometries
     // cover stride 2, 1x1 kernels, zero padding, channel counts hitting
     // the 16-wide, 8-wide, and scalar-tail weight panels, K values
@@ -170,30 +185,19 @@ TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
         simdMode() = mode;
         for (const auto &cs : cases) {
             Conv2d conv("c", cs[0], cs[1], cs[2], cs[3], cs[4]);
-            fillRandom(conv.weights(), rng);
-            fillRandom(conv.biases(), rng);
-            const std::vector<float> w = conv.weights();
-            const std::vector<float> b = conv.biases();
+            randomizeConv(conv, rng);
             const Tensor x =
                 randomTensor(mapShape(cs[0], cs[5], cs[6]), rng);
             const Tensor classic =
-                classicForward(w, b, cs[1], cs[2], cs[3], cs[4], x);
+                classicForward(conv.weights(), conv.biases(), cs[1], cs[2],
+                               cs[3], cs[4], x);
 
-            Tensor per_call, persistent;
-            conv.forwardInto({&x}, per_call, false);
-            conv.prepackWeights();
-            conv.forwardInto({&x}, persistent, false);
-
-            ASSERT_TRUE(sameBits(per_call, classic))
-                << "per-call pack mode=" << simdModeName()
-                << " in_c=" << cs[0] << " out_c=" << cs[1]
-                << " k=" << cs[2] << " s=" << cs[3] << " p=" << cs[4]
-                << " h=" << cs[5] << " w=" << cs[6];
-            ASSERT_TRUE(sameBits(persistent, classic))
-                << "persistent pack mode=" << simdModeName()
-                << " in_c=" << cs[0] << " out_c=" << cs[1]
-                << " k=" << cs[2] << " s=" << cs[3] << " p=" << cs[4]
-                << " h=" << cs[5] << " w=" << cs[6];
+            Tensor out;
+            conv.forwardInto({&x}, out, false);
+            ASSERT_TRUE(sameBits(out, classic))
+                << "mode=" << simdModeName() << " in_c=" << cs[0]
+                << " out_c=" << cs[1] << " k=" << cs[2] << " s=" << cs[3]
+                << " p=" << cs[4] << " h=" << cs[5] << " w=" << cs[6];
         }
     }
 }
@@ -225,11 +229,7 @@ TEST(Prepack, Avx512TileBitIdenticalToAvx2AndClassicPath)
             for (const auto &m : maps) {
                 const int stride = (m[0] == 13 && in_c == 5) ? 2 : 1;
                 Conv2d conv("c", in_c, out_c, 3, stride, 1);
-                fillRandom(conv.weights(), rng);
-                fillRandom(conv.biases(), rng);
-                const std::vector<float> w = conv.weights();
-                const std::vector<float> b = conv.biases();
-                conv.prepackWeights();
+                randomizeConv(conv, rng);
                 const Tensor x = randomTensor(mapShape(in_c, m[0], m[1]), rng);
 
                 simdMode() = SimdMode::Avx2;
@@ -238,8 +238,8 @@ TEST(Prepack, Avx512TileBitIdenticalToAvx2AndClassicPath)
                 simdMode() = SimdMode::Avx512;
                 Tensor avx512;
                 conv.forwardInto({&x}, avx512, false);
-                const Tensor classic =
-                    classicForward(w, b, out_c, 3, stride, 1, x);
+                const Tensor classic = classicForward(
+                    conv.weights(), conv.biases(), out_c, 3, stride, 1, x);
                 ASSERT_TRUE(sameBits(avx512, avx2))
                     << "in_c=" << in_c << " out_c=" << out_c << " s="
                     << stride << " h=" << m[0] << " w=" << m[1];
@@ -251,45 +251,11 @@ TEST(Prepack, Avx512TileBitIdenticalToAvx2AndClassicPath)
     }
 }
 
-TEST(Prepack, NetworkForwardBitIdenticalBeforeAndAfterPrepack)
-{
-    // Training and attacks run a network with no persistent pack;
-    // DetectorModel serves it after prepackForServing(). Every node's
-    // output must be the same bytes either way, in every SIMD mode.
-    SimdModeGuard mode_guard;
-    Network net = testing::makeTinyNet(10);
-    heInit(net, 49);
-    Rng rng(49);
-    std::vector<Tensor> xs;
-    for (int i = 0; i < 4; ++i)
-        xs.push_back(randomTensor(net.inputShape(), rng));
-
-    for (SimdMode mode : modesToTest()) {
-        simdMode() = mode;
-        net.invalidatePackedWeights();
-        std::vector<Network::Record> unpacked(xs.size()), packed(xs.size());
-        for (std::size_t i = 0; i < xs.size(); ++i)
-            net.inferInto(xs[i], unpacked[i]);
-        net.prepackForServing();
-        for (std::size_t i = 0; i < xs.size(); ++i)
-            net.inferInto(xs[i], packed[i]);
-
-        for (std::size_t i = 0; i < xs.size(); ++i) {
-            ASSERT_EQ(unpacked[i].outputs.size(), packed[i].outputs.size());
-            for (std::size_t n = 0; n < packed[i].outputs.size(); ++n)
-                ASSERT_TRUE(
-                    sameBits(unpacked[i].outputs[n], packed[i].outputs[n]))
-                    << "mode=" << simdModeName() << " sample=" << i
-                    << " node=" << n;
-        }
-    }
-}
-
 TEST(Prepack, InlineAndPooledSchedulingBitIdentical)
 {
     // The inline-below-cutoff dispatch is scheduling only: a strictly
     // serial run (no pool) and pooled runs across pool sizes {1, 2, 8}
-    // must agree to the bit, for the persistent and the per-call pack.
+    // must agree to the bit.
     SimdModeGuard mode_guard;
     GemmPoolGuard pool_guard;
     Rng rng(46);
@@ -297,69 +263,32 @@ TEST(Prepack, InlineAndPooledSchedulingBitIdentical)
     // 24x24 = 576 positions is 6 blocks of 96 and 2*32*576*72 FLOPs
     // clears the 2 MFLOP cutoff, so the pooled arm genuinely fans out.
     Conv2d conv("c", 8, 32, 3, 1, 1);
-    fillRandom(conv.weights(), rng);
-    fillRandom(conv.biases(), rng);
+    randomizeConv(conv, rng);
     const Tensor x = randomTensor(mapShape(8, 24, 24), rng);
 
     for (SimdMode mode : modesToTest()) {
         simdMode() = mode;
-        for (bool persistent : {false, true}) {
-            if (persistent)
-                conv.prepackWeights();
-            else
-                conv.invalidatePackedWeights();
+        gemmPool() = nullptr;
+        Tensor ref;
+        conv.forwardInto({&x}, ref, false);
+
+        for (unsigned threads : {1u, 2u, 8u}) {
+            ThreadPool pool(threads);
+            gemmPool() = &pool;
+            Tensor got;
+            conv.forwardInto({&x}, got, false);
+            ASSERT_TRUE(sameBits(ref, got))
+                << "mode=" << simdModeName() << " threads=" << threads;
             gemmPool() = nullptr;
-            Tensor ref;
-            conv.forwardInto({&x}, ref, false);
-
-            for (unsigned threads : {1u, 2u, 8u}) {
-                ThreadPool pool(threads);
-                gemmPool() = &pool;
-                Tensor got;
-                conv.forwardInto({&x}, got, false);
-                ASSERT_TRUE(sameBits(ref, got))
-                    << "mode=" << simdModeName()
-                    << " persistent=" << persistent
-                    << " threads=" << threads;
-                gemmPool() = nullptr;
-            }
         }
     }
 }
 
-TEST(Prepack, LinearPackedWeightsBitIdentical)
+TEST(Prepack, SetWeightsRepacksPanel)
 {
-    // Linear packing is a 64-byte-aligned value copy; the gemv numerics
-    // must be frozen — a packed layer and an invalidated one (serving
-    // from the live weights) agree exactly, both SIMD modes, odd K
-    // remainders.
-    SimdModeGuard mode_guard;
-    Rng rng(47);
-
-    for (SimdMode mode : modesToTest()) {
-        simdMode() = mode;
-        for (int K : {7, 64, 129}) {
-            Linear fc("fc", K, 33);
-            fillRandom(fc.weights(), rng);
-            fillRandom(fc.biases(), rng);
-            fc.prepackWeights();
-            const Tensor x = randomTensor(flatShape(K), rng);
-
-            Tensor packed_out, live_out;
-            fc.forwardInto({&x}, packed_out, false);
-            fc.invalidatePackedWeights();
-            fc.forwardInto({&x}, live_out, false);
-            ASSERT_TRUE(sameBits(packed_out, live_out))
-                << "mode=" << simdModeName() << " K=" << K;
-        }
-    }
-}
-
-TEST(Prepack, WeightMutationInvalidatesPackedPanel)
-{
-    // weights() hands out mutable storage, so the packed panel must be
-    // dropped and the next prepack must pick up the new values — a
-    // stale panel would silently serve the old model.
+    // setWeights must repack: the next forward runs on the new values,
+    // bit-identical to the classic path on them — a stale panel would
+    // silently serve the old model.
     SimdModeGuard mode_guard;
     GemmPoolGuard pool_guard;
     gemmPool() = nullptr;
@@ -368,24 +297,20 @@ TEST(Prepack, WeightMutationInvalidatesPackedPanel)
     for (SimdMode mode : modesToTest()) {
         simdMode() = mode;
         Conv2d conv("c", 3, 16, 3, 1, 1);
-        fillRandom(conv.weights(), rng);
-        fillRandom(conv.biases(), rng);
-        conv.prepackWeights();
+        randomizeConv(conv, rng);
         const Tensor x = randomTensor(mapShape(3, 8, 8), rng);
         Tensor before;
         conv.forwardInto({&x}, before, false);
 
-        // Mutate weights; re-pack; the packed forward must track the
-        // new values and stay bit-identical to the classic path on them.
-        for (auto &w : conv.weights())
-            w += 0.125f;
-        const std::vector<float> w = conv.weights();
-        const std::vector<float> b = conv.biases();
-        conv.prepackWeights();
+        std::vector<float> w(conv.weights().begin(), conv.weights().end());
+        for (auto &v : w)
+            v += 0.125f;
+        conv.setWeights(w);
         Tensor after;
         conv.forwardInto({&x}, after, false);
 
-        ASSERT_TRUE(sameBits(after, classicForward(w, b, 16, 3, 1, 1, x)))
+        ASSERT_TRUE(
+            sameBits(after, classicForward(w, conv.biases(), 16, 3, 1, 1, x)))
             << "mode=" << simdModeName();
         // And the outputs genuinely changed (the panel wasn't stale).
         bool changed = false;
@@ -393,6 +318,116 @@ TEST(Prepack, WeightMutationInvalidatesPackedPanel)
             changed = before[i] != after[i];
         ASSERT_TRUE(changed) << "mode=" << simdModeName();
     }
+    std::vector<float> short_w(5);
+    Conv2d conv("c", 3, 16, 3, 1, 1);
+    EXPECT_THROW(conv.setWeights(short_w), std::invalid_argument);
+}
+
+/** A detector fitted over @p net with a fixed recipe (small sets). */
+core::DetectorModel
+fitDetector(const Network &net, const data::SplitDataset &data)
+{
+    core::DetectorBuilder bld(
+        net,
+        path::ExtractionConfig::bwCu(
+            static_cast<int>(net.weightedNodes().size()), 0.5),
+        10);
+    bld.profileClassPaths(data.train, 6);
+    Rng rng(0x51AB);
+    std::vector<Tensor> clean, noisy;
+    for (std::size_t i = 0; i < 12; ++i) {
+        clean.push_back(data.test[i].input);
+        Tensor x = data.test[i].input;
+        for (std::size_t e = 0; e < x.size(); ++e)
+            x[e] += static_cast<float>(rng.uniform(-0.1, 0.1));
+        noisy.push_back(std::move(x));
+    }
+    classify::FeatureMatrix benign, adversarial;
+    bld.featuresBatch(clean, benign);
+    bld.featuresBatch(noisy, adversarial);
+    bld.fitClassifier(benign, adversarial);
+    return std::move(bld).build();
+}
+
+TEST(Prepack, TrainedNetworkServesFreshPanels)
+{
+    // The trainer writes weights through the flat parameter pointers
+    // and repacks once per SGD step. After train(), every node of the
+    // trained network must match, to the bit, a fresh network handed
+    // the same weights through setWeights and through load — the
+    // panels it serves from are the ones its final weights pack to.
+    // A detector over it must decide exactly as one over the fresh
+    // network, fanned out on two pool threads.
+    SimdModeGuard mode_guard;
+    data::DatasetSpec spec;
+    spec.trainPerClass = 6;
+    spec.testPerClass = 2;
+    spec.seed = 23;
+    const data::SplitDataset data = data::makeSyntheticDataset(spec);
+    const std::string path = ::testing::TempDir() + "/prepack_trained.bin";
+
+    for (SimdMode mode : modesToTest()) {
+        simdMode() = mode;
+        Network trained = testing::makeTinyNet(10);
+        heInit(trained, 51);
+        TrainConfig tc;
+        tc.epochs = 2;
+        tc.batchSize = 8;
+        Trainer(tc).train(trained, data.train);
+        ASSERT_TRUE(trained.save(path));
+
+        Network loaded = testing::makeTinyNet(10);
+        ASSERT_TRUE(loaded.load(path));
+        Network set = testing::makeTinyNet(10);
+        for (int id = 0; id < set.numNodes(); ++id) {
+            Layer &dst = set.layerAt(id);
+            Layer &src = trained.layerAt(id);
+            if (dst.kind() == LayerKind::Conv) {
+                auto &c = static_cast<Conv2d &>(src);
+                static_cast<Conv2d &>(dst).setWeights(c.weights());
+                static_cast<Conv2d &>(dst).biases() = c.biases();
+            } else if (dst.kind() == LayerKind::Linear) {
+                auto &l = static_cast<Linear &>(src);
+                static_cast<Linear &>(dst).weights() = l.weights();
+                static_cast<Linear &>(dst).biases() = l.biases();
+            }
+        }
+
+        for (std::size_t i = 0; i < 4; ++i) {
+            Network::Record want_set, want_loaded, got;
+            trained.inferInto(data.test[i].input, got);
+            set.inferInto(data.test[i].input, want_set);
+            loaded.inferInto(data.test[i].input, want_loaded);
+            for (std::size_t n = 0; n < got.outputs.size(); ++n) {
+                ASSERT_TRUE(sameBits(got.outputs[n], want_set.outputs[n]))
+                    << "setWeights mode=" << simdModeName()
+                    << " sample=" << i << " node=" << n;
+                ASSERT_TRUE(sameBits(got.outputs[n], want_loaded.outputs[n]))
+                    << "load mode=" << simdModeName() << " sample=" << i
+                    << " node=" << n;
+            }
+        }
+
+        const core::DetectorModel served = fitDetector(trained, data);
+        const core::DetectorModel fresh = fitDetector(loaded, data);
+        std::vector<Tensor> xs;
+        for (const auto &s : data.test)
+            xs.push_back(s.input);
+        ThreadPool pool(2);
+        std::vector<core::Decision> got, want;
+        core::DetectorSession(served).detectBatch(xs, got, &pool);
+        core::DetectorSession(fresh).detectBatch(xs, want, &pool);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].predictedClass, want[i].predictedClass)
+                << "mode=" << simdModeName() << " sample=" << i;
+            EXPECT_EQ(got[i].score, want[i].score)
+                << "mode=" << simdModeName() << " sample=" << i;
+            EXPECT_EQ(got[i].adversarial, want[i].adversarial)
+                << "mode=" << simdModeName() << " sample=" << i;
+        }
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -287,6 +288,54 @@ TEST(Serve, PoisonedRequestIsIsolatedFromItsBatchmates)
     const auto st = server.stats();
     EXPECT_EQ(st.errors, 4u);
     EXPECT_EQ(st.ok, xs.size() - 4);
+    EXPECT_TRUE(st.conserved());
+}
+
+TEST(Serve, ShapeMismatchedRequestFailsAlone)
+{
+    // The kernels trust the network's declared shapes, so a request
+    // with too few channels must be refused before the fused batch —
+    // alone, with its batchmates still served bit-identically.
+    const auto &model = servedModel();
+    const auto xs = probeInputs(8);
+    const auto ref = referenceDecisions(model, xs);
+    const nn::Shape in = model.network().inputShape();
+    const nn::Tensor thin(nn::mapShape(1, in.h, in.w));
+
+    // The session refuses it outright (typed, before any work).
+    {
+        DetectorSession sess(model);
+        std::vector<const nn::Tensor *> ptrs{&xs[0], &thin};
+        std::vector<Decision> outs(2);
+        EXPECT_THROW(sess.detectBatch(ptrs, outs), std::invalid_argument);
+        ptrs[1] = nullptr;
+        EXPECT_THROW(sess.detectBatch(ptrs, outs), std::invalid_argument);
+        EXPECT_THROW(sess.detect(thin), std::invalid_argument);
+    }
+
+    constexpr std::size_t kBad = 3;
+    DetectorServer server(model);
+    std::vector<ServeRequest> slab(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        slab[i].reset(i == kBad ? thin : xs[i]);
+        ASSERT_EQ(server.submit(slab[i]), RequestStatus::kQueued);
+    }
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        const RequestStatus s = server.wait(slab[i]);
+        if (i == kBad) {
+            EXPECT_EQ(s, RequestStatus::kError);
+            EXPECT_STREQ(slab[i].error, "input shape mismatch");
+        } else {
+            ASSERT_EQ(s, RequestStatus::kOk) << "sample " << i;
+            expectDecisionsEqual(slab[i].decision, ref[i],
+                                 "batchmate " + std::to_string(i));
+        }
+    }
+    server.stop();
+    const auto st = server.stats();
+    EXPECT_EQ(st.submitted, xs.size());
+    EXPECT_EQ(st.errors, 1u);
+    EXPECT_EQ(st.ok, xs.size() - 1);
     EXPECT_TRUE(st.conserved());
 }
 

@@ -133,8 +133,8 @@ TEST(PartialSumsSimd, LinearAndConvRowsMatchScalarBitwise)
     // the clipped loop. The reference is the scalar clipped loop with
     // no table at all.
     nn::Conv2d conv("c", 4, 3, 3, 1, 1);
-    for (auto &w : conv.weights())
-        w = static_cast<float>(rng.uniform(-1.0, 1.0));
+    testing::setConvWeights(
+        conv, [&] { return static_cast<float>(rng.uniform(-1.0, 1.0)); });
     nn::Tensor cx(nn::mapShape(4, 7, 7));
     for (std::size_t i = 0; i < cx.size(); ++i)
         cx[i] = static_cast<float>(rng.uniform(-1.0, 1.0));

@@ -26,7 +26,7 @@ paramSnapshot(nn::Network &net)
 {
     std::vector<std::vector<float>> out;
     for (auto p : net.params())
-        out.push_back(*p.value);
+        out.emplace_back(p.value->begin(), p.value->end());
     return out;
 }
 
@@ -37,7 +37,7 @@ stateSnapshot(nn::Network &net)
     std::vector<std::vector<float>> out;
     for (int id = 0; id < net.numNodes(); ++id)
         for (auto p : net.layerAt(id).state())
-            out.push_back(*p.value);
+            out.emplace_back(p.value->begin(), p.value->end());
     return out;
 }
 
