@@ -84,10 +84,11 @@ constexpr int kConvBlockPositions = 96;
 
 /**
  * Row stride of the implicit-GEMM conv blocks' per-panel output stage
- * ([16][kStageLd]): one block's positions plus the lanes a full-width
- * store of the block's last strip runs past them (2 for the AVX2
- * 6-position strip, 4 for the AVX-512 12-position one). A multiple of
- * 8, so stage rows are never 4 KiB apart.
+ * ([16][kStageLd]; [32][kStageLd] for the AVX-512 panel pair): one
+ * block's positions plus the lanes a full-width store of the block's
+ * last strip runs past them (2 for the AVX2 6-position strip, 4 for the
+ * AVX-512 12-position one). A multiple of 8, so stage rows are never
+ * 4 KiB apart.
  */
 constexpr int kStageLd = kConvBlockPositions + 8;
 
@@ -238,14 +239,16 @@ void avx2GemvBias(int M, int K, const float *A, const float *x,
 #ifdef PTOLEMY_HAVE_AVX512
 
 /**
- * avx2ConvImplicitBlock with each 16-wide weight panel run as one
- * AVX-512 tile of 12 output positions x 16 channels (gemm_avx512.cc,
- * the only TU built with -mavx512f): one zmm accumulator per position,
- * one aligned panel-row load and 12 broadcasts per tap. The 8-wide and
- * tail panels go through avx2ConvImplicitNarrowPanels. Per output
- * element the chain is the AVX2 tile's — fma over k ascending from +0,
- * then one bias addition — so the result is bit-identical to
- * avx2ConvImplicitBlock.
+ * avx2ConvImplicitBlock with each pair of adjacent 16-wide weight
+ * panels run as one AVX-512 tile of 12 output positions x 32 channels
+ * (gemm_avx512.cc, the only TU built with -mavx512f): two zmm
+ * accumulators per position, two aligned panel-row loads and 12
+ * broadcasts per tap, each broadcast feeding two FMAs (14 loads per 24
+ * FMAs). A lone 16-wide panel (N / 16 odd) runs the tile's one-panel
+ * 12 x 16 form; the 8-wide and tail panels go through
+ * avx2ConvImplicitNarrowPanels. Per output element the chain is the
+ * AVX2 tile's — fma over k ascending from +0, then one bias addition —
+ * so the result is bit-identical to avx2ConvImplicitBlock.
  */
 void avx512ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
                              const int *poff, int P, const float *packed,

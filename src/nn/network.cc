@@ -11,6 +11,23 @@
 namespace ptolemy::nn
 {
 
+namespace
+{
+
+/** The conv and fc kernels trust the layers' declared shapes, so a
+ *  mis-shaped input would read past its tensor: refuse it in every
+ *  build, before any layer runs. */
+void
+requireInputShape(const Tensor &x, const Shape &expected, const char *who)
+{
+    if (x.shape() != expected)
+        throw std::invalid_argument(std::string(who) +
+                                    ": input shape differs from the "
+                                    "network's");
+}
+
+} // namespace
+
 int
 Network::add(std::unique_ptr<Layer> layer, std::vector<int> inputs)
 {
@@ -79,7 +96,7 @@ void
 Network::forwardInto(const Tensor &x, Record &rec, bool train,
                      GradArena &slot) const
 {
-    assert(x.shape() == inShape);
+    requireInputShape(x, inShape, "Network::forwardInto");
     rec.input = x; // copy-assign reuses the record's buffer
     rec.outputs.resize(nodes.size());
     for (std::size_t id = 0; id < nodes.size(); ++id) {
@@ -95,7 +112,7 @@ Network::forwardInto(const Tensor &x, Record &rec, bool train,
 void
 Network::inferInto(const Tensor &x, Record &rec) const
 {
-    assert(x.shape() == inShape);
+    requireInputShape(x, inShape, "Network::inferInto");
     // Layers are state-free in forward, so concurrent inferences
     // through the shared layer objects do not race. The input views are
     // thread-local so a warmed-up loop allocates nothing.

@@ -127,7 +127,9 @@ class Network
      * written into the buffers of the previous pass. With train=true,
      * deferred layer-state updates (Norm running statistics) are
      * folded in immediately — the single-sample streaming semantics a
-     * hand-rolled training loop expects.
+     * hand-rolled training loop expects. Every forward entry point
+     * throws std::invalid_argument, in every build, when x's shape
+     * differs from inputShape().
      */
     void forwardInto(const Tensor &x, Record &rec, bool train = false);
 

@@ -11,9 +11,11 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/test_models.hh"
 #include "models/zoo.hh"
 #include "nn/common_layers.hh"
 #include "nn/conv.hh"
@@ -237,6 +239,34 @@ TEST(Network, LoadIsAllOrNothing)
     ASSERT_TRUE(dst.load(path));
     EXPECT_EQ(valueBytes(dst), valueBytes(src));
     std::remove(path.c_str());
+}
+
+TEST(Network, MisShapedInputThrows)
+{
+    // The conv and fc kernels trust the declared shapes, so every
+    // forward entry point must refuse a mis-shaped tensor in every build
+    // (not only where assert is live) before a layer reads past it.
+    Network net = testing::makeTinyNet(10);
+    heInit(net, 5);
+    Network::Record rec;
+    Network::GradArena slot;
+    for (const Shape &s : {mapShape(1, 16, 16), mapShape(3, 8, 8),
+                           mapShape(3, 16, 17), mapShape(4, 16, 16)}) {
+        const Tensor x(s);
+        EXPECT_THROW(net.forward(x), std::invalid_argument);
+        EXPECT_THROW(net.forwardInto(x, rec, /*train=*/true),
+                     std::invalid_argument);
+        EXPECT_THROW(net.forwardInto(x, rec, false, slot),
+                     std::invalid_argument);
+        EXPECT_THROW(net.inferInto(x, rec), std::invalid_argument);
+        std::vector<Network::Record> recs;
+        EXPECT_THROW(net.forwardBatch(std::vector<Tensor>{x, x}, recs),
+                     std::invalid_argument);
+    }
+    // The right shape still runs, through the same scratch.
+    const Tensor x = randomImage(4);
+    net.inferInto(x, rec);
+    EXPECT_EQ(net.forward(x).logits().size(), 10u);
 }
 
 TEST(Network, NumParamsCountsEverything)

@@ -204,13 +204,16 @@ TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
 
 TEST(Prepack, Avx512TileBitIdenticalToAvx2AndClassicPath)
 {
-    // The AVX-512 conv tile runs 12-position strips over each 16-channel
-    // panel (the 8-wide and tail panels stay on the AVX2 tile). Its
-    // bytes must equal the AVX2 implicit GEMM's and im2col + sgemm +
-    // bias's on: every short last strip (P % 12 = 1..11, alone and
-    // after full strips), blocks past the first (P > 96), strips that
-    // straddle output rows (widths 1, 3, 5, 7, 9, 17), stride 2, and
-    // channel counts with one to four 16-wide panels plus an 8-wide one.
+    // The AVX-512 conv tile runs 12-position strips over each pair of
+    // 16-channel panels, a lone 16-wide panel (N / 16 odd) through its
+    // one-panel form (the 8-wide and tail panels stay on the AVX2
+    // tile). Its bytes must equal the AVX2 implicit GEMM's and im2col +
+    // sgemm + bias's on: every short last strip (P % 12 = 1..11, alone
+    // and after full strips), blocks past the first (P > 96), strips
+    // that straddle output rows (widths 1, 3, 5, 7, 9, 17), stride 2,
+    // and channel counts with one to five 16-wide panels — a lone panel
+    // alone (16, 24) and after one or two pairs (48, 56, 80), pairs
+    // alone (32, 64) — with and without an 8-wide one (24, 40, 56).
     if (!avx512Available())
         GTEST_SKIP() << "AVX-512 conv tile not compiled in or not supported";
     SimdModeGuard mode_guard;
@@ -224,7 +227,7 @@ TEST(Prepack, Avx512TileBitIdenticalToAvx2AndClassicPath)
                            {2, 3}, {7, 1},  {2, 4},  {3, 3},   {2, 5},
                            {11, 1}, {5, 5}, {7, 7},  {9, 9},   {10, 10},
                            {13, 13}, {11, 17}, {8, 8}, {16, 16}};
-    for (int out_c : {16, 24, 32, 40, 64}) {
+    for (int out_c : {16, 24, 32, 40, 48, 56, 64, 80}) {
         for (int in_c : {3, 5}) {
             for (const auto &m : maps) {
                 const int stride = (m[0] == 13 && in_c == 5) ? 2 : 1;
