@@ -26,6 +26,7 @@
 #include "path/prefix_select.hh"
 #include "util/bitvector.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 
 using namespace ptolemy;
 
@@ -205,6 +206,89 @@ BM_PrefixSelect(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
 BENCHMARK(BM_PrefixSelect)->ArgsProduct({{27, 144, 288, 2048}, {1, 4, 32, 64}});
+
+/**
+ * Cumulative selection (theta = 0.5) for 256 important neurons of one
+ * conv layer, picked at random among the positive outputs: 27, 144 and
+ * 288 taps are the e2e detect_full net's conv1 (32x32), conv2 (16x16)
+ * and conv3 (8x8), border neurons included. Lanes 0 is the per-row
+ * path (partialSums + prefixSelect per neuron); 1, 8 and 16 run
+ * selectConvLanes on groups of that many neurons, with the lanes it
+ * hands back taking the per-row path. Items are neurons. The lane
+ * forms skip where SimdMode::Avx512 is not available.
+ */
+void
+BM_ConvLaneSelect(benchmark::State &state)
+{
+    const int taps = static_cast<int>(state.range(0));
+    const auto lanes = static_cast<std::size_t>(state.range(1));
+    if (lanes > 0 && !avx512Available()) {
+        state.SkipWithError("SimdMode::Avx512 not available");
+        return;
+    }
+    const SimdMode saved = simdMode();
+    if (lanes > 0)
+        simdMode() = SimdMode::Avx512;
+    const int in_c = taps / 9;
+    const int hw = taps == 27 ? 32 : taps == 144 ? 16 : 8;
+    nn::Conv2d conv("c", in_c, 32, 3, 1, 1);
+    Rng rng(13 + taps);
+    std::vector<float> w(conv.weights().size());
+    for (float &v : w)
+        v = static_cast<float>(rng.gaussian(0.0, 0.3));
+    conv.setWeights(w);
+    nn::Tensor x(nn::mapShape(in_c, hw, hw)), y;
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = static_cast<float>(std::max(0.0, rng.gaussian(0.0, 1.0)));
+    conv.forwardInto({&x}, y, false);
+    const auto offsets = conv.receptiveFieldOffsets(x.shape());
+    std::vector<std::size_t> outs;
+    while (outs.size() < 256) {
+        const std::size_t o = rng.below(y.size());
+        if (y[o] > 0.0f)
+            outs.push_back(o);
+    }
+
+    nn::PsumRow row;
+    path::PrefixScratch scratch;
+    path::ConvLaneScratch lane_scratch;
+    std::vector<std::size_t> selected;
+    selected.reserve(static_cast<std::size_t>(taps));
+    auto per_row = [&](std::size_t o) {
+        conv.partialSums(x, o, row, offsets.data());
+        selected.clear();
+        path::prefixSelect(row, 0.5 * y[o], path::PrefixMass::Signed,
+                           scratch, selected);
+        benchmark::DoNotOptimize(selected.data());
+    };
+    std::size_t handed_back = 0;
+    for (auto _ : state) {
+        if (lanes == 0) {
+            for (std::size_t o : outs)
+                per_row(o);
+            continue;
+        }
+        for (std::size_t i = 0; i < outs.size(); i += lanes) {
+            const std::size_t n = std::min(lanes, outs.size() - i);
+            const std::uint32_t done = path::selectConvLanes(
+                conv, x, offsets.data(), &outs[i], n, y, 0.5, lane_scratch);
+            benchmark::DoNotOptimize(lane_scratch.group.index);
+            for (std::size_t l = 0; l < n; ++l)
+                if (!(done >> l & 1u)) {
+                    per_row(outs[i + l]);
+                    ++handed_back;
+                }
+        }
+    }
+    simdMode() = saved;
+    state.SetLabel(lanes == 0 ? "per-row" : "lanes");
+    state.counters["handed_back"] = benchmark::Counter(
+        static_cast<double>(handed_back) / 256.0,
+        benchmark::Counter::kAvgIterations);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(outs.size()));
+}
+BENCHMARK(BM_ConvLaneSelect)->ArgsProduct({{27, 144, 288}, {0, 1, 8, 16}});
 
 void
 BM_ForwardAbsoluteExtraction(benchmark::State &state)

@@ -84,6 +84,9 @@ class Conv2d : public Layer
     int padOf() const { return padding; }
 
     const util::AlignedF32 &weights() const { return weight; }
+    /** The packed W^T panels the forward reads (packedBLayout of
+     *  [K x outC]), current with weights(). */
+    const PackedB &packedWeights() const { return packedWt; }
     /**
      * Replace the weights ([outC][inC][k][k], weights().size() floats;
      * std::invalid_argument otherwise) and repack the panels.

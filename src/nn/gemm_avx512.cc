@@ -1,9 +1,9 @@
 /**
  * @file
- * AVX-512 implicit-GEMM conv forward tile. This is the only TU compiled
- * with -mavx512f (on top of -mavx2 -mfma; see CMakeLists), and it is
- * reached only through convForwardPacked's runtime dispatch on
- * SimdMode::Avx512. Everything it defines beyond the one entry point
+ * AVX-512 implicit-GEMM conv forward tile. This TU and psum_avx512.cc
+ * are the two compiled with -mavx512f (on top of -mavx2 -mfma; see
+ * CMakeLists), and this one is reached only through
+ * convForwardPacked's runtime dispatch on SimdMode::Avx512. Everything it defines beyond the one entry point
  * has internal linkage and it calls no out-of-line header code, so no
  * AVX-512 instruction can leak into a symbol another TU links against.
  *

@@ -241,7 +241,7 @@ void avx2GemvBias(int M, int K, const float *A, const float *x,
 /**
  * avx2ConvImplicitBlock with each pair of adjacent 16-wide weight
  * panels run as one AVX-512 tile of 12 output positions x 32 channels
- * (gemm_avx512.cc, the only TU built with -mavx512f): two zmm
+ * (gemm_avx512.cc, built with -mavx512f): two zmm
  * accumulators per position, two aligned panel-row loads and 12
  * broadcasts per tap, each broadcast feeding two FMAs (14 loads per 24
  * FMAs). A lone 16-wide panel (N / 16 odd) runs the tile's one-panel

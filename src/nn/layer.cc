@@ -72,7 +72,18 @@ Layer::backmapImportant(const std::vector<const Tensor *> &ins,
     // identically (covers ReLU, Norm, Flatten).
     (void)ins;
     (void)out;
-    per_input.assign(1, out_idx);
+    clearSlots(per_input, 1);
+    per_input[0].assign(out_idx.begin(), out_idx.end());
+}
+
+void
+Layer::clearSlots(std::vector<std::vector<std::size_t>> &per_input,
+                  std::size_t n)
+{
+    if (per_input.size() < n)
+        per_input.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        per_input[i].clear();
 }
 
 } // namespace ptolemy::nn

@@ -322,12 +322,22 @@ class Layer
      * @param ins recorded inputs of the forward pass being analyzed.
      * @param out recorded output of that pass.
      * @param out_idx sorted important output flat indices.
-     * @param per_input filled with important input flat indices per input.
+     * @param per_input slot i is filled with the important flat indices
+     *        of input i. It holds at least one slot per input after the
+     *        call; slots past the layer's inputs are left as they are,
+     *        so one buffer reused across nodes keeps every slot's
+     *        storage (see clearSlots).
      */
     virtual void backmapImportant(
         const std::vector<const Tensor *> &ins, const Tensor &out,
         const std::vector<std::size_t> &out_idx,
         std::vector<std::vector<std::size_t>> &per_input) const;
+
+  protected:
+    /** Empty the first @p n slots of @p per_input, adding the missing
+     *  ones; later slots keep their contents and storage. */
+    static void clearSlots(std::vector<std::vector<std::size_t>> &per_input,
+                           std::size_t n);
 
   private:
     std::string layerName;

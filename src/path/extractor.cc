@@ -1,9 +1,10 @@
 #include "extractor.hh"
 
 #include <algorithm>
-#include <cassert>
 
+#include "nn/conv.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 #include "util/thread_pool.hh"
 
 namespace ptolemy::path
@@ -30,8 +31,8 @@ PathExtractor::PathExtractor(const nn::Network &net_ref,
     : net(&net_ref), cfg(std::move(config)), lay(net_ref, cfg),
       weightedIndexOfNode(net_ref.numNodes(), -1)
 {
+    // lay, the first member to read cfg.layers, has checked its size.
     const auto &weighted = net->weightedNodes();
-    assert(cfg.numLayers() == static_cast<int>(weighted.size()));
     rfOffsets.resize(weighted.size());
     for (int w = 0; w < static_cast<int>(weighted.size()); ++w) {
         weightedIndexOfNode[weighted[w]] = w;
@@ -199,22 +200,30 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
         // Reserve the input-dependent buffers to their bounds, so how
         // far they grow never depends on which inputs this workspace
         // extracts: after its first call it allocates nothing, however
-        // a pool spreads requests over workspaces. That holds for
-        // networks whose every node has one input; a two-input node
-        // (Add, Concat) builds a second backmap slot that the next
-        // one-input node drops, so it allocates on each extraction.
-        std::size_t max_numel = rec.input.size(), max_row = 0;
+        // a pool spreads requests over workspaces. The backmap slots
+        // are kept for the widest node (Add, Concat), since a node
+        // fills only its own inputs' slots.
+        std::size_t max_numel = rec.input.size(), max_row = 0,
+                    max_taps = 0, max_inputs = 1;
         for (int id = 0; id < n_nodes; ++id) {
+            const auto &node = net->node(id);
             ws.important[id].reserve(rec.outputs[id].size());
+            ws.seen[id].assign(rec.outputs[id].size(), 0);
             max_numel = std::max(max_numel, rec.outputs[id].size());
-            max_row = std::max(max_row,
-                               net->node(id).layer->receptiveFieldSize());
+            max_row = std::max(max_row, node.layer->receptiveFieldSize());
+            if (node.layer->kind() == nn::LayerKind::Conv)
+                max_taps = std::max(max_taps,
+                                    node.layer->receptiveFieldSize());
+            max_inputs = std::max(max_inputs, node.inputs.size());
         }
         ws.touched.reserve(n_nodes);
         ws.selected.reserve(max_row);
         ws.select.block.reserve(max_row);
-        ws.perInput.resize(1);
-        ws.perInput[0].reserve(max_numel);
+        ws.lanes.rows.reserve(max_taps * kConvLanes);
+        ws.insScratch.reserve(max_inputs);
+        ws.perInput.resize(max_inputs);
+        for (auto &slot : ws.perInput)
+            slot.reserve(max_numel);
     }
     for (int id : ws.touched) {
         for (std::size_t idx : ws.important[id])
@@ -272,13 +281,12 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
                         input.shape() == net->nodeInputShape(id)
                     ? rfOffsets[w].data()
                     : nullptr;
-            for (std::size_t o : ws.important[id]) {
-                selectImportantInputs(*node.layer, input, o,
-                                      rec.outputs[id][o], policy,
-                                      rf_offsets, ws);
-                lt.psumsConsidered += ws.row.size();
+            // Count one neuron's selection of k inputs out of a row of
+            // row_size partial sums.
+            auto account = [&](std::size_t row_size, std::size_t k) {
+                lt.psumsConsidered += row_size;
                 if (policy.kind == ThresholdKind::Cumulative) {
-                    lt.sortedElems += ws.row.size();
+                    lt.sortedElems += row_size;
                     // Selection shape, in the units of the hardware
                     // sort unit's cost model: one argmax pass per
                     // selected element up to kMaxSelectScanPasses, one
@@ -286,7 +294,6 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
                     // prefix length alone, which every selection
                     // strategy agrees on, so compiler trip counts do
                     // not depend on how software found the prefix.
-                    const std::size_t k = ws.selected.size();
                     constexpr auto kPasses =
                         static_cast<std::size_t>(kMaxSelectScanPasses);
                     lt.selectScanPasses += std::min(k, kPasses);
@@ -295,14 +302,49 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
                         lt.heapPops += k - kPasses;
                     }
                 } else {
-                    lt.thresholdCmps += ws.row.size();
+                    lt.thresholdCmps += row_size;
                 }
-                for (std::size_t in_idx : ws.selected) {
-                    if (!bits.test(seg->bitOffset + in_idx)) {
-                        bits.set(seg->bitOffset + in_idx);
-                        ++lt.importantIn;
+            };
+            auto pick = [&](std::size_t in_idx) {
+                if (!bits.test(seg->bitOffset + in_idx)) {
+                    bits.set(seg->bitOffset + in_idx);
+                    ++lt.importantIn;
+                }
+                mark(in_id, in_idx);
+            };
+            // Cumulative conv rows go 16 neurons at a time through the
+            // lane kernel where it runs; each lane it hands back, and
+            // every other row, takes the per-row path. Neurons are taken
+            // in list order either way, so the marks are too.
+            const auto &outs = ws.important[id];
+            const bool lanes = policy.kind == ThresholdKind::Cumulative &&
+                               !ws.referenceSort && rf_offsets &&
+                               node.layer->kind() == nn::LayerKind::Conv &&
+                               simdMode() == SimdMode::Avx512;
+            for (std::size_t i = 0; i < outs.size();) {
+                const std::size_t n =
+                    lanes ? std::min(kConvLanes, outs.size() - i) : 1;
+                const std::uint32_t done =
+                    lanes ? selectConvLanes(
+                                static_cast<const nn::Conv2d &>(*node.layer),
+                                input, rf_offsets, &outs[i], n,
+                                rec.outputs[id], policy.theta, ws.lanes)
+                          : 0;
+                const auto &g = ws.lanes.group;
+                for (std::size_t l = 0; l < n; ++l, ++i) {
+                    if (done >> l & 1u) {
+                        const auto k = static_cast<std::size_t>(g.count[l]);
+                        account(static_cast<std::size_t>(g.taps[l]), k);
+                        for (std::size_t p = 0; p < k; ++p)
+                            pick(g.index[p][l]);
+                    } else {
+                        selectImportantInputs(*node.layer, input, outs[i],
+                                              rec.outputs[id][outs[i]],
+                                              policy, rf_offsets, ws);
+                        account(ws.row.size(), ws.selected.size());
+                        for (std::size_t in_idx : ws.selected)
+                            pick(in_idx);
                     }
-                    mark(in_id, in_idx);
                 }
             }
             // Absolute variants store one single-bit mask per partial sum
@@ -321,7 +363,7 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
                                         : &rec.outputs[in_id]);
             node.layer->backmapImportant(ins, rec.outputs[id],
                                          ws.important[id], ws.perInput);
-            for (std::size_t slot = 0; slot < ws.perInput.size(); ++slot)
+            for (std::size_t slot = 0; slot < node.inputs.size(); ++slot)
                 for (std::size_t idx : ws.perInput[slot])
                     mark(node.inputs[slot], idx);
         }

@@ -38,19 +38,23 @@ namespace ptolemy::path
 /**
  * Reusable scratch for PathExtractor. One workspace per extraction
  * loop makes the steady state allocation-free: the per-node importance
- * lists, dedup flags, partial-sum scratch and selection buffers are all
- * grown once and reused, and the dedup flags are cleared sparsely (only
- * the bits set by the previous call) instead of reallocated.
+ * lists, dedup flags, partial-sum scratch, selection buffers and
+ * backmap slots are all reserved to their bounds at the first call and
+ * reused, and the dedup flags are cleared sparsely (only the bits set
+ * by the previous call) instead of reallocated.
  */
 struct ExtractionWorkspace
 {
     /** Selection strategy for cumulative-threshold layers. When true,
-     *  fully sort every partial-sum row (the reference oracle the
-     *  functional simulator runs); when false (default), prefixSelect
-     *  finds the ranked prefix by max/first-equal passes and pivot
-     *  blocks, sorting only what the prefix reaches. Both rank by value
-     *  with input-index tie-breaks, so the selected sets are
-     *  identical. */
+     *  fully sort every partial-sum row, one row at a time (the
+     *  reference oracle the functional simulator runs). When false
+     *  (default), prefixSelect finds the ranked prefix by
+     *  max/first-equal passes and pivot blocks, sorting only what the
+     *  prefix reaches; under SimdMode::Avx512 conv rows first go 16 at
+     *  a time through selectConvLanes, which runs the same passes one
+     *  neuron per lane and hands back the rows it cannot finish. All
+     *  rank by value with input-index tie-breaks, so the selected
+     *  sequences are identical. */
     bool referenceSort = false;
 
     std::vector<std::vector<std::size_t>> important; ///< per node
@@ -58,6 +62,7 @@ struct ExtractionWorkspace
     std::vector<int> touched;              ///< nodes dirtied last call
     nn::PsumRow row;                       ///< partial sums of one neuron
     PrefixScratch select;                  ///< ranked-prefix scratch
+    ConvLaneScratch lanes;                 ///< conv lane-group scratch
     std::vector<std::size_t> selected;     ///< selected input indices
     std::vector<std::vector<std::size_t>> perInput; ///< backmap results
     std::vector<const nn::Tensor *> insScratch;     ///< backmap input views
@@ -83,7 +88,8 @@ class PathExtractor
      * @param net network the records come from (borrowed; must outlive
      *            the extractor).
      * @param cfg extraction configuration; must describe exactly the
-     *            network's weighted layers.
+     *            network's weighted layers (std::invalid_argument
+     *            otherwise).
      */
     PathExtractor(const nn::Network &net, ExtractionConfig cfg);
 

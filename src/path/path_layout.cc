@@ -1,6 +1,7 @@
 #include "path_layout.hh"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "nn/network.hh"
 
@@ -10,7 +11,11 @@ namespace ptolemy::path
 PathLayout::PathLayout(const nn::Network &net, const ExtractionConfig &cfg)
 {
     const auto &weighted = net.weightedNodes();
-    assert(cfg.numLayers() == static_cast<int>(weighted.size()));
+    if (cfg.numLayers() != static_cast<int>(weighted.size()))
+        throw std::invalid_argument(
+            "extraction config has " + std::to_string(cfg.numLayers()) +
+            " layer policies, network '" + net.name() + "' has " +
+            std::to_string(weighted.size()) + " weighted layers");
     for (int w = 0; w < cfg.numLayers(); ++w) {
         if (!cfg.layers[w].extract)
             continue;

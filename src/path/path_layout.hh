@@ -41,7 +41,9 @@ class PathLayout
 
     PathLayout() = default;
 
-    /** Build the layout for the layers @p cfg extracts from @p net. */
+    /** Build the layout for the layers @p cfg extracts from @p net.
+     *  std::invalid_argument unless @p cfg has one policy per weighted
+     *  layer of @p net. */
     PathLayout(const nn::Network &net, const ExtractionConfig &cfg);
 
     const std::vector<Segment> &segments() const { return segs; }

@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 
+#include "nn/conv.hh"
 #include "nn/psum_kernels.hh"
 #include "path/trace.hh"
 #include "util/simd.hh"
@@ -271,6 +272,48 @@ rankedFirst(const nn::PsumRow &row)
     for (std::size_t i = 1; i < n; ++i)
         best = rankedBefore(v[i], idx[i], v[best], idx[best]) ? i : best;
     return idx[best];
+}
+
+std::uint32_t
+selectConvLanes(const nn::Conv2d &conv, const nn::Tensor &input,
+                const std::uint32_t *rf_offsets, const std::size_t *outs,
+                std::size_t n, const nn::Tensor &output, double theta,
+                ConvLaneScratch &scratch)
+{
+#ifdef PTOLEMY_HAVE_AVX512
+    static_assert(kMaxSelectScanPasses <= nn::detail::kLanePicks,
+                  "a lane records at most kLanePicks picks");
+    auto &g = scratch.group;
+    g.weight = conv.weights().data();
+    g.outC = conv.outChannels();
+    g.wt = g.outC == 16 || g.outC == 32 ? conv.packedWeights().data.data()
+                                        : nullptr;
+    g.inC = conv.inChannels();
+    g.k = conv.kernel();
+    g.stride = conv.strideOf();
+    g.pad = conv.padOf();
+    g.in = input.data();
+    g.ih = input.shape().h;
+    g.iw = input.shape().w;
+    g.off = rf_offsets;
+    g.output = output.data();
+    g.oh = output.shape().h;
+    g.ow = output.shape().w;
+    g.theta = theta;
+    g.cap = kMaxSelectScanPasses;
+    g.lanes = static_cast<int>(n);
+    for (std::size_t l = 0; l < n; ++l)
+        g.neuron[l] = static_cast<std::int32_t>(outs[l]);
+    const std::size_t need = conv.receptiveFieldSize() * kConvLanes;
+    if (scratch.rows.size() < need)
+        scratch.rows.resize(need);
+    nn::detail::avx512ConvLaneSelect(g, scratch.rows.data());
+    return g.done;
+#else
+    (void)conv, (void)input, (void)rf_offsets, (void)outs, (void)n,
+        (void)output, (void)theta, (void)scratch;
+    return 0;
+#endif
 }
 
 } // namespace ptolemy::path

@@ -6,20 +6,21 @@
  * implicit-GEMM conv tile, the partial-sum extraction feed, BitVector
  * popcount kernels) follows one pattern: each ISA's implementation
  * lives in its own translation unit compiled with that ISA's flags
- * (-mavx2 -mfma for the *_avx2.cc kernels, -mavx512f on top for
- * nn/gemm_avx512.cc), reached through runtime dispatch on simdMode(),
+ * (-mavx2 -mfma for the *_avx2.cc kernels, -mavx512f on top for the
+ * *_avx512.cc ones), reached through runtime dispatch on simdMode(),
  * with the portable scalar implementation always compiled and always
  * available. This header owns the selector so util-level code
  * (BitVector) can dispatch without depending on the nn layer;
  * nn/gemm.hh re-exports the names for its historical callers.
  *
  * Dispatch rule: a TU consults simdMode() at each entry point and calls
- * its AVX2 kernel iff avx2Active() (mode Avx2 or Avx512). The one
- * AVX-512 kernel, the conv forward's 16-channel tile, runs iff the mode
- * is Avx512; every other entry point treats Avx512 exactly as Avx2.
- * The tile replays the AVX2 tile's per-element fold, so Avx512 and
- * Avx2 produce the same bits everywhere (and the same determinism
- * pins). A mode is only reachable when the build compiled its kernels
+ * its AVX2 kernel iff avx2Active() (mode Avx2 or Avx512). The two
+ * AVX-512 kernels, the conv forward's 16-channel tile and the conv lane
+ * selection of cumulative extraction, run iff the mode is Avx512; every
+ * other entry point treats Avx512 exactly as Avx2. The tile replays the
+ * AVX2 tile's per-element fold and the lane selection the per-row
+ * argmax passes, so Avx512 and Avx2 produce the same bits everywhere
+ * (and the same determinism pins). A mode is only reachable when the build compiled its kernels
  * AND the CPU supports them. Flipping the mode at runtime is supported
  * for tests and benches; it is not thread-safe against concurrent
  * hot-path calls.
@@ -37,8 +38,8 @@ enum class SimdMode
     Scalar, ///< portable reference kernels (exact historical numerics)
     Avx2,   ///< AVX2/FMA kernels (bit-identity contracts documented per
             ///< entry point)
-    Avx512, ///< Avx2 plus the AVX-512 conv forward tile (bit-identical
-            ///< to Avx2)
+    Avx512, ///< Avx2 plus the AVX-512 conv forward tile and conv lane
+            ///< selection (bit-identical to Avx2)
 };
 
 /**
@@ -66,7 +67,7 @@ avx2Active()
  *  them (i.e. SimdMode::Avx2 is usable). */
 bool avx2Available();
 
-/** True when the AVX-512 conv tile is compiled in and the CPU supports
+/** True when the AVX-512 kernels are compiled in and the CPU supports
  *  AVX-512F on top of AVX2 (i.e. SimdMode::Avx512 is usable). */
 bool avx512Available();
 

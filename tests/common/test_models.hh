@@ -53,6 +53,28 @@ makeTinyNet(int num_classes)
     return net;
 }
 
+/**
+ * A small DAG CNN for 3x16x16 inputs: a residual Add around conv2 and a
+ * Concat of that sum with conv3's maps, so a backward extraction
+ * routes importance through both kinds of two-input node.
+ */
+inline nn::Network
+makeTinyDagNet(int num_classes)
+{
+    nn::Network net("TinyDag", nn::mapShape(3, 16, 16));
+    net.add(std::make_unique<nn::Conv2d>("conv1", 3, 8, 3, 1, 1));
+    const int a = net.add(std::make_unique<nn::ReLU>("relu1"));
+    const int b = net.add(std::make_unique<nn::Conv2d>("conv2", 8, 8, 3, 1, 1));
+    const int sum = net.add(std::make_unique<nn::Add>("add"), {b, a});
+    const int c = net.add(std::make_unique<nn::Conv2d>("conv3", 8, 4, 3, 1, 1),
+                          {sum});
+    net.add(std::make_unique<nn::Concat>("cat"), {sum, c}); // 12x16x16
+    net.add(std::make_unique<nn::MaxPool2d>("pool", 2));    // 12x8x8
+    net.add(std::make_unique<nn::Flatten>("flat"));
+    net.add(std::make_unique<nn::Linear>("fc", 12 * 8 * 8, num_classes));
+    return net;
+}
+
 /** Trained model + data shared by integration tests. */
 struct TrainedWorld
 {

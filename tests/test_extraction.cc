@@ -9,13 +9,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "common/alloc_probe.hh"
 #include "common/test_models.hh"
+#include "nn/init.hh"
 #include "nn/linear.hh"
 #include "path/class_path.hh"
 #include "path/extractor.hh"
+#include "util/rng.hh"
 
 namespace ptolemy::path
 {
@@ -93,18 +96,21 @@ TEST(BackwardCumulative, ImportantNeuronsAreSparse)
     EXPECT_GT(p.popcount(), 0u);
 }
 
-TEST(BackwardCumulative, WorkspaceAllocatesNothingAfterItsFirstExtraction)
+/**
+ * A serving pool hands each workspace whatever inputs it happens to
+ * get, so a workspace warmed on its sparsest path must still take
+ * every denser one without growing.
+ */
+void
+expectWarmWorkspaceAllocatesNothing(nn::Network &net,
+                                    const std::vector<nn::Tensor> &xs)
 {
-    // A serving pool hands each workspace whatever inputs it happens to
-    // get, so a workspace warmed on its sparsest path must still take
-    // every denser one without growing.
-    auto &w = testing::world();
-    const int n = static_cast<int>(w.net.weightedNodes().size());
-    PathExtractor ex(w.net, ExtractionConfig::bwCu(n, 0.9));
+    const int n = static_cast<int>(net.weightedNodes().size());
+    PathExtractor ex(net, ExtractionConfig::bwCu(n, 0.9));
     std::vector<nn::Network::Record> recs;
     std::size_t sparsest = 0, fewest = SIZE_MAX;
-    for (std::size_t i = 0; i < 40; ++i) {
-        recs.push_back(w.net.forward(w.dataset.test[i].input));
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        recs.push_back(net.forward(xs[i]));
         const std::size_t bits = ex.extract(recs.back()).popcount();
         if (bits < fewest) {
             fewest = bits;
@@ -117,7 +123,48 @@ TEST(BackwardCumulative, WorkspaceAllocatesNothingAfterItsFirstExtraction)
     const std::size_t before = g_test_allocs.load(std::memory_order_relaxed);
     for (const auto &rec : recs)
         ex.extractInto(rec, ws, bits);
-    EXPECT_EQ(g_test_allocs.load(std::memory_order_relaxed), before);
+    EXPECT_EQ(g_test_allocs.load(std::memory_order_relaxed), before)
+        << net.name();
+}
+
+TEST(BackwardCumulative, WorkspaceAllocatesNothingAfterItsFirstExtraction)
+{
+    auto &w = testing::world();
+    std::vector<nn::Tensor> xs;
+    for (std::size_t i = 0; i < 40; ++i)
+        xs.push_back(w.dataset.test[i].input);
+    expectWarmWorkspaceAllocatesNothing(w.net, xs);
+
+    // The same through a residual Add and a Concat, whose backmaps
+    // fill two slots where every other node fills one.
+    auto dag = testing::makeTinyDagNet(10);
+    nn::heInit(dag, 5);
+    Rng rng(0xDA6);
+    xs.clear();
+    for (std::size_t i = 0; i < 24; ++i) {
+        nn::Tensor x(dag.inputShape());
+        for (std::size_t j = 0; j < x.size(); ++j)
+            x[j] = static_cast<float>(rng.uniform());
+        xs.push_back(std::move(x));
+    }
+    expectWarmWorkspaceAllocatesNothing(dag, xs);
+}
+
+TEST(Misuse, ExtractorRejectsConfigOfOtherLayerCount)
+{
+    // A config sized for another network would index past the per-layer
+    // tables; it is refused at construction, in every build.
+    auto net = testing::makeTinyNet(10);
+    const int n = static_cast<int>(net.weightedNodes().size());
+    for (int layers : {1, n - 1, n + 1}) {
+        EXPECT_THROW(PathExtractor(net, ExtractionConfig::bwCu(layers)),
+                     std::invalid_argument)
+            << layers;
+        EXPECT_THROW(PathLayout(net, ExtractionConfig::bwCu(layers)),
+                     std::invalid_argument)
+            << layers;
+    }
+    EXPECT_NO_THROW(PathExtractor(net, ExtractionConfig::bwCu(n)));
 }
 
 TEST(BackwardAbsolute, ThresholdZeroTakesPositivePsumsOnly)
