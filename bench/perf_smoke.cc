@@ -1,11 +1,11 @@
 /**
  * @file
- * Hot-path perf smoke: conv GFLOP/s (implicit GEMM vs im2col + sgemm
- * and vs the naive reference, plus the AVX-512 conv tile vs AVX2 on
- * hosts that have it), path extractions/sec (single-stream and
- * pool-parallel extractBatch vs the legacy allocate-and-sort strategy),
+ * Hot-path perf smoke: conv GFLOP/s (implicit GEMM vs the naive
+ * reference, plus the AVX-512 conv tile vs AVX2 on hosts that have
+ * it), path extractions/sec (single-stream and pool-parallel
+ * extractBatch vs the legacy allocate-and-sort strategy),
  * forward+backward passes/sec (full and input-only, plus the conv input
- * gradient's speedup over the TN product + col2im it replaced),
+ * gradient's speedup over the naive reference backward),
  * data-parallel SGD samples/sec (pooled
  * and 1-thread), and bit-vector similarity ops/sec. Emits
  * BENCH_micro.json — including the thread count, SIMD mode and core
@@ -159,7 +159,7 @@ statOf(std::vector<double> t)
 /**
  * A/B timing with the trials INTERLEAVED (a, b, a, b, ...) rather than
  * run as two back-to-back blocks: the two arms of a same-host ratio
- * (implicit-GEMM forward vs im2col + sgemm) then see the same slow
+ * (implicit-GEMM forward vs the naive loop) then see the same slow
  * drift — frequency steps, a neighbor landing on the core — instead of
  * one arm eating a whole bad window, so the gated ratio of the medians
  * is far steadier than two independent measurements minutes apart.
@@ -194,8 +194,7 @@ struct ConvBenchResult
     double gemmGflops = 0.0;    ///< median, persistent packed weights
     double gemmGflopsMin = 0.0; ///< spread (slowest trial)
     double gemmGflopsMax = 0.0; ///< spread (fastest trial)
-    double nopackGflops = 0.0;  ///< median, im2col + sgemm + bias
-    double naiveGflops = 0.0;   ///< Conv2d::forwardNaive
+    double naiveGflops = 0.0;   ///< median, Conv2d::forwardNaive
 };
 
 ConvBenchResult
@@ -207,7 +206,6 @@ benchConv(double min_time)
     randomFill(w, rng, 0.2f);
     conv.setWeights(w);
     randomFill(conv.biases(), rng, 0.2f);
-    const auto &b = conv.biases();
     nn::Tensor in(nn::mapShape(64, 32, 32));
     for (std::size_t i = 0; i < in.size(); ++i)
         in[i] = static_cast<float>(rng.uniform());
@@ -216,33 +214,15 @@ benchConv(double min_time)
 
     const double flops = 2.0 * 64 * 32 * 32 * 64 * 3 * 3;
     ConvBenchResult r;
-
-    // Arm B is the explicit conv forward, built from the public kernels
-    // on the same weights: im2col into a column matrix, sgemm (which
-    // packs its B panels per tile), then a bias pass.
-    const int ohw = 32 * 32, kdim = 64 * 3 * 3;
-    util::AlignedF32 col;
-    auto fwd = [&] { conv.forwardInto({&in}, out, false); };
-    auto classic = [&] {
-        nn::im2col(in.data(), 64, 32, 32, 3, 1, 1, 32, 32, col);
-        nn::sgemm(64, ohw, kdim, w.data(), col.data(), out.data());
-        for (int oc = 0; oc < 64; ++oc)
-            for (int i = 0; i < ohw; ++i)
-                out.data()[static_cast<std::size_t>(oc) * ohw + i] += b[oc];
-    };
-
-    const auto [packed, nopack] =
-        interleavedABSecsPerCall(fwd, classic, 2.0 * min_time);
-    r.gemmGflops = flops / packed.median / 1e9;
-    r.gemmGflopsMin = flops / packed.max / 1e9;
-    r.gemmGflopsMax = flops / packed.min / 1e9;
-    r.nopackGflops = flops / nopack.median / 1e9;
-
-    r.naiveGflops =
-        flops /
-        medianSecsPerCall([&] { conv.forwardNaive(in, out); }, min_time)
-            .median /
-        1e9;
+    // Interleaved against Conv2d::forwardNaive on the same layer, so the
+    // gated speedup is a ratio of medians taken over the same windows.
+    const auto [gemm, naive] = interleavedABSecsPerCall(
+        [&] { conv.forwardInto({&in}, out, false); },
+        [&] { conv.forwardNaive(in, out); }, 2.0 * min_time);
+    r.gemmGflops = flops / gemm.median / 1e9;
+    r.gemmGflopsMin = flops / gemm.max / 1e9;
+    r.gemmGflopsMax = flops / gemm.min / 1e9;
+    r.naiveGflops = flops / naive.median / 1e9;
     return r;
 }
 
@@ -437,24 +417,20 @@ struct BackwardBenchResult
 {
     double passesPerSec = 0.0;
     double inputOnlyPassesPerSec = 0.0; ///< the attack step's gradient
-    double inputGradSpeedup = 0.0;      ///< implicit GEMM / explicit form
+    double inputGradSpeedup = 0.0;      ///< implicit GEMM vs backwardNaive
     std::size_t allocsPerPass = 0;      ///< worst of both pass loops
 };
 
 /**
  * Conv input gradient on the 64->64 32x32 probe, interleaved A/B:
  * Conv2d's input-only backward (convBackwardInput, the implicit GEMM)
- * against the explicit form it replaced, built here from public
- * pieces — the TN product W^T * dY as an sgemm over a materialized W^T
- * (same per-element fold; the transpose is hoisted out of the timing,
- * so this arm is the product at its best) scattered onto a zeroed
- * input gradient by col2im. Returns explicit / implicit seconds.
+ * against Conv2d::backwardNaive on the same layer, input gradient only
+ * (no weight or bias gradient). Returns naive / implicit seconds.
  */
 double
 benchInputGradSpeedup(double min_time)
 {
     constexpr int C = 64, HW = 32, K = 3;
-    constexpr int kdim = C * K * K, ohw = HW * HW;
     nn::Conv2d conv("bench_conv", C, C, K, 1, 1);
     Rng rng(0xC0FFEE);
     std::vector<float> w(conv.weights().size());
@@ -465,41 +441,13 @@ benchInputGradSpeedup(double min_time)
         in[i] = static_cast<float>(rng.uniform());
         gout[i] = static_cast<float>(rng.uniform()) - 0.5f;
     }
-    nn::Tensor gin;
+    nn::Tensor gin, gin_naive;
     const std::vector<const nn::Tensor *> ins{&in};
     const std::vector<nn::GradSink> sinks{{&gin, false}};
-    auto implicit = [&] {
-        conv.backwardInto(ins, gout, sinks, nn::skipParamGrads());
-    };
-
-    std::vector<float> wt(static_cast<std::size_t>(kdim) * C);
-    for (int oc = 0; oc < C; ++oc)
-        for (int j = 0; j < kdim; ++j)
-            wt[static_cast<std::size_t>(j) * C + oc] =
-                w[static_cast<std::size_t>(oc) * kdim + j];
-    std::vector<float> col(static_cast<std::size_t>(kdim) * ohw);
-    std::vector<float> g(static_cast<std::size_t>(C) * ohw);
-    auto explicit_form = [&] {
-        nn::sgemm(kdim, ohw, C, wt.data(), gout.data(), col.data());
-        std::fill(g.begin(), g.end(), 0.0f);
-        const float *src = col.data();
-        for (int ic = 0; ic < C; ++ic)
-            for (int ky = 0; ky < K; ++ky)
-                for (int kx = 0; kx < K; ++kx, src += ohw)
-                    for (int oy = 0; oy < HW; ++oy) {
-                        const int iy = oy - 1 + ky;
-                        if (iy < 0 || iy >= HW)
-                            continue;
-                        float *drow = g.data() + (ic * HW + iy) * HW;
-                        for (int ox = 0; ox < HW; ++ox) {
-                            const int ix = ox - 1 + kx;
-                            if (ix >= 0 && ix < HW)
-                                drow[ix] += src[oy * HW + ox];
-                        }
-                    }
-    };
-    const auto [a, b] =
-        interleavedABSecsPerCall(implicit, explicit_form, 2.0 * min_time);
+    const auto [a, b] = interleavedABSecsPerCall(
+        [&] { conv.backwardInto(ins, gout, sinks, nn::skipParamGrads()); },
+        [&] { conv.backwardNaive(in, gout, gin_naive, nullptr, nullptr); },
+        2.0 * min_time);
     return b.median / a.median;
 }
 
@@ -532,7 +480,7 @@ benchBackward(double min_time)
     // allocations per pass}. The record, loss grad, gradient arena and
     // every pool worker's thread-local gemm scratch must all reach
     // steady state. Worker warm-up is scheduling-dependent (a worker
-    // only grows its pack buffer when it first draws a large tile), so
+    // only grows its conv scratch when it first draws a conv block), so
     // require several consecutive allocation-free passes.
     auto measure = [&](auto &&fn) {
         int quiet = 0;
@@ -1235,8 +1183,6 @@ main(int argc, char **argv)
     j.kv("gemm_gflops", conv.gemmGflops);
     j.kv("gemm_gflops_trial_min", conv.gemmGflopsMin);
     j.kv("gemm_gflops_trial_max", conv.gemmGflopsMax);
-    j.kv("nopack_gflops", conv.nopackGflops);
-    j.kv("prepack_speedup", conv.gemmGflops / conv.nopackGflops);
     j.kv("naive_gflops", conv.naiveGflops);
     j.kv("speedup", conv.gemmGflops / conv.naiveGflops);
     if (conv512.measured) {
@@ -1372,10 +1318,8 @@ main(int argc, char **argv)
     std::cout << "env: " << threads << " threads on " << cores
               << " cores, simd " << nn::simdModeName() << "\n"
               << "conv fwd (64->64ch 32x32 k3): gemm " << conv.gemmGflops
-              << " GFLOP/s implicit (" << conv.nopackGflops
-              << " im2col, " << conv.gemmGflops / conv.nopackGflops
-              << "x; trial spread " << conv.gemmGflopsMin << ".."
-              << conv.gemmGflopsMax << "), naive " << conv.naiveGflops
+              << " GFLOP/s implicit (trial spread " << conv.gemmGflopsMin
+              << ".." << conv.gemmGflopsMax << "), naive " << conv.naiveGflops
               << " GFLOP/s (" << conv.gemmGflops / conv.naiveGflops
               << "x)\n";
     if (conv512.measured)
@@ -1392,7 +1336,7 @@ main(int argc, char **argv)
               << "backward: " << bwd.passesPerSec
               << " fwd+bwd passes/s, " << bwd.inputOnlyPassesPerSec
               << "/s input-only, conv input gradient "
-              << bwd.inputGradSpeedup << "x the TN product + col2im, "
+              << bwd.inputGradSpeedup << "x the naive backward, "
               << bwd.allocsPerPass << " allocs per pass\n"
               << "train: " << trn.samplesPerSecPooled
               << " samples/s pooled, " << trn.samplesPerSecSerial

@@ -1,8 +1,9 @@
 #include "compiler.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "nn/conv.hh"
 #include "nn/linear.hh"
@@ -67,8 +68,12 @@ Compiler::Compiler(const nn::Network &net_ref, path::ExtractionConfig config,
                    CompileOptions options)
     : net(&net_ref), cfg(std::move(config)), opts(options)
 {
-    assert(cfg.numLayers() ==
-           static_cast<int>(net_ref.weightedNodes().size()));
+    const auto &weighted = net_ref.weightedNodes();
+    if (cfg.numLayers() != static_cast<int>(weighted.size()))
+        throw std::invalid_argument(
+            "extraction config has " + std::to_string(cfg.numLayers()) +
+            " layer policies, network '" + net_ref.name() + "' has " +
+            std::to_string(weighted.size()) + " weighted layers");
 }
 
 isa::Program

@@ -67,6 +67,8 @@ struct DramFootprint
 class Compiler
 {
   public:
+    /** @throw std::invalid_argument if @p cfg's layer count is not
+     *  @p net's weighted-layer count. */
     Compiler(const nn::Network &net, path::ExtractionConfig cfg,
              CompileOptions opts = {});
 

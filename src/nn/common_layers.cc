@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 
@@ -92,7 +91,8 @@ ReLU::backwardInto(const std::vector<const Tensor *> &ins,
 Shape
 MaxPool2d::outputShape(const std::vector<Shape> &ins) const
 {
-    assert(ins[0].h % kSize == 0 && ins[0].w % kSize == 0);
+    requireShape(ins[0].h % kSize == 0 && ins[0].w % kSize == 0,
+                 "input height and width must be multiples of the window");
     return mapShape(ins[0].c, ins[0].h / kSize, ins[0].w / kSize);
 }
 
@@ -377,7 +377,8 @@ Flatten::backwardInto(const std::vector<const Tensor *> &ins,
 Shape
 Add::outputShape(const std::vector<Shape> &ins) const
 {
-    assert(ins.size() == 2 && ins[0] == ins[1]);
+    requireShape(ins.size() == 2 && ins[0] == ins[1],
+                 "the two input shapes differ");
     return ins[0];
 }
 
@@ -432,7 +433,9 @@ Add::backmapImportant(const std::vector<const Tensor *> &ins,
 Shape
 Concat::outputShape(const std::vector<Shape> &ins) const
 {
-    assert(ins.size() == 2 && ins[0].h == ins[1].h && ins[0].w == ins[1].w);
+    requireShape(ins.size() == 2 && ins[0].h == ins[1].h &&
+                     ins[0].w == ins[1].w,
+                 "the two inputs' height and width differ");
     return mapShape(ins[0].c + ins[1].c, ins[0].h, ins[0].w);
 }
 
@@ -502,7 +505,8 @@ Concat::backmapImportant(
 Shape
 DownsamplePad::outputShape(const std::vector<Shape> &ins) const
 {
-    assert(ins[0].h % 2 == 0 && ins[0].w % 2 == 0);
+    requireShape(ins[0].h % 2 == 0 && ins[0].w % 2 == 0,
+                 "input height and width must be even");
     return mapShape(ins[0].c * 2, ins[0].h / 2, ins[0].w / 2);
 }
 
@@ -577,7 +581,7 @@ Norm2d::Norm2d(std::string name, int channels, float momentum, float eps)
 Shape
 Norm2d::outputShape(const std::vector<Shape> &ins) const
 {
-    assert(ins[0].c == chans);
+    requireShape(ins[0].c == chans, "input channels differ from the layer's");
     return ins[0];
 }
 

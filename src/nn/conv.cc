@@ -1,6 +1,5 @@
 #include "conv.hh"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "nn/gemm.hh"
@@ -31,7 +30,11 @@ Conv2d::outShapeFor(const Shape &in) const
 Shape
 Conv2d::outputShape(const std::vector<Shape> &ins) const
 {
-    assert(ins.size() == 1 && ins[0].c == inC);
+    requireShape(ins.size() == 1 && ins[0].c == inC,
+                 "input channels differ from in_channels");
+    requireShape(ins[0].h + 2 * padding >= kSize &&
+                     ins[0].w + 2 * padding >= kSize,
+                 "padded input is smaller than the kernel");
     return outShapeFor(ins[0]);
 }
 

@@ -14,110 +14,25 @@ namespace ptolemy::nn
 namespace
 {
 
-// Tile sizes for both cache blocking and the parallel work split: a
-// TM x BK panel of A (32*128 floats = 16 KiB) and a BK x TN panel of B
-// (128*256 floats = 128 KiB) stay resident while a TM x TN tile of C is
-// streamed. TN is a multiple of 16 so the AVX2 column blocking is
-// anchored identically no matter how the matrix is tiled, which keeps
-// results bit-identical across thread counts.
-constexpr int TM = 32;
-constexpr int BK = 128;
-constexpr int TN = 256;
+// Rows of C per sgemmNT pool task.
+constexpr int kNTRowsPerTask = 8;
 
 // Products below this many FLOPs (2*M*N*K) are not worth waking the
 // pool for; they run serially on the calling thread.
 constexpr double kParallelFlopCutoff = 2.0 * 1024 * 1024;
 
 // Products split into fewer tasks than this run inline as well: pool
-// dispatch latency dominates the 2-3-tile shapes detectBatch sees.
+// dispatch latency dominates the 2-3-block shapes detectBatch sees.
 constexpr std::size_t kInlineTaskCutoff = 4;
 
-/** Pool gate shared by every tiled entry point: enough threads, enough
- *  tasks, enough arithmetic. Scheduling only — results are
+/** Pool gate shared by every blocked entry point: enough threads,
+ *  enough tasks, enough arithmetic. Scheduling only — results are
  *  bit-identical either way. */
 bool
 usePoolFor(ThreadPool *pool, std::size_t n_tasks, double flops)
 {
     return pool && pool->size() > 1 && n_tasks >= kInlineTaskCutoff &&
            flops >= kParallelFlopCutoff;
-}
-
-/**
- * Inner scalar kernel: C[i0..imax) x [j0..jmax) += A-panel * B-panel,
- * A [M x K] row-major. Unchanged from the pre-parallel implementation:
- * per-element accumulation order depends only on the absolute BK
- * blocking, so tiling and threading do not change the numerics.
- */
-inline void
-panelKernel(int i0, int imax, int j0, int jmax, int k0, int kmax, int K,
-            int N, const float *A, const float *B, float *C)
-{
-    for (int i = i0; i < imax; ++i) {
-        float *c = C + static_cast<std::size_t>(i) * N;
-        const float *a = A + static_cast<std::size_t>(i) * K;
-        int k = k0;
-        // Four A coefficients per pass quarters the C read/write traffic.
-        for (; k + 3 < kmax; k += 4) {
-            const float a0 = a[k];
-            const float a1 = a[k + 1];
-            const float a2 = a[k + 2];
-            const float a3 = a[k + 3];
-            const float *b0 = B + static_cast<std::size_t>(k) * N;
-            const float *b1 = b0 + N;
-            const float *b2 = b1 + N;
-            const float *b3 = b2 + N;
-            for (int j = j0; j < jmax; ++j)
-                c[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-        }
-        for (; k < kmax; ++k) {
-            const float ak = a[k];
-            const float *b = B + static_cast<std::size_t>(k) * N;
-            for (int j = j0; j < jmax; ++j)
-                c[j] += ak * b[j];
-        }
-    }
-}
-
-/** One scalar C tile: zero (unless accumulating), then k-blocked panels. */
-inline void
-scalarTile(int i0, int imax, int j0, int jmax, int K, int N, const float *A,
-           const float *B, float *C, bool accumulate)
-{
-    if (!accumulate)
-        for (int i = i0; i < imax; ++i)
-            std::fill(C + static_cast<std::size_t>(i) * N + j0,
-                      C + static_cast<std::size_t>(i) * N + jmax, 0.0f);
-    for (int k0 = 0; k0 < K; k0 += BK)
-        panelKernel(i0, imax, j0, jmax, k0, std::min(K, k0 + BK), K, N, A,
-                    B, C);
-}
-
-/**
- * Run @p tile over the TM x TN grid covering [0,M) x [0,N), on the
- * gemm pool when the product is large enough, serially otherwise.
- * Tiles write disjoint C regions and each element's value is
- * independent of the partition, so any interleaving is equivalent.
- */
-template <typename TileFn>
-void
-forEachTile(int M, int N, double flops, TileFn tile)
-{
-    const int mt = (M + TM - 1) / TM;
-    const int nt = (N + TN - 1) / TN;
-    const std::size_t n_tasks =
-        static_cast<std::size_t>(mt) * static_cast<std::size_t>(nt);
-    ThreadPool *pool = gemmPool();
-    auto run = [&](std::size_t t) {
-        const int i0 = static_cast<int>(t / nt) * TM;
-        const int j0 = static_cast<int>(t % nt) * TN;
-        tile(i0, std::min(M, i0 + TM), j0, std::min(N, j0 + TN));
-    };
-    if (usePoolFor(pool, n_tasks, flops)) {
-        pool->parallelFor(n_tasks, run);
-        return;
-    }
-    for (std::size_t t = 0; t < n_tasks; ++t)
-        run(t);
 }
 
 } // namespace
@@ -127,25 +42,6 @@ gemmPool()
 {
     static ThreadPool *pool = &globalPool();
     return pool;
-}
-
-void
-sgemm(int M, int N, int K, const float *A, const float *B, float *C,
-      bool accumulate)
-{
-    const double flops = 2.0 * M * N * K;
-#ifdef PTOLEMY_HAVE_AVX2
-    if (avx2Active()) {
-        forEachTile(M, N, flops, [&](int i0, int imax, int j0, int jmax) {
-            detail::avx2GemmTile(i0, imax, j0, jmax, K, A, K, B, N, C, N,
-                                 accumulate);
-        });
-        return;
-    }
-#endif
-    forEachTile(M, N, flops, [&](int i0, int imax, int j0, int jmax) {
-        scalarTile(i0, imax, j0, jmax, K, N, A, B, C, accumulate);
-    });
 }
 
 namespace
@@ -214,13 +110,12 @@ sgemmNT(int M, int N, int K, const float *A, const float *B, float *C,
     // Each output is an independent contiguous dot product; parallelism
     // splits rows, which cannot change any element's accumulation order.
     const double flops = 2.0 * M * N * K;
-    const int rows_per_task = std::max(1, TM / 4);
-    const std::size_t n_tasks =
-        static_cast<std::size_t>((M + rows_per_task - 1) / rows_per_task);
+    const std::size_t n_tasks = static_cast<std::size_t>(
+        (M + kNTRowsPerTask - 1) / kNTRowsPerTask);
     ThreadPool *pool = gemmPool();
     auto run = [&](std::size_t t) {
-        const int i0 = static_cast<int>(t) * rows_per_task;
-        const int i1 = std::min(M, i0 + rows_per_task);
+        const int i0 = static_cast<int>(t) * kNTRowsPerTask;
+        const int i1 = std::min(M, i0 + kNTRowsPerTask);
 #ifdef PTOLEMY_HAVE_AVX2
         if (avx2Active()) {
             detail::avx2GemmNTRows(i0, i1, N, K, A, B, C, accumulate);
@@ -383,29 +278,25 @@ convImplicitScratch()
 }
 
 /**
- * Portable implicit-GEMM conv block: avx2ConvImplicitBlock's contract
- * (same padded plane, offset tables and packed W^T panels; see
- * gemm_kernels.hh) with scalar sgemm's numerics, bit for bit.
+ * Portable implicit-GEMM conv block: avx2ConvImplicitBlock's arguments
+ * (same padded plane, offset tables and packed W^T panels) with the
+ * scalar fold of gemm_kernels.hh, bit for bit.
  *
  * Positions whose plane offsets are consecutive (a stride-1 output
  * row's share of the block) form a run, and tap k of a run is the
  * contiguous plane segment xp + koff[k] + poff[run start]: the im2col
  * row segment, read in place. So the inner loop vectorizes over the
- * run like scalar panelKernel's over columns, and the chain per
- * element is panelKernel's fold term for term: from zero, grouped-4
- * steps acc += w0*a0 + w1*a1 + w2*a2 + w3*a3, then the K%4 single
- * steps, then one bias addition. panelKernel restarts the grouping at
- * each BK block, but BK is a multiple of 4, so its groups are these
- * groups. Each weight panel accumulates in a compact stage (16 output
- * rows ohw floats apart would share one L1 set) that leaves, bias
- * added, as contiguous output rows.
+ * run, and each element's chain is the scalar fold: from zero,
+ * grouped-4 steps acc += w0*a0 + w1*a1 + w2*a2 + w3*a3, then the K%4
+ * single steps, then one bias addition. Each weight panel accumulates
+ * in a compact stage (16 output rows ohw floats apart would share one
+ * L1 set) that leaves, bias added, as contiguous output rows.
  */
 void
 scalarConvImplicitBlock(int K, int N, const float *xp, const int *koff,
                         const int *poff, int P, const float *packed,
                         const float *bias, float *out, std::ptrdiff_t ldc)
 {
-    static_assert(BK % 4 == 0, "grouped-4 fold must match panelKernel");
     assert(P >= 1 && P <= detail::kConvBlockPositions);
     constexpr int ld = detail::kConvBlockPositions;
     float stage[16 * ld];
@@ -562,20 +453,17 @@ convGradInputScratch()
 }
 
 /**
- * Portable conv input-gradient block: avx2ConvGradInputBlock's contract
- * (see gemm_kernels.hh) with the scalar TN product's numerics (the
- * reference kernel on W^T * dY), bit for bit.
- * Per lane and tap the value is panelKernel's fold over oc: from zero,
+ * Portable conv input-gradient block: avx2ConvGradInputBlock's
+ * arguments with the scalar fold of gemm_kernels.hh over output
+ * channels, bit for bit. Per lane and tap the value is, from zero,
  * grouped-4 steps t += w0*d0 + w1*d1 + w2*d2 + w3*d3, then the outC%4
- * single steps (BK is a multiple of 4, so panelKernel's groups are
- * these groups). It is added onto the lane only where the tap lands
+ * single steps. It is added onto the lane only where the tap lands
  * inside the output gradient, as col2im adds it.
  */
 void
 scalarConvGradInputBlock(const detail::ConvGradInputPhase &ph, int q0,
                          int q1)
 {
-    static_assert(BK % 4 == 0, "grouped-4 fold must match panelKernel");
     constexpr int ld = detail::kConvBlockPositions;
     constexpr int RC = detail::kGradInChannelBlock;
     assert(q1 - q0 >= 1 && q1 - q0 <= ld);

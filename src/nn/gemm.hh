@@ -1,7 +1,7 @@
 /**
  * @file
- * Single-precision GEMM kernels, the implicit-GEMM conv forward and
- * input gradient, and the im2col helper.
+ * The implicit-GEMM conv forward and input gradient, the NT product
+ * and im2col of the conv weight gradient, and the Linear gemv.
  *
  * Convolution is a [outC x K] * [K x OHW] product. The forward
  * (convForwardPacked, the only conv forward) computes it as an
@@ -14,15 +14,18 @@
  * explicit matrix: an NT product over im2col. The Linear layer runs on
  * the gemv kernels.
  *
- * All matrices are dense row-major. Two kernel families back every
- * entry point: a portable scalar reference (bit-identical to the
- * historical cache-blocked kernel) and AVX2/FMA microkernels compiled
- * into their own TU when the build enables them (CMake option
- * PTOLEMY_SIMD). simdMode() picks between them at runtime; both are
- * deterministic across thread counts. Large products are additionally
- * split into tiles or position blocks and fanned out on the
- * process-wide thread pool (or whatever pool gemmPool() points at), so
- * single-sample conv latency scales with cores.
+ * All matrices are dense row-major. Three kernel families back the
+ * entry points, picked at runtime by simdMode(): portable scalar
+ * kernels; AVX2/FMA kernels, compiled into their own TU when the build
+ * enables them (CMake option PTOLEMY_SIMD); and, under
+ * SimdMode::Avx512, an AVX-512 conv forward tile in a TU of its own
+ * (every other entry point runs its AVX2 kernel there). Each conv
+ * kernel computes the fold of its mode written in gemm_kernels.hh, so
+ * AVX-512 is bit-identical to AVX2, and every family is deterministic
+ * across thread counts. Large products are split into row or position
+ * blocks and fanned out on the process-wide thread pool (or whatever
+ * pool gemmPool() points at), so single-sample conv latency scales
+ * with cores.
  */
 
 #ifndef PTOLEMY_NN_GEMM_HH
@@ -52,18 +55,11 @@ using ptolemy::avx2Available;
 using ptolemy::avx512Available;
 
 /**
- * Pool the tiled kernels fan work out on. Defaults to the process-wide
+ * Pool the blocked kernels fan work out on. Defaults to the process-wide
  * globalPool(); point it elsewhere (or at nullptr for strictly serial
  * kernels) in tests. Small products always run serially regardless.
  */
 ThreadPool *&gemmPool();
-
-/**
- * C[MxN] = A[MxK] * B[KxN], or += when @p accumulate.
- * Cache-blocked with a k-unrolled inner kernel over contiguous C/B rows.
- */
-void sgemm(int M, int N, int K, const float *A, const float *B, float *C,
-           bool accumulate = false);
 
 /**
  * A B matrix [K x N] packed into the blocked panel layout the conv
@@ -95,13 +91,12 @@ void packBMatrixStrided(const float *b, std::ptrdiff_t k_stride,
  * kernels read each im2col element straight from that plane — no
  * im2col matrix or per-block A panel is ever written. The kernels run
  * against the packed W^T panels with the bias fused into the store.
- * Output is channel-major [outC x oh*ow], bit-identical in each mode
- * to im2col + sgemm + bias in that mode: the AVX2 block replays the
- * FMA tile's fold, the scalar block the reference kernel's grouped-4
- * fold (see gemm_kernels.hh and gemm.cc). Blocks of
- * detail::kConvBlockPositions output positions fan out on gemmPool()
- * like sgemm tiles. @p wt must be the packed [K x outC] transposed
- * weight matrix with K = in_c*k*k.
+ * Output is channel-major [outC x oh*ow]; each element is the forward
+ * fold of the current mode (gemm_kernels.hh): im2col, then the fold,
+ * then one bias add, bit for bit. Blocks of
+ * detail::kConvBlockPositions output positions fan out on gemmPool().
+ * @p wt must be the packed [K x outC] transposed weight matrix with
+ * K = in_c*k*k.
  */
 void convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
                        int stride, int pad, int oh, int ow,
@@ -117,13 +112,12 @@ void convForwardPacked(const float *in, int in_c, int ih, int iw, int k,
  * so no col-space matrix is written.
  *
  * Bit-identical in each mode to the explicit form, col = W^T * grad_out
- * (a TN product) scattered onto grad_in by col2im: each tap's value is
- * that product's chain over oc (AVX2: fma ascending from +0; scalar:
- * the reference kernel's grouped-4 fold), the taps are added in
- * col2im's (ky, kx) order, and a tap that col2im skips (outside the
- * output, or stride-skipped) adds nothing — not even +0, so -0 in an
- * accumulate sink stays -0. Blocks of detail::kConvBlockPositions
- * lanes fan out on gemmPool() like sgemm tiles.
+ * scattered onto grad_in by col2im, with the input-gradient fold of
+ * gemm_kernels.hh: each tap's value is the mode's chain over oc, the
+ * taps are added in col2im's (ky, kx) order, and a tap that col2im
+ * skips (outside the output, or stride-skipped) adds nothing — not
+ * even +0, so -0 in an accumulate sink stays -0. Blocks of
+ * detail::kConvBlockPositions lanes fan out on gemmPool().
  */
 void convBackwardInput(const float *grad_out, int out_c, int oh, int ow,
                        const float *weight, int in_c, int ih, int iw, int k,
@@ -141,7 +135,7 @@ void sgemmNT(int M, int N, int K, const float *A, const float *B, float *C,
 
 /**
  * y[M] = bias[M] + A[MxK] * x[K]: the Linear-layer forward. Dispatched
- * through simdMode() like the sgemm entry points — AVX2/FMA rows when
+ * through simdMode() like the conv entry points — AVX2/FMA rows when
  * available, otherwise the scalar reference that seeds each dot
  * product's accumulator with the bias (the historical Linear numerics;
  * statistical fixtures are calibrated to hold under both). Both run

@@ -1,15 +1,14 @@
 /**
  * @file
- * AVX2/FMA SGEMM microkernels. This is the only TU compiled with
- * -mavx2 -mfma (see CMakeLists); everything here is reached through
- * runtime dispatch in gemm.cc, guarded by avx2CpuSupported().
+ * AVX2/FMA kernels: the implicit-GEMM conv forward tile, the conv input
+ * gradient, the NT product of the weight gradient and the Linear
+ * gemv. Built with -mavx2 -mfma (see CMakeLists); everything here is
+ * reached through runtime dispatch in gemm.cc, guarded by
+ * avx2CpuSupported().
  *
- * The core is a 6x16 register tile: 12 ymm accumulators, two B vectors
- * and one broadcast A value stay in registers across the whole K loop,
- * so each C element is read/written exactly once per call. Column
- * blocks are anchored at absolute multiples of 16 from column 0 and
- * rows are independent, which makes results bit-identical no matter
- * how the surrounding driver tiles or threads the matrix.
+ * Each conv output element follows the AVX2 fold of gemm_kernels.hh,
+ * so results are bit-identical no matter how the driver blocks or
+ * threads the work.
  */
 
 #include "gemm_kernels.hh"
@@ -20,236 +19,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 #include "util/aligned.hh"
 
 namespace ptolemy::nn::detail
 {
-
-namespace
-{
-
-/** A rows of one microkernel pass: row r starts at base + r * lda. */
-struct APanel
-{
-    const float *base;
-    std::ptrdiff_t lda;
-
-    const float *
-    row(int r) const
-    {
-        return base + static_cast<std::ptrdiff_t>(r) * lda;
-    }
-};
-
-/** R x 16 register-tile kernel over the full K extent. */
-template <int R>
-inline void
-kernelRx16(int K, const APanel &a, const float *B, int ldb, float *c,
-           int ldc, bool accumulate)
-{
-    __m256 acc0[R], acc1[R];
-    for (int r = 0; r < R; ++r) {
-        acc0[r] = _mm256_setzero_ps();
-        acc1[r] = _mm256_setzero_ps();
-    }
-    const float *arow[R];
-    for (int r = 0; r < R; ++r)
-        arow[r] = a.row(r);
-    auto step = [&](int k) {
-        const float *brow = B + static_cast<std::ptrdiff_t>(k) * ldb;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        for (int r = 0; r < R; ++r) {
-            const __m256 av = _mm256_set1_ps(arow[r][k]);
-            acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
-            acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
-        }
-    };
-    int k = 0;
-    // K x4 unroll. Each element keeps its single accumulator chain in
-    // the same k-ascending order (splitting the chain would change the
-    // rounding and break bit-identity); the unroll only removes
-    // loop-carried branch overhead and lets the B loads of the next
-    // steps issue while the FMA chain drains.
-    for (; k + 4 <= K; k += 4) {
-        step(k);
-        step(k + 1);
-        step(k + 2);
-        step(k + 3);
-    }
-    for (; k < K; ++k)
-        step(k);
-    for (int r = 0; r < R; ++r) {
-        float *crow = c + static_cast<std::ptrdiff_t>(r) * ldc;
-        if (accumulate) {
-            acc0[r] = _mm256_add_ps(acc0[r], _mm256_loadu_ps(crow));
-            acc1[r] = _mm256_add_ps(acc1[r], _mm256_loadu_ps(crow + 8));
-        }
-        _mm256_storeu_ps(crow, acc0[r]);
-        _mm256_storeu_ps(crow + 8, acc1[r]);
-    }
-}
-
-/** R x 8 kernel for the 8-wide column tail. */
-template <int R>
-inline void
-kernelRx8(int K, const APanel &a, const float *B, int ldb, float *c,
-          int ldc, bool accumulate)
-{
-    __m256 acc[R];
-    for (int r = 0; r < R; ++r)
-        acc[r] = _mm256_setzero_ps();
-    const float *arow[R];
-    for (int r = 0; r < R; ++r)
-        arow[r] = a.row(r);
-    auto step = [&](int k) {
-        const __m256 b0 =
-            _mm256_loadu_ps(B + static_cast<std::ptrdiff_t>(k) * ldb);
-        for (int r = 0; r < R; ++r)
-            acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(arow[r][k]), b0, acc[r]);
-    };
-    int k = 0;
-    // Same K x4 single-chain unroll as kernelRx16.
-    for (; k + 4 <= K; k += 4) {
-        step(k);
-        step(k + 1);
-        step(k + 2);
-        step(k + 3);
-    }
-    for (; k < K; ++k)
-        step(k);
-    for (int r = 0; r < R; ++r) {
-        float *crow = c + static_cast<std::ptrdiff_t>(r) * ldc;
-        if (accumulate)
-            acc[r] = _mm256_add_ps(acc[r], _mm256_loadu_ps(crow));
-        _mm256_storeu_ps(crow, acc[r]);
-    }
-}
-
-/**
- * Scalar column tail (fewer than 8 columns left). The accumulation is
- * an explicit single-rounding FMA per k step, which makes this column
- * chain identical to one SIMD lane of kernelRx16/kernelRx8: every AVX2
- * column — vector or tail — computes fold(fma(a_k, b_kj, acc)) over k
- * ascending from zero. Per-element results therefore depend only on
- * (i, j, K), never on where the 16/8-column blocking lands, so any
- * tile or block partition of a product is bit-identical to the whole.
- */
-inline void
-kernelScalarCols(int j0, int jmax, int K, const float *arow, const float *B,
-                 int ldb, float *crow, bool accumulate)
-{
-    for (int j = j0; j < jmax; ++j) {
-        float s = 0.0f;
-        for (int k = 0; k < K; ++k)
-            s = std::fmaf(arow[k], B[static_cast<std::ptrdiff_t>(k) * ldb + j],
-                          s);
-        crow[j] = accumulate ? crow[j] + s : s;
-    }
-}
-
-/**
- * Pack @p width (8 or 16) columns of B starting at @p j into @p dst as
- * [k][width] contiguous rows. B's row stride is a feature-map width
- * (kilobytes), so the unpacked walk touches one page per k step; the
- * packed panel streams. The pack pays that cost once per tile instead
- * of once per 6-row microkernel pass.
- */
-inline void
-packBPanel(const float *B, int ldb, int j, int K, int width, float *dst)
-{
-    for (int k = 0; k < K; ++k) {
-        const float *src = B + static_cast<std::ptrdiff_t>(k) * ldb + j;
-        _mm256_storeu_ps(dst, _mm256_loadu_ps(src));
-        if (width == 16)
-            _mm256_storeu_ps(dst + 8, _mm256_loadu_ps(src + 8));
-        dst += width;
-    }
-}
-
-/** Per-thread B-panel scratch; grown once, reused by every tile. */
-inline std::vector<float> &
-packScratch()
-{
-    thread_local std::vector<float> buf;
-    return buf;
-}
-
-/**
- * Run the 6-row microkernels over one packed B panel of @p width (16
- * or 8) columns at absolute column @p j.
- */
-inline void
-panelColumns(int width, int i0, int i1, int j, int K, const float *A,
-             std::ptrdiff_t lda, const float *bp, float *C, int ldc,
-             bool accumulate)
-{
-    int i = i0;
-    for (; i + 6 <= i1; i += 6) {
-        const APanel a{A + i * lda, lda};
-        float *c = C + static_cast<std::ptrdiff_t>(i) * ldc + j;
-        if (width == 16)
-            kernelRx16<6>(K, a, bp, 16, c, ldc, accumulate);
-        else
-            kernelRx8<6>(K, a, bp, 8, c, ldc, accumulate);
-    }
-    const int rem = i1 - i;
-    if (rem > 0) {
-        const APanel a{A + i * lda, lda};
-        float *c = C + static_cast<std::ptrdiff_t>(i) * ldc + j;
-        if (width == 16) {
-            switch (rem) {
-              case 1: kernelRx16<1>(K, a, bp, 16, c, ldc, accumulate); break;
-              case 2: kernelRx16<2>(K, a, bp, 16, c, ldc, accumulate); break;
-              case 3: kernelRx16<3>(K, a, bp, 16, c, ldc, accumulate); break;
-              case 4: kernelRx16<4>(K, a, bp, 16, c, ldc, accumulate); break;
-              default: kernelRx16<5>(K, a, bp, 16, c, ldc, accumulate); break;
-            }
-        } else {
-            switch (rem) {
-              case 1: kernelRx8<1>(K, a, bp, 8, c, ldc, accumulate); break;
-              case 2: kernelRx8<2>(K, a, bp, 8, c, ldc, accumulate); break;
-              case 3: kernelRx8<3>(K, a, bp, 8, c, ldc, accumulate); break;
-              case 4: kernelRx8<4>(K, a, bp, 8, c, ldc, accumulate); break;
-              default: kernelRx8<5>(K, a, bp, 8, c, ldc, accumulate); break;
-            }
-        }
-    }
-}
-
-} // namespace
-
-void
-avx2GemmTile(int i0, int i1, int j0, int j1, int K, const float *A,
-             std::ptrdiff_t lda, const float *B, int ldb, float *C, int ldc,
-             bool accumulate)
-{
-    auto &pack = packScratch();
-
-    // Column blocks are anchored at the tile origin, which the driver
-    // places at absolute multiples of 16, so per-element grouping (and
-    // therefore the result) is independent of the tile partition.
-    int j = j0;
-    for (; j + 8 <= j1; j += (j + 16 <= j1) ? 16 : 8) {
-        const int width = (j + 16 <= j1) ? 16 : 8;
-        pack.resize(static_cast<std::size_t>(K) * width);
-        packBPanel(B, ldb, j, K, width, pack.data());
-        panelColumns(width, i0, i1, j, K, A, lda, pack.data(), C, ldc,
-                     accumulate);
-    }
-    if (j < j1) {
-        // Scalar column tail (fewer than 8 columns at the matrix edge).
-        for (int i = i0; i < i1; ++i)
-            kernelScalarCols(j, j1, K, A + i * lda, B, ldb,
-                             C + static_cast<std::ptrdiff_t>(i) * ldc,
-                             accumulate);
-    }
-}
 
 namespace
 {
@@ -312,11 +88,9 @@ flushStage(const float *stage, int rows, int P, float *out,
  * weight panel. The A element for tap k at strip position r is read
  * straight from the zero-padded input plane, xp[koff[k] + poff[r]] —
  * exactly the value im2col would have written, padding zeros included
- * — so no A panel is ever emitted. Per element this is the exact fold
- * fma(a_k, w_ik, acc) over k ascending that AVX2 sgemm computes on the
- * im2col matrix — fma's product operands merely swap roles, which
- * rounds identically — followed by one bias addition, so results are
- * bit-identical to im2col + sgemm + bias. The accumulators hold 16
+ * — so no A panel is ever emitted. Per element this is the AVX2 fold
+ * of gemm_kernels.hh: fma(a_k, w_ik, acc) over k ascending from +0,
+ * then one bias addition. The accumulators hold 16
  * channels per position; an in-register 8x8 transpose turns them into
  * per-channel rows of R positions, stored full-width into the
  * [16][kStageLd] @p stage (lanes past R land where the next strip
@@ -356,8 +130,7 @@ implicitStripKx16(int K, const float *xp, const int *koff, const int *poff,
     }
     for (; k < K; ++k)
         step(k);
-    // Bias before the transpose: out = gemm + b, the same single
-    // addition the unpacked path's bias pass performs.
+    // Bias before the transpose: out = fold + b, one addition.
     const __m256 bv0 = _mm256_loadu_ps(bias);
     const __m256 bv1 = _mm256_loadu_ps(bias + 8);
     __m256 t0[8], t1[8];
@@ -557,9 +330,9 @@ gradInputChains(int outC, std::ptrdiff_t plane_stride, const float *d,
 
 /**
  * One strip of the conv input gradient: for each tap in order, the
- * chains of gradInputChains (the TN product W^T * dY's per-element
- * chain), added onto
- * the lanes whose output position exists and blended away elsewhere.
+ * chains of gradInputChains (the AVX2 fold over output channels),
+ * added onto the lanes whose output position exists and blended away
+ * elsewhere.
  */
 template <int RC>
 void

@@ -14,9 +14,9 @@
  * input element feeds two FMAs — 14 loads per 24 FMAs, where one panel
  * per strip would take 13 per 12 and be load-bound. A lone 16-wide
  * panel (N / 16 odd) runs the one-panel 12 x 16 form. Per output
- * element the chain is unchanged — fma over k ascending from +0, then
- * one bias addition — which is what makes SimdMode::Avx512
- * bit-identical to Avx2.
+ * element the chain is the AVX2 fold of gemm_kernels.hh — fma over k
+ * ascending from +0, then one bias addition — which is what makes
+ * SimdMode::Avx512 bit-identical to Avx2.
  */
 
 #include "gemm_kernels.hh"

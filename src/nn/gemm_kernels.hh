@@ -1,16 +1,41 @@
 /**
  * @file
- * Internal SGEMM tile-kernel interface shared between the portable
- * driver (gemm.cc) and the AVX2/FMA and AVX-512 translation units
- * (gemm_avx2.cc, gemm_avx512.cc).
+ * Internal kernel interface shared between the portable driver
+ * (gemm.cc) and the AVX2/FMA and AVX-512 translation units
+ * (gemm_avx2.cc, gemm_avx512.cc), and the conv folds: the numerics
+ * contract every conv kernel implements.
  *
  * Each ISA's kernels live in their own TU so only that file is
  * compiled with the ISA's flags: the rest of the library keeps the
- * default ISA and the scalar reference kernels keep their exact
- * historical numerics. When the build does not define
- * PTOLEMY_HAVE_AVX2 (PTOLEMY_HAVE_AVX512) the TU is empty and the
- * driver never references its symbols. The packed-panel layout
- * and the conv block size are shared by both kernel families.
+ * default ISA and the scalar kernels keep the scalar fold. When the
+ * build does not define PTOLEMY_HAVE_AVX2 (PTOLEMY_HAVE_AVX512) the TU
+ * is empty and the driver never references its symbols. The
+ * packed-panel layout and the conv block size are shared by every
+ * kernel family.
+ *
+ * The conv folds. Per output element, in each SIMD mode:
+ *
+ * - Forward, output (oc, p): a_k is the im2col element (k, p) for the
+ *   K = in_c*k*k taps k = (ic*k + ky)*k + kx (0 where the tap lies in
+ *   the padding) and w_k the weight (oc, k).
+ *   - AVX2 and AVX-512: acc = +0, then acc = fma(a_k, w_k, acc) over k
+ *     ascending, then one bias add: out = acc + bias[oc].
+ *   - Scalar: acc = 0, then for each group of four k ascending
+ *     acc += w0*a0 + w1*a1 + w2*a2 + w3*a3 (left to right, every * and
+ *     + rounded), then the K%4 single steps acc += w_k*a_k, then one
+ *     bias add.
+ * - Input gradient, col element (j, p) of W^T * dY with j a tap as
+ *   above: the same two chains over the output channels oc ascending,
+ *   with a = dY(oc, p) and w = weight(oc, j), and no bias. Each col
+ *   element is then added onto the input pixel its tap reads, taps in
+ *   (ky, kx) order, as col2im adds them; a tap with no output position
+ *   (image border, or skipped by the stride) adds nothing — not even
+ *   +0, so -0 in an accumulate sink stays -0.
+ *
+ * Blocks, strips, panels and threads are scheduling only: no kernel
+ * may change these chains. tests/common/conv_oracle.hh writes both
+ * folds as plain loops, and the Prepack.* and ConvBackwardInput.*
+ * tests hold every kernel to them bit for bit.
  */
 
 #ifndef PTOLEMY_NN_GEMM_KERNELS_HH
@@ -22,18 +47,17 @@ namespace ptolemy::nn::detail
 {
 
 /**
- * Blocked layout of a packed B matrix [K x N]: the column
- * space is split exactly the way the tile kernels block it — 16-wide
- * panels, then one 8-wide panel when 8 <= N%16, then a <8-column
- * scalar tail — and each panel is stored [k][width] contiguous, the
- * same shape avx2GemmTile's per-tile packBPanel produces.
- * Panel starts are padded up to 64-byte boundaries so every AVX2 load
- * of a panel row begins on a cache line (the backing buffer itself is
- * allocated with util::AlignedF32).
+ * Blocked layout of a packed B matrix [K x N]: the column space is
+ * split exactly the way the conv tiles block it — 16-wide panels, then
+ * one 8-wide panel when 8 <= N%16, then a <8-column scalar tail — and
+ * each panel is stored [k][width] contiguous. Panel starts are padded
+ * up to 64-byte boundaries so every vector load of a panel row begins
+ * on a cache line (the backing buffer itself is allocated with
+ * util::AlignedF32).
  *
- * The packer and both implicit-GEMM conv blocks (scalar in gemm.cc,
- * AVX2 in gemm_avx2.cc) derive offsets from this one function, so
- * layout and consumption cannot drift apart.
+ * The packer and every implicit-GEMM conv block (scalar in gemm.cc,
+ * AVX2 in gemm_avx2.cc, AVX-512 in gemm_avx512.cc) derive offsets from
+ * this one function, so layout and consumption cannot drift apart.
  */
 struct PackedBLayout
 {
@@ -142,22 +166,6 @@ struct ConvGradInputPhase
 #ifdef PTOLEMY_HAVE_AVX2
 
 /**
- * C tile [i0,i1) x [j0,j1) = A * B over the full K extent (or += when
- * @p accumulate), with register-resident accumulators (6x16 FMA
- * microkernel plus 8-wide and scalar column tails). A, B and C are
- * row-major with leading dimensions @p lda, @p ldb and @p ldc.
- *
- * Per-element results depend only on (i, j, K) — never on the tile
- * partition or where the 16/8-column blocking lands: every column
- * (vector lane or scalar tail) computes the same fold of
- * fma(a_k, b_kj, acc) over k ascending. Outputs are therefore
- * bit-identical across thread counts AND across column placement.
- */
-void avx2GemmTile(int i0, int i1, int j0, int j1, int K, const float *A,
-                  std::ptrdiff_t lda, const float *B, int ldb, float *C,
-                  int ldc, bool accumulate);
-
-/**
  * Implicit-GEMM conv-forward block: out[i * ldc + j] = bias[i] +
  * sum_k xp[koff[k] + poff[j]] * packed weight (k, i) for channels i in
  * [0, N) and the block's @p P <= kConvBlockPositions output positions j.
@@ -169,20 +177,14 @@ void avx2GemmTile(int i0, int i1, int j0, int j1, int K, const float *A,
  * ever written. @p packed is the transposed weight matrix W^T [K x N]
  * in packedBLayout form.
  *
- * The register tile is flipped relative to avx2GemmTile — 6 positions
- * (one strip) are the broadcast operand, 16 output channels the vector
- * operand — and the results are transposed through registers, bias
- * added, into a block-local stage whose rows are copied out to the
- * channel-major output as contiguous runs. The loop nest is
- * channel-panel OUTER, strip INNER, so each K x 16 weight panel
- * streams from cache once per block instead of once per strip.
- *
- * Per output element this performs the exact same chain as AVX2 sgemm
- * on the im2col matrix: a fold of fma(a_k, w_ik, acc) over k ascending from
- * zero (fma(a, b, c) and fma(b, a, c) round identically), then one
- * bias addition — so the implicit GEMM is bit-identical to
- * im2col + sgemm + bias, and the strip/block partition is scheduling,
- * not numerics.
+ * The register tile takes 6 positions (one strip) as the broadcast
+ * operand and 16 output channels as the vector operand; the results
+ * are transposed through registers, bias added, into a block-local
+ * stage whose rows are copied out to the channel-major output as
+ * contiguous runs. The loop nest is channel-panel OUTER, strip INNER,
+ * so each K x 16 weight panel streams from cache once per block
+ * instead of once per strip. Per output element: the AVX2 forward
+ * fold (see the file comment).
  */
 void avx2ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
                            const int *poff, int P, const float *packed,
@@ -204,13 +206,10 @@ void avx2ConvImplicitNarrowPanels(int K, int N, const float *xp,
  * Conv input-gradient block: lanes [q0, q1) of phase @p ph (q0 a
  * multiple of kConvBlockPositions, q1 - q0 <= kConvBlockPositions) for
  * every input channel. Per lane and tap in order, the tap's value is
- * the fold fma(w_oc, dy_oc, t) over oc ascending from +0 — the AVX2 TN
- * product W^T * dY's chain for that col-gradient element — and it is
- * added onto the lane's
- * accumulator only where the tap lands inside the output gradient (a
- * per-lane blend), exactly as col2im adds it. The result is therefore
- * bit-identical to that product scattered by col2im, signed zeros
- * included.
+ * the AVX2 input-gradient fold, fma(w_oc, dy_oc, t) over oc ascending
+ * from +0, and it is added onto the lane's accumulator only where the
+ * tap lands inside the output gradient (a per-lane blend), exactly as
+ * col2im adds it, signed zeros included.
  */
 void avx2ConvGradInputBlock(const ConvGradInputPhase &ph, int q0, int q1);
 
@@ -247,8 +246,8 @@ void avx2GemvBias(int M, int K, const float *A, const float *x,
  * FMAs). A lone 16-wide panel (N / 16 odd) runs the tile's one-panel
  * 12 x 16 form; the 8-wide and tail panels go through
  * avx2ConvImplicitNarrowPanels. Per output element the chain is the
- * AVX2 tile's — fma over k ascending from +0, then one bias addition —
- * so the result is bit-identical to avx2ConvImplicitBlock.
+ * AVX2 forward fold, so the result is bit-identical to
+ * avx2ConvImplicitBlock.
  */
 void avx512ConvImplicitBlock(int K, int N, const float *xp, const int *koff,
                              const int *poff, int P, const float *packed,

@@ -1,5 +1,7 @@
 #include "layer.hh"
 
+#include <stdexcept>
+
 namespace ptolemy::nn
 {
 
@@ -28,6 +30,14 @@ layerKindName(LayerKind k)
       case LayerKind::Downsample: return "downsample";
     }
     return "?";
+}
+
+void
+Layer::requireShape(bool ok, const char *what) const
+{
+    if (!ok)
+        throw std::invalid_argument(std::string(layerKindName(kind())) +
+                                    " layer '" + name() + "': " + what);
 }
 
 Tensor

@@ -160,7 +160,12 @@ class Layer
     /** Number of input tensors this layer consumes (1 except Add/Concat). */
     virtual int numInputs() const { return 1; }
 
-    /** Output shape given input shapes (for graph construction checks). */
+    /**
+     * Output shape given input shapes. Network::add calls it once per
+     * node, so it is where caller-supplied shapes are checked: it throws
+     * std::invalid_argument (through requireShape) for inputs the layer
+     * cannot consume, in every build.
+     */
     virtual Shape outputShape(const std::vector<Shape> &ins) const = 0;
 
     /**
@@ -338,6 +343,10 @@ class Layer
      *  ones; later slots keep their contents and storage. */
     static void clearSlots(std::vector<std::vector<std::size_t>> &per_input,
                            std::size_t n);
+
+    /** Throw std::invalid_argument naming this layer and @p what unless
+     *  @p ok: the outputShape check of caller-supplied input shapes. */
+    void requireShape(bool ok, const char *what) const;
 
   private:
     std::string layerName;

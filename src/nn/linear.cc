@@ -19,8 +19,9 @@ Linear::Linear(std::string name, int in_n, int out_n)
 Shape
 Linear::outputShape(const std::vector<Shape> &ins) const
 {
-    assert(ins.size() == 1 && static_cast<int>(ins[0].numel()) == inN);
-    (void)ins;
+    requireShape(ins.size() == 1 &&
+                     ins[0].numel() == static_cast<std::size_t>(inN),
+                 "input size differs from in_features");
     return flatShape(outN);
 }
 

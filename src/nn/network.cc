@@ -1,6 +1,5 @@
 #include "network.hh"
 
-#include <cassert>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -34,11 +33,17 @@ Network::add(std::unique_ptr<Layer> layer, std::vector<int> inputs)
     const int id = static_cast<int>(nodes.size());
     if (inputs.empty())
         inputs.push_back(id - 1); // previous node; -1 == network input
-    assert(static_cast<int>(inputs.size()) == layer->numInputs());
-
+    if (static_cast<int>(inputs.size()) != layer->numInputs())
+        throw std::invalid_argument("Network::add: layer '" + layer->name() +
+                                    "' takes " +
+                                    std::to_string(layer->numInputs()) +
+                                    " inputs");
     std::vector<Shape> in_shapes;
     for (int in_id : inputs) {
-        assert(in_id >= -1 && in_id < id); // topological order
+        if (in_id < -1 || in_id >= id) // topological order
+            throw std::invalid_argument("Network::add: layer '" +
+                                        layer->name() +
+                                        "' reads a node not added before it");
         in_shapes.push_back(in_id < 0 ? inShape : nodes[in_id].outShape);
     }
     Node n;

@@ -2,7 +2,8 @@
  * @file
  * Bit-identity of the backward kernels against the code they replaced,
  * memcmp-exact in every SIMD mode: the implicit-GEMM conv input
- * gradient against the explicit W^T * dY product scattered by col2im,
+ * gradient against the plain-loop oracle (the W^T * dY product in the
+ * mode's fold, scattered by col2im; tests/common/conv_oracle.hh),
  * the register-blocked NT product against per-element dots, the
  * branchless ReLU / MaxPool backward against the branchy loops, and
  * Network::backwardParams against a full backward's parameter
@@ -17,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/conv_oracle.hh"
 #include "common/simd_modes.hh"
 #include "models/zoo.hh"
 #include "nn/common_layers.hh"
@@ -51,43 +53,6 @@ sameBits(const float *a, const float *b, std::size_t n)
     return std::memcmp(a, b, sizeof(float) * n) == 0;
 }
 
-/** The input gradient as the library computed it before the implicit
- *  GEMM: col = W^T * dY (sgemm on the materialized transpose runs the
- *  TN product's per-element fold in both modes), scattered by col2im. */
-void
-explicitInputGrad(const float *dy, int out_c, int oh, int ow,
-                  const float *w, int in_c, int ih, int iw, int k, int s,
-                  int pad, float *grad_in)
-{
-    const int kdim = in_c * k * k;
-    const int ohw = oh * ow;
-    std::vector<float> wt(static_cast<std::size_t>(kdim) * out_c);
-    for (int oc = 0; oc < out_c; ++oc)
-        for (int j = 0; j < kdim; ++j)
-            wt[static_cast<std::size_t>(j) * out_c + oc] =
-                w[static_cast<std::size_t>(oc) * kdim + j];
-    std::vector<float> col(static_cast<std::size_t>(kdim) * ohw);
-    sgemm(kdim, ohw, out_c, wt.data(), dy, col.data());
-    const float *src = col.data();
-    for (int ic = 0; ic < in_c; ++ic) {
-        float *plane = grad_in + static_cast<std::size_t>(ic) * ih * iw;
-        for (int ky = 0; ky < k; ++ky)
-            for (int kx = 0; kx < k; ++kx) {
-                for (int oy = 0; oy < oh; ++oy) {
-                    const int iy = oy * s - pad + ky;
-                    if (iy < 0 || iy >= ih)
-                        continue;
-                    for (int ox = 0; ox < ow; ++ox) {
-                        const int ix = ox * s - pad + kx;
-                        if (ix >= 0 && ix < iw)
-                            plane[iy * iw + ix] += src[oy * ow + ox];
-                    }
-                }
-                src += ohw;
-            }
-    }
-}
-
 struct GradCase
 {
     int inC, outC, k, stride, pad, ih, iw;
@@ -106,6 +71,10 @@ TEST(ConvBackwardInput, BitIdenticalToTnProductPlusCol2im)
         {1, 5, 5, 2, 2, 9, 7},    {5, 7, 3, 1, 0, 8, 9},
         {32, 64, 3, 1, 1, 8, 8},  {3, 32, 3, 1, 1, 32, 32},
         {2, 3, 5, 1, 2, 1, 1},    {7, 5, 3, 3, 1, 10, 11},
+        // Strided and unpadded, so the last input row and column take
+        // no tap although their phase has taps: every tap there lies
+        // outside dY, and a -0 in an accumulate sink must stay -0.
+        {3, 4, 3, 2, 0, 8, 8},    {2, 5, 2, 2, 0, 9, 9},
     };
     Rng rng(41);
     for (SimdMode mode : modesToTest()) {
@@ -135,9 +104,10 @@ TEST(ConvBackwardInput, BitIdenticalToTnProductPlusCol2im)
                         sink[i] = -0.0f;
                     std::vector<float> want =
                         accumulate ? sink : std::vector<float>(n, 0.0f);
-                    explicitInputGrad(dy.data(), c.outC, oh, ow, w.data(),
-                                      c.inC, c.ih, c.iw, c.k, c.stride,
-                                      c.pad, want.data());
+                    testing::oracleConvInputGrad(
+                        simdMode(), dy.data(), c.outC, oh, ow, w.data(),
+                        c.inC, c.ih, c.iw, c.k, c.stride, c.pad,
+                        want.data());
                     // An overwrite sink's old contents must not leak in.
                     std::vector<float> got = sink;
                     convBackwardInput(dy.data(), c.outC, oh, ow, w.data(),
@@ -159,7 +129,7 @@ TEST(ConvBackwardInput, BitIdenticalToTnProductPlusCol2im)
 TEST(ConvBackwardInput, ConvLayerInputOnlyBackwardUsesIt)
 {
     // Through the layer: an input-only backward into an accumulate sink
-    // preloaded with -0 equals the explicit composition bit for bit.
+    // preloaded with -0 equals the oracle bit for bit.
     SimdModeGuard mode_guard;
     Rng rng(42);
     for (SimdMode mode : modesToTest()) {
@@ -178,9 +148,10 @@ TEST(ConvBackwardInput, ConvLayerInputOnlyBackwardUsesIt)
         for (std::size_t i = 0; i < sink.size(); ++i)
             sink[i] = i % 2 ? -0.0f : 0.25f;
         std::vector<float> want(sink.vec().begin(), sink.vec().end());
-        explicitInputGrad(gout.data(), 8, out.shape().h, out.shape().w,
-                          conv.weights().data(), 3, 9, 10, 3, 2, 1,
-                          want.data());
+        testing::oracleConvInputGrad(simdMode(), gout.data(), 8,
+                                     out.shape().h, out.shape().w,
+                                     conv.weights().data(), 3, 9, 10, 3, 2,
+                                     1, want.data());
         conv.backwardInto({&x}, gout, {GradSink{&sink, true}},
                           skipParamGrads());
         EXPECT_TRUE(sameBits(sink.data(), want.data(), want.size()))

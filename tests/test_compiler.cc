@@ -248,5 +248,19 @@ TEST(CompilerTest, ThetaSweepIncreasesCost)
     EXPECT_LT(mid, hi);
 }
 
+TEST(Misuse, CompilerRejectsConfigOfOtherLayerCount)
+{
+    // compile() indexes the config by weighted-layer index, so a config
+    // sized for another network is refused at construction, in every
+    // build.
+    auto net = ptolemy::testing::makeTinyNet(10);
+    const int n = static_cast<int>(net.weightedNodes().size());
+    for (int layers : {1, n - 1, n + 1})
+        EXPECT_THROW(Compiler(net, ExtractionConfig::bwCu(layers)),
+                     std::invalid_argument)
+            << layers;
+    EXPECT_NO_THROW(Compiler(net, ExtractionConfig::bwCu(n)));
+}
+
 } // namespace
 } // namespace ptolemy::compiler

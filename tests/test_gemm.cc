@@ -1,9 +1,9 @@
 /**
  * @file
- * GEMM kernel correctness and conv forward/backward vs the scalar
- * reference oracles (Conv2d::forwardNaive / backwardNaive) in every
- * SIMD mode, padded/strided cases and the benchmark's conv shapes
- * swept.
+ * NT product and gemv kernel correctness, and conv forward/backward
+ * vs the scalar reference oracles (Conv2d::forwardNaive /
+ * backwardNaive) in every SIMD mode, padded/strided cases and the
+ * benchmark's conv shapes swept.
  */
 
 #include <gtest/gtest.h>
@@ -68,26 +68,16 @@ naiveGemmRef(int M, int N, int K, const std::vector<float> &A,
                     B[static_cast<std::size_t>(k) * N + j];
 }
 
-TEST(Sgemm, MatchesNaiveTripleLoopAcrossBlockBoundaries)
+/** @p B [rows x cols] row-major, transposed to [cols x rows]. */
+std::vector<float>
+transposed(const std::vector<float> &B, int rows, int cols)
 {
-    Rng rng(1);
-    // Sizes straddling the kernel's 32/128/256 block boundaries.
-    const int sizes[][3] = {
-        {1, 1, 1}, {3, 5, 7}, {33, 17, 129}, {64, 300, 140}, {40, 257, 4}};
-    for (const auto &s : sizes) {
-        const int M = s[0], N = s[1], K = s[2];
-        std::vector<float> A(static_cast<std::size_t>(M) * K);
-        std::vector<float> B(static_cast<std::size_t>(K) * N);
-        fillRandom(A, rng);
-        fillRandom(B, rng);
-        std::vector<float> C(static_cast<std::size_t>(M) * N, -1.0f);
-        std::vector<float> ref;
-        sgemm(M, N, K, A.data(), B.data(), C.data());
-        naiveGemmRef(M, N, K, A, B, ref);
-        for (std::size_t i = 0; i < ref.size(); ++i)
-            ASSERT_NEAR(C[i], ref[i], 1e-3f)
-                << "M=" << M << " N=" << N << " K=" << K << " i=" << i;
-    }
+    std::vector<float> t(B.size());
+    for (int r = 0; r < rows; ++r)
+        for (int c = 0; c < cols; ++c)
+            t[static_cast<std::size_t>(c) * rows + r] =
+                B[static_cast<std::size_t>(r) * cols + c];
+    return t;
 }
 
 TEST(Sgemm, TransposedVariantsMatchPlainGemm)
@@ -102,31 +92,11 @@ TEST(Sgemm, TransposedVariantsMatchPlainGemm)
     naiveGemmRef(M, N, K, A, B, ref);
 
     // sgemmNT consumes B stored transposed ([N x K]).
-    std::vector<float> Bt(static_cast<std::size_t>(N) * K);
-    for (int k = 0; k < K; ++k)
-        for (int j = 0; j < N; ++j)
-            Bt[static_cast<std::size_t>(j) * K + k] =
-                B[static_cast<std::size_t>(k) * N + j];
+    const std::vector<float> Bt = transposed(B, K, N);
     std::vector<float> C2(static_cast<std::size_t>(M) * N);
     sgemmNT(M, N, K, A.data(), Bt.data(), C2.data());
     for (std::size_t i = 0; i < ref.size(); ++i)
         ASSERT_NEAR(C2[i], ref[i], 1e-3f);
-}
-
-TEST(Sgemm, AccumulateAddsOntoExistingC)
-{
-    Rng rng(3);
-    const int M = 8, N = 9, K = 10;
-    std::vector<float> A(static_cast<std::size_t>(M) * K);
-    std::vector<float> B(static_cast<std::size_t>(K) * N);
-    fillRandom(A, rng);
-    fillRandom(B, rng);
-    std::vector<float> ref;
-    naiveGemmRef(M, N, K, A, B, ref);
-    std::vector<float> C(ref.size(), 2.5f);
-    sgemm(M, N, K, A.data(), B.data(), C.data(), /*accumulate=*/true);
-    for (std::size_t i = 0; i < ref.size(); ++i)
-        ASSERT_NEAR(C[i], ref[i] + 2.5f, 1e-3f);
 }
 
 /** Shapes swept by the conv oracle tests: {in_c, out_c, k, stride, pad,
@@ -236,6 +206,9 @@ TEST(ConvGemm, PartialSumsStillMatchForwardOutput)
 
 TEST(SgemmSimd, Avx2MatchesScalarAcrossOddRemainders)
 {
+    // sgemmNT in each kernel family against the plain triple loop, at
+    // remainders around the 4-row x 2-column dot blocking and the
+    // 8-wide FMA chunks, overwrite and accumulate.
     if (!avx2Available())
         GTEST_SKIP() << "AVX2 kernels not compiled in or not supported";
     SimdModeGuard guard;
@@ -243,8 +216,6 @@ TEST(SgemmSimd, Avx2MatchesScalarAcrossOddRemainders)
     gemmPool() = nullptr; // isolate the kernels from threading
     Rng rng(11);
 
-    // Remainders around the microkernel's 6-row / 16-column / 8-column
-    // blocking and a few deeper K values for the FMA accumulators.
     const int ms[] = {1, 2, 5, 6, 7, 12, 17, 33};
     const int ns[] = {1, 7, 8, 15, 16, 17, 24, 40, 257};
     const int ks[] = {1, 3, 9, 64};
@@ -253,38 +224,26 @@ TEST(SgemmSimd, Avx2MatchesScalarAcrossOddRemainders)
             for (int K : ks) {
                 std::vector<float> A(static_cast<std::size_t>(M) * K);
                 std::vector<float> B(static_cast<std::size_t>(K) * N);
-                std::vector<float> Bt(static_cast<std::size_t>(N) * K);
                 fillRandom(A, rng);
                 fillRandom(B, rng);
-                for (int k = 0; k < K; ++k)
-                    for (int j = 0; j < N; ++j)
-                        Bt[static_cast<std::size_t>(j) * K + k] =
-                            B[static_cast<std::size_t>(k) * N + j];
-
-                const std::size_t cn = static_cast<std::size_t>(M) * N;
-                std::vector<float> cs(cn, 0.5f), cv(cn, 0.5f);
+                const std::vector<float> Bt = transposed(B, K, N);
+                const bool acc = (M + N + K) % 2 == 0; // sweep both modes
+                std::vector<float> ref;
+                naiveGemmRef(M, N, K, A, B, ref);
+                if (acc)
+                    for (float &r : ref)
+                        r += 0.5f;
                 const float tol =
                     1e-4f * (1.0f + static_cast<float>(K) * 0.05f);
-                const bool acc = (M + N + K) % 2 == 0; // sweep both modes
-
-                simdMode() = SimdMode::Scalar;
-                sgemm(M, N, K, A.data(), B.data(), cs.data(), acc);
-                simdMode() = SimdMode::Avx2;
-                sgemm(M, N, K, A.data(), B.data(), cv.data(), acc);
-                for (std::size_t i = 0; i < cn; ++i)
-                    ASSERT_NEAR(cs[i], cv[i], tol)
-                        << "sgemm M=" << M << " N=" << N << " K=" << K
-                        << " acc=" << acc << " i=" << i;
-
-                std::fill(cs.begin(), cs.end(), 0.5f);
-                std::fill(cv.begin(), cv.end(), 0.5f);
-                simdMode() = SimdMode::Scalar;
-                sgemmNT(M, N, K, A.data(), Bt.data(), cs.data(), acc);
-                simdMode() = SimdMode::Avx2;
-                sgemmNT(M, N, K, A.data(), Bt.data(), cv.data(), acc);
-                for (std::size_t i = 0; i < cn; ++i)
-                    ASSERT_NEAR(cs[i], cv[i], tol)
-                        << "sgemmNT M=" << M << " N=" << N << " K=" << K;
+                for (SimdMode mode : {SimdMode::Scalar, SimdMode::Avx2}) {
+                    simdMode() = mode;
+                    std::vector<float> c(ref.size(), 0.5f);
+                    sgemmNT(M, N, K, A.data(), Bt.data(), c.data(), acc);
+                    for (std::size_t i = 0; i < c.size(); ++i)
+                        ASSERT_NEAR(c[i], ref[i], tol)
+                            << simdModeName() << " M=" << M << " N=" << N
+                            << " K=" << K << " acc=" << acc << " i=" << i;
+                }
             }
         }
     }
@@ -356,46 +315,40 @@ TEST(SgemvBias, RowBlocksMatchSingleRowCalls)
 
 TEST(SgemmThreads, BitIdenticalAcrossThreadCounts)
 {
-    // Each C element's accumulation order is independent of the tile
-    // partition, so every pool size must give bit-identical results in
-    // both kernel families. The product is sized above the parallel
-    // cutoff so the pooled path actually engages.
+    // sgemmNT splits rows across tasks, and each element's chain is
+    // independent of the split, so every pool size must give the serial
+    // run's bits in every kernel family; the serial run must match the
+    // plain triple loop. The product is sized above the parallel cutoff
+    // so the pooled path actually engages.
     SimdModeGuard guard;
     GemmPoolGuard pool_guard;
     const int M = 64, N = 300, K = 80;
     Rng rng(12);
     std::vector<float> A(static_cast<std::size_t>(M) * K);
     std::vector<float> B(static_cast<std::size_t>(K) * N);
-    std::vector<float> Bt(static_cast<std::size_t>(N) * K);
     fillRandom(A, rng);
     fillRandom(B, rng);
-    for (int k = 0; k < K; ++k)
-        for (int j = 0; j < N; ++j)
-            Bt[static_cast<std::size_t>(j) * K + k] =
-                B[static_cast<std::size_t>(k) * N + j];
+    const std::vector<float> Bt = transposed(B, K, N);
+    std::vector<float> plain;
+    naiveGemmRef(M, N, K, A, B, plain);
 
     for (SimdMode mode : modesToTest()) {
         simdMode() = mode;
         gemmPool() = nullptr;
         std::vector<float> ref(static_cast<std::size_t>(M) * N);
-        std::vector<float> ref_nt(ref.size());
-        sgemm(M, N, K, A.data(), B.data(), ref.data());
-        sgemmNT(M, N, K, A.data(), Bt.data(), ref_nt.data());
+        sgemmNT(M, N, K, A.data(), Bt.data(), ref.data());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_NEAR(ref[i], plain[i], 1e-3f)
+                << "mode=" << simdModeName() << " i=" << i;
 
         for (unsigned threads : {1u, 2u, 8u}) {
             ThreadPool pool(threads);
             gemmPool() = &pool;
-            std::vector<float> c(ref.size(), -1.0f), c_nt(ref.size(), -1.0f);
-            sgemm(M, N, K, A.data(), B.data(), c.data());
-            sgemmNT(M, N, K, A.data(), Bt.data(), c_nt.data());
-            for (std::size_t i = 0; i < ref.size(); ++i) {
-                ASSERT_EQ(c[i], ref[i])
-                    << "sgemm mode=" << static_cast<int>(mode)
-                    << " threads=" << threads << " i=" << i;
-                ASSERT_EQ(c_nt[i], ref_nt[i])
-                    << "sgemmNT mode=" << static_cast<int>(mode)
-                    << " threads=" << threads << " i=" << i;
-            }
+            std::vector<float> c(ref.size(), -1.0f);
+            sgemmNT(M, N, K, A.data(), Bt.data(), c.data());
+            ASSERT_EQ(0, std::memcmp(c.data(), ref.data(),
+                                     sizeof(float) * ref.size()))
+                << "mode=" << simdModeName() << " threads=" << threads;
             gemmPool() = nullptr;
         }
     }

@@ -321,5 +321,72 @@ TEST(ModelZoo, UnknownNameThrows)
     EXPECT_THROW(models::makeByName("nope", 10), std::invalid_argument);
 }
 
+TEST(Misuse, LinearRejectsInputOfOtherSize)
+{
+    // A Flatten of 8x8x8 = 512 values into Linear(400, 10) would read
+    // 400 of them; Network::add refuses it in every build.
+    Network net("fc", mapShape(8, 8, 8));
+    net.add(std::make_unique<Flatten>("flat"));
+    EXPECT_THROW(net.add(std::make_unique<Linear>("fc1", 400, 10)),
+                 std::invalid_argument);
+    EXPECT_THROW(net.add(std::make_unique<Linear>("fc1", 513, 10)),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(net.add(std::make_unique<Linear>("fc1", 512, 10)));
+}
+
+TEST(Misuse, MaxPoolRejectsMapNotDivisibleByWindow)
+{
+    // A 15 x 15 map into a 2 x 2 pool would floor to 7 x 7.
+    Network odd("pool", mapShape(4, 15, 15));
+    EXPECT_THROW(odd.add(std::make_unique<MaxPool2d>("pool", 2)),
+                 std::invalid_argument);
+    Network tall("pool", mapShape(4, 16, 15));
+    EXPECT_THROW(tall.add(std::make_unique<MaxPool2d>("pool", 2)),
+                 std::invalid_argument);
+    Network even("pool", mapShape(4, 16, 16));
+    EXPECT_NO_THROW(even.add(std::make_unique<MaxPool2d>("pool", 2)));
+    Network three("pool", mapShape(4, 15, 15));
+    EXPECT_NO_THROW(three.add(std::make_unique<MaxPool2d>("pool", 3)));
+}
+
+TEST(Misuse, ConvRejectsInputOfOtherChannelCount)
+{
+    // A 3-channel input into a 4-channel conv would read past it; a
+    // kernel larger than the padded input has no output position.
+    Network net("conv", mapShape(3, 8, 8));
+    EXPECT_THROW(net.add(std::make_unique<Conv2d>("c", 4, 8, 3, 1, 1)),
+                 std::invalid_argument);
+    EXPECT_THROW(net.add(std::make_unique<Conv2d>("c", 2, 8, 3, 1, 1)),
+                 std::invalid_argument);
+    EXPECT_THROW(net.add(std::make_unique<Conv2d>("c", 3, 8, 11, 1, 1)),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(net.add(std::make_unique<Conv2d>("c", 3, 8, 3, 1, 1)));
+}
+
+TEST(Misuse, NetworkAddRejectsMismatchedMergesAndWiring)
+{
+    // The merge, norm and downsample layers check their input shapes
+    // at Network::add too, and so does the wiring itself.
+    Network net("dag", mapShape(4, 6, 6));
+    const int a = net.add(std::make_unique<Conv2d>("a", 4, 8, 3, 1, 1));
+    const int b = net.add(std::make_unique<Conv2d>("b", 8, 8, 3, 2, 1), {a});
+    EXPECT_THROW(net.add(std::make_unique<Add>("add"), {a, b}),
+                 std::invalid_argument);
+    EXPECT_THROW(net.add(std::make_unique<Concat>("cat"), {a, b}),
+                 std::invalid_argument);
+    EXPECT_THROW(net.add(std::make_unique<Norm2d>("norm", 4), {a}),
+                 std::invalid_argument);
+    EXPECT_THROW(net.add(std::make_unique<Add>("add"), {a}),
+                 std::invalid_argument);
+    EXPECT_THROW(net.add(std::make_unique<ReLU>("relu"), {b + 1}),
+                 std::invalid_argument);
+    EXPECT_THROW(net.add(std::make_unique<ReLU>("relu"), {-2}),
+                 std::invalid_argument);
+    Network odd("odd", mapShape(4, 5, 5));
+    EXPECT_THROW(odd.add(std::make_unique<DownsamplePad>("down")),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(net.add(std::make_unique<Add>("add"), {a, a}));
+}
+
 } // namespace
 } // namespace ptolemy::nn

@@ -1,8 +1,8 @@
 /**
  * @file
  * Packed-weight conv forward: the panel packer's layout and alignment,
- * bitwise identity of the implicit-GEMM conv forward against im2col +
- * sgemm + bias in every SIMD mode, inline-vs-pooled scheduling, and the
+ * bitwise identity of the implicit-GEMM conv forward against the
+ * plain-loop oracle (im2col, the mode's fold, bias) in every SIMD mode, inline-vs-pooled scheduling, and the
  * pack lifecycle — setWeights, the trainer's per-step repack and
  * Network::load all leave panels that match the weights. Everything
  * here asserts EXACT float equality — the packed path's contract is
@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/conv_oracle.hh"
 #include "common/simd_modes.hh"
 #include "common/test_models.hh"
 #include "core/detector_model.hh"
@@ -73,26 +74,21 @@ sameBits(const Tensor &a, const Tensor &b)
 }
 
 /**
- * The explicit conv forward, composed here from the public kernels:
- * im2col, sgemm with the [outC x K] weight rows, then one bias pass.
- * The implicit GEMM must reproduce its bytes in the current SIMD mode.
+ * The explicit conv forward in the current SIMD mode: the plain-loop
+ * oracle of tests/common/conv_oracle.hh (im2col, the mode's fold, one
+ * bias add). The implicit GEMM must reproduce its bytes.
  */
 Tensor
-classicForward(std::span<const float> w, std::span<const float> b,
-               int out_c, int k, int stride, int pad, const Tensor &x)
+oracleForward(std::span<const float> w, std::span<const float> b,
+              int out_c, int k, int stride, int pad, const Tensor &x)
 {
-    const int in_c = x.shape().c, ih = x.shape().h, iw = x.shape().w;
-    const int oh = (ih + 2 * pad - k) / stride + 1;
-    const int ow = (iw + 2 * pad - k) / stride + 1;
-    const int ohw = oh * ow;
-    util::AlignedF32 col;
-    im2col(x.data(), in_c, ih, iw, k, stride, pad, oh, ow, col);
-    Tensor out(mapShape(out_c, oh, ow));
-    sgemm(out_c, ohw, in_c * k * k, w.data(), col.data(), out.data());
-    for (int oc = 0; oc < out_c; ++oc)
-        for (int i = 0; i < ohw; ++i)
-            out.data()[static_cast<std::size_t>(oc) * ohw + i] += b[oc];
-    return out;
+    const Shape in = x.shape();
+    const std::vector<float> y = testing::oracleConvForward(
+        simdMode(), w.data(), b.data(), out_c, x.data(), in.c, in.h, in.w,
+        k, stride, pad);
+    return Tensor(mapShape(out_c, testing::convOutExtent(in.h, k, stride, pad),
+                           testing::convOutExtent(in.w, k, stride, pad)),
+                  y);
 }
 
 TEST(Prepack, StridedPackMatchesMaterializedTranspose)
@@ -147,14 +143,14 @@ TEST(Prepack, PackedPanelsAreCacheLineAligned)
     }
 }
 
-TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
+TEST(Prepack, FusedConvForwardBitIdenticalToOracle)
 {
     // The end-to-end contract, in every SIMD mode: a Conv2d forward
-    // produces the exact bytes of im2col + sgemm + bias. Geometries
-    // cover stride 2, 1x1 kernels, zero padding, channel counts hitting
-    // the 16-wide, 8-wide, and scalar-tail weight panels, K values
-    // around the scalar fold's grouped-4 remainder and 128-deep
-    // blocking, the conv layers of the end-to-end benchmark's
+    // produces the exact bytes of the oracle's im2col, fold and bias
+    // add. Geometries cover stride 2, 1x1 kernels, zero padding,
+    // channel counts hitting the 16-wide, 8-wide, and scalar-tail weight
+    // panels, K values around the scalar fold's grouped-4 remainder and
+    // past 128, the conv layers of the end-to-end benchmark's
     // networks, and output widths 4 and 7 whose 6-position strips
     // straddle output rows.
     SimdModeGuard mode_guard;
@@ -188,13 +184,13 @@ TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
             randomizeConv(conv, rng);
             const Tensor x =
                 randomTensor(mapShape(cs[0], cs[5], cs[6]), rng);
-            const Tensor classic =
-                classicForward(conv.weights(), conv.biases(), cs[1], cs[2],
+            const Tensor want =
+                oracleForward(conv.weights(), conv.biases(), cs[1], cs[2],
                                cs[3], cs[4], x);
 
             Tensor out;
             conv.forwardInto({&x}, out, false);
-            ASSERT_TRUE(sameBits(out, classic))
+            ASSERT_TRUE(sameBits(out, want))
                 << "mode=" << simdModeName() << " in_c=" << cs[0]
                 << " out_c=" << cs[1] << " k=" << cs[2] << " s=" << cs[3]
                 << " p=" << cs[4] << " h=" << cs[5] << " w=" << cs[6];
@@ -202,13 +198,13 @@ TEST(Prepack, FusedConvForwardBitIdenticalToClassicPath)
     }
 }
 
-TEST(Prepack, Avx512TileBitIdenticalToAvx2AndClassicPath)
+TEST(Prepack, Avx512TileBitIdenticalToAvx2AndOracle)
 {
     // The AVX-512 conv tile runs 12-position strips over each pair of
     // 16-channel panels, a lone 16-wide panel (N / 16 odd) through its
     // one-panel form (the 8-wide and tail panels stay on the AVX2
-    // tile). Its bytes must equal the AVX2 implicit GEMM's and im2col +
-    // sgemm + bias's on: every short last strip (P % 12 = 1..11, alone
+    // tile). Its bytes must equal the AVX2 implicit GEMM's and the oracle's
+    // on: every short last strip (P % 12 = 1..11, alone
     // and after full strips), blocks past the first (P > 96), strips
     // that straddle output rows (widths 1, 3, 5, 7, 9, 17), stride 2,
     // and channel counts with one to five 16-wide panels — a lone panel
@@ -241,12 +237,12 @@ TEST(Prepack, Avx512TileBitIdenticalToAvx2AndClassicPath)
                 simdMode() = SimdMode::Avx512;
                 Tensor avx512;
                 conv.forwardInto({&x}, avx512, false);
-                const Tensor classic = classicForward(
+                const Tensor want = oracleForward(
                     conv.weights(), conv.biases(), out_c, 3, stride, 1, x);
                 ASSERT_TRUE(sameBits(avx512, avx2))
                     << "in_c=" << in_c << " out_c=" << out_c << " s="
                     << stride << " h=" << m[0] << " w=" << m[1];
-                ASSERT_TRUE(sameBits(avx512, classic))
+                ASSERT_TRUE(sameBits(avx512, want))
                     << "in_c=" << in_c << " out_c=" << out_c << " s="
                     << stride << " h=" << m[0] << " w=" << m[1];
             }
@@ -290,7 +286,7 @@ TEST(Prepack, InlineAndPooledSchedulingBitIdentical)
 TEST(Prepack, SetWeightsRepacksPanel)
 {
     // setWeights must repack: the next forward runs on the new values,
-    // bit-identical to the classic path on them — a stale panel would
+    // bit-identical to the oracle on them — a stale panel would
     // silently serve the old model.
     SimdModeGuard mode_guard;
     GemmPoolGuard pool_guard;
@@ -313,7 +309,7 @@ TEST(Prepack, SetWeightsRepacksPanel)
         conv.forwardInto({&x}, after, false);
 
         ASSERT_TRUE(
-            sameBits(after, classicForward(w, conv.biases(), 16, 3, 1, 1, x)))
+            sameBits(after, oracleForward(w, conv.biases(), 16, 3, 1, 1, x)))
             << "mode=" << simdModeName();
         // And the outputs genuinely changed (the panel wasn't stale).
         bool changed = false;

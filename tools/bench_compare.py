@@ -28,10 +28,15 @@ The gate distinguishes three kinds of metric:
 prefix (the CI codesign leg gates only the deterministic hw block that
 way, leaving throughput gating to the perf leg).
 
-Keys present in only one file are reported but never fatal, so adding a
-benchmark does not require updating the baseline atomically.  Latency
-percentiles and shed rates under ``serve.points`` are skipped: they are
-load-dependent coordinates, not metrics with a monotone "better".
+A gated key (ratio, allocation or exact) that is in the baseline but
+missing from the fresh run HARD-FAILS: a deleted gate, or a harness
+block that quietly stops emitting one, would otherwise pass.  Removing a
+gate on purpose means removing it from the baseline in the same change.
+Other keys present in only one file are reported but never fatal, so
+adding a benchmark does not require updating the baseline atomically.
+Latency percentiles and shed rates under ``serve.points`` are skipped:
+they are load-dependent coordinates, not metrics with a monotone
+"better".
 
 Exit status: 0 clean, 1 on any hard failure, 2 on usage/IO errors.
 
@@ -158,14 +163,14 @@ def compare(baseline, fresh, noise, warn_only_absolutes, out=sys.stdout,
         else:
             failures.append("ABS    " + msg)
 
-    # Exact metrics must exist on both sides: a vanished or un-baselined
-    # hw key is a silent hole in the deterministic gate, not an optional
+    # Hard-gated metrics must exist on both sides: a vanished ratio,
+    # allocation or hw key is a silent hole in the gate, not an optional
     # extra benchmark.
     for key in sorted(set(base) - set(new)):
         kind = classify(key)
-        if kind == "exact":
-            failures.append(f"EXACT  {key}: in baseline but missing from "
-                            "fresh run")
+        if kind in ("exact", "ratio", "alloc"):
+            failures.append(f"{kind.upper():6} {key}: in baseline but "
+                            "missing from fresh run")
         elif kind != "skip":
             warnings.append(f"MISSING {key}: in baseline but not in fresh "
                             "run")
@@ -200,7 +205,7 @@ def self_test():
         "conv_fwd": {
             "gemm_gflops": 50.0,
             "gemm_gflops_trial_min": 40.0,
-            "prepack_speedup": 1.3,
+            "speedup": 41.6,
         },
         "similarity": {
             "w65536": {"and_popcount_ops_per_sec": 3.0e6,
@@ -235,15 +240,15 @@ def self_test():
     assert any("allocs_per_batch" in x for x in f), \
         "injected allocation regression not caught"
 
-    # Implicit-GEMM-vs-im2col is a same-host ratio: losing it (the conv
+    # Implicit-GEMM-vs-naive is a same-host ratio: losing it (the conv
     # forward silently regressing) must hard-fail even
     # under --warn-only-absolutes, while the median-of-N spread
     # diagnostics are never gated no matter how wide the trials swing.
-    pack_reg = copy.deepcopy(baseline)
-    pack_reg["conv_fwd"]["prepack_speedup"] = 0.7
-    f, _ = compare(baseline, pack_reg, 0.30, True)
-    assert any("prepack_speedup" in x for x in f), \
-        "injected prepack ratio regression not caught"
+    conv_reg = copy.deepcopy(baseline)
+    conv_reg["conv_fwd"]["speedup"] = 20.0
+    f, _ = compare(baseline, conv_reg, 0.30, True)
+    assert any("conv_fwd.speedup" in x for x in f), \
+        "injected conv forward ratio regression not caught"
     spread = copy.deepcopy(baseline)
     spread["conv_fwd"]["gemm_gflops_trial_min"] = 1.0
     f, _ = compare(baseline, spread, 0.30, False)
@@ -277,6 +282,22 @@ def self_test():
     f, _ = compare(baseline, missing_hw, 0.30, True)
     assert any("hw.inference_cycles" in x for x in f), \
         "vanished hw metric not caught"
+
+    # So must a vanished ratio or allocation gate (a deleted perf_smoke
+    # block, or one that stops emitting its key), while a vanished
+    # absolute only warns.
+    for block, key in (("conv_fwd", "speedup"),
+                       ("detect", "allocs_per_batch")):
+        gone = copy.deepcopy(baseline)
+        del gone[block][key]
+        f, _ = compare(baseline, gone, 0.30, True)
+        assert any(f"{block}.{key}" in x and "missing" in x for x in f), \
+            f"vanished gate {block}.{key} not caught"
+    gone_abs = copy.deepcopy(baseline)
+    del gone_abs["detect"]["batch_per_sec"]
+    f, w = compare(baseline, gone_abs, 0.30, True)
+    assert not f and any("batch_per_sec" in x for x in w), \
+        "vanished absolute should only warn"
 
     # --prefix restricts the gate: with prefix hw., a throughput
     # regression is invisible but the cycle change still fails.
