@@ -148,31 +148,74 @@ BM_ConvForward(benchmark::State &state)
 }
 BENCHMARK(BM_ConvForward)->DenseRange(0, 9);
 
+/** The e2e benchmark's detect_full network shape: 3conv + 2fc at
+ *  16/32/32 channels on a 3x32x32 input (He-initialized, not trained). */
+nn::Network &
+detectFullNet()
+{
+    static nn::Network net = [] {
+        nn::Network n("detect_full", nn::mapShape(3, 32, 32));
+        n.add(std::make_unique<nn::Conv2d>("conv1", 3, 16, 3, 1, 1));
+        n.add(std::make_unique<nn::ReLU>("relu1"));
+        n.add(std::make_unique<nn::MaxPool2d>("pool1", 2));
+        n.add(std::make_unique<nn::Conv2d>("conv2", 16, 32, 3, 1, 1));
+        n.add(std::make_unique<nn::ReLU>("relu2"));
+        n.add(std::make_unique<nn::MaxPool2d>("pool2", 2));
+        n.add(std::make_unique<nn::Conv2d>("conv3", 32, 32, 3, 1, 1));
+        n.add(std::make_unique<nn::ReLU>("relu3"));
+        n.add(std::make_unique<nn::Flatten>("flat"));
+        n.add(std::make_unique<nn::Linear>("fc1", 32 * 8 * 8, 64));
+        n.add(std::make_unique<nn::ReLU>("relu4"));
+        n.add(std::make_unique<nn::Linear>("fc2", 64, 10));
+        nn::heInit(n, 3);
+        return n;
+    }();
+    return net;
+}
+
+/**
+ * Backward cumulative extraction of one recorded inference through a
+ * reused workspace and output (the serving loop's allocation-free
+ * form): args {theta x 10, net}, net 0 the toy CNN above and net 1 the
+ * detect_full-shaped network.
+ */
 void
 BM_BackwardCumulativeExtraction(benchmark::State &state)
 {
-    auto &net = benchNet();
     const double theta = state.range(0) / 10.0;
+    auto &net = state.range(1) ? detectFullNet() : benchNet();
+    state.SetLabel(state.range(1) ? "detect_full" : "toy");
     path::PathExtractor ex(
         net, path::ExtractionConfig::bwCu(
                  static_cast<int>(net.weightedNodes().size()), theta));
-    nn::Tensor x(nn::mapShape(3, 16, 16));
+    nn::Tensor x(net.inputShape());
     Rng rng(6);
     for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = static_cast<float>(rng.uniform());
     auto rec = net.forward(x);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ex.extract(rec));
+    path::ExtractionWorkspace ws;
+    BitVector bits;
+    for (auto _ : state) {
+        ex.extractInto(rec, ws, bits);
+        benchmark::DoNotOptimize(bits.rawWords().data());
+    }
 }
-BENCHMARK(BM_BackwardCumulativeExtraction)->Arg(1)->Arg(5)->Arg(9);
+BENCHMARK(BM_BackwardCumulativeExtraction)
+    ->Args({1, 0})
+    ->Args({5, 0})
+    ->Args({9, 0})
+    ->Args({5, 1});
 
 /**
  * Ranked-prefix selection of one partial-sum row: row length n (27, 144
  * and 288 are 3x3 conv receptive fields at 3, 16 and 32 input channels;
- * 2048 an fc row) x prefix length k (capped at n). The target is the
+ * 1024 and 2048 the fc1 rows of the e2e detect_early and detect_full
+ * nets) x prefix length k (capped at n). The target is the
  * exact sum of the k largest values, so the selection stops at the k-th
- * pick; k = 32 is the last all-pass prefix, k = 64 runs into the pivot
- * blocks. Each iteration also restores the row the selection clobbers.
+ * pick; on rows up to path::kPivotFirstRow k = 32 is the last all-pass
+ * prefix and k = 64 runs into the pivot blocks, and longer rows start
+ * in the pivot blocks. Each iteration also restores the row the
+ * selection clobbers.
  */
 void
 BM_PrefixSelect(benchmark::State &state)
@@ -205,14 +248,15 @@ BM_PrefixSelect(benchmark::State &state)
     state.counters["k"] = static_cast<double>(selected.size());
     state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
-BENCHMARK(BM_PrefixSelect)->ArgsProduct({{27, 144, 288, 2048}, {1, 4, 32, 64}});
+BENCHMARK(BM_PrefixSelect)->ArgsProduct(
+    {{27, 144, 288, 1024, 2048}, {1, 4, 32, 64}});
 
 /**
  * Cumulative selection (theta = 0.5) for 256 important neurons of one
  * conv layer, picked at random among the positive outputs: 27, 144 and
  * 288 taps are the e2e detect_full net's conv1 (32x32), conv2 (16x16)
  * and conv3 (8x8), border neurons included. Lanes 0 is the per-row
- * path (partialSums + prefixSelect per neuron); 1, 8 and 16 run
+ * path (partialSums + prefixSelect per neuron); 1, 2, 4, 8 and 16 run
  * selectConvLanes on groups of that many neurons, with the lanes it
  * hands back taking the per-row path. Items are neurons. The lane
  * forms skip where SimdMode::Avx512 is not available.
@@ -288,7 +332,8 @@ BM_ConvLaneSelect(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<long>(outs.size()));
 }
-BENCHMARK(BM_ConvLaneSelect)->ArgsProduct({{27, 144, 288}, {0, 1, 8, 16}});
+BENCHMARK(BM_ConvLaneSelect)
+    ->ArgsProduct({{27, 144, 288}, {0, 1, 2, 4, 8, 16}});
 
 void
 BM_ForwardAbsoluteExtraction(benchmark::State &state)

@@ -237,34 +237,40 @@ MaxPool2d::backwardInto(const std::vector<const Tensor *> &ins,
 void
 MaxPool2d::backmapImportant(
     const std::vector<const Tensor *> &ins, const Tensor &out,
-    const std::vector<std::size_t> &out_idx,
+    std::span<const std::size_t> out_idx,
     std::vector<std::vector<std::size_t>> &per_input) const
 {
-    // Re-derive the winner from the recorded tensors: the important output
-    // value equals the maximal input in its pooling window.
+    // Re-derive each window's winner from the recorded input with
+    // backwardInto's select scan (the first maximum, NaN never winning,
+    // the window start when nothing beats -inf), in u32 index math: a
+    // recorded map's flat indices fit in 32 bits.
     const Tensor &in = *ins[0];
     clearSlots(per_input, 1);
-    per_input[0].reserve(out_idx.size());
-    const int ow = out.shape().w;
-    const int oh = out.shape().h;
-    for (std::size_t o : out_idx) {
-        const int c = static_cast<int>(o / (static_cast<std::size_t>(oh) *
-                                            ow));
-        const std::size_t rem = o % (static_cast<std::size_t>(oh) * ow);
-        const int oy = static_cast<int>(rem / ow);
-        const int ox = static_cast<int>(rem % ow);
+    auto &dst = per_input[0];
+    dst.reserve(out_idx.size());
+    const auto ks = static_cast<std::uint32_t>(kSize);
+    const auto iw = static_cast<std::uint32_t>(in.shape().w);
+    const auto in_plane = static_cast<std::uint32_t>(in.shape().h) * iw;
+    const auto ow = static_cast<std::uint32_t>(out.shape().w);
+    const auto plane = static_cast<std::uint32_t>(out.shape().h) * ow;
+    const float *x = in.data();
+    for (const std::size_t o : out_idx) {
+        const auto o32 = static_cast<std::uint32_t>(o);
+        const std::uint32_t c = o32 / plane, rem = o32 - c * plane;
+        const std::uint32_t oy = rem / ow, ox = rem - oy * ow;
+        const std::uint32_t start = c * in_plane + (oy * iw + ox) * ks;
         float best = -INFINITY;
-        std::size_t best_idx = in.index(c, oy * kSize, ox * kSize);
-        for (int ky = 0; ky < kSize; ++ky) {
-            for (int kx = 0; kx < kSize; ++kx) {
-                const float v = in.at(c, oy * kSize + ky, ox * kSize + kx);
-                if (v > best) {
-                    best = v;
-                    best_idx = in.index(c, oy * kSize + ky, ox * kSize + kx);
-                }
+        std::uint32_t arg = start;
+        for (std::uint32_t ky = 0; ky < ks; ++ky) {
+            for (std::uint32_t kx = 0; kx < ks; ++kx) {
+                const std::uint32_t at = start + ky * iw + kx;
+                const float v = x[at];
+                const bool take = v > best;
+                best = take ? v : best;
+                arg = take ? at : arg;
             }
         }
-        per_input[0].push_back(best_idx);
+        dst.push_back(arg);
     }
 }
 
@@ -321,7 +327,7 @@ GlobalAvgPool::backwardInto(const std::vector<const Tensor *> &ins,
 void
 GlobalAvgPool::backmapImportant(
     const std::vector<const Tensor *> &ins, const Tensor &out,
-    const std::vector<std::size_t> &out_idx,
+    std::span<const std::size_t> out_idx,
     std::vector<std::vector<std::size_t>> &per_input) const
 {
     // Every spatial element of an important channel contributes equally;
@@ -417,7 +423,7 @@ Add::backwardInto(const std::vector<const Tensor *> &ins,
 void
 Add::backmapImportant(const std::vector<const Tensor *> &ins,
                       const Tensor &out,
-                      const std::vector<std::size_t> &out_idx,
+                      std::span<const std::size_t> out_idx,
                       std::vector<std::vector<std::size_t>> &per_input) const
 {
     // Both branches carry the important value at the same element.
@@ -486,7 +492,7 @@ Concat::backwardInto(const std::vector<const Tensor *> &ins,
 void
 Concat::backmapImportant(
     const std::vector<const Tensor *> &ins, const Tensor &out,
-    const std::vector<std::size_t> &out_idx,
+    std::span<const std::size_t> out_idx,
     std::vector<std::vector<std::size_t>> &per_input) const
 {
     (void)out;
@@ -550,7 +556,7 @@ DownsamplePad::backwardInto(const std::vector<const Tensor *> &ins,
 void
 DownsamplePad::backmapImportant(
     const std::vector<const Tensor *> &ins, const Tensor &out,
-    const std::vector<std::size_t> &out_idx,
+    std::span<const std::size_t> out_idx,
     std::vector<std::vector<std::size_t>> &per_input) const
 {
     const Tensor &in = *ins[0];

@@ -51,7 +51,7 @@ class MaxPool2d : public Layer
                       std::vector<float> *const *param_grads) override;
     void backmapImportant(
         const std::vector<const Tensor *> &ins, const Tensor &out,
-        const std::vector<std::size_t> &out_idx,
+        std::span<const std::size_t> out_idx,
         std::vector<std::vector<std::size_t>> &per_input) const override;
 
     int kernel() const { return kSize; }
@@ -76,7 +76,7 @@ class GlobalAvgPool : public Layer
                       std::vector<float> *const *param_grads) override;
     void backmapImportant(
         const std::vector<const Tensor *> &ins, const Tensor &out,
-        const std::vector<std::size_t> &out_idx,
+        std::span<const std::size_t> out_idx,
         std::vector<std::vector<std::size_t>> &per_input) const override;
 };
 
@@ -113,7 +113,7 @@ class Add : public Layer
                       std::vector<float> *const *param_grads) override;
     void backmapImportant(
         const std::vector<const Tensor *> &ins, const Tensor &out,
-        const std::vector<std::size_t> &out_idx,
+        std::span<const std::size_t> out_idx,
         std::vector<std::vector<std::size_t>> &per_input) const override;
 };
 
@@ -134,7 +134,7 @@ class Concat : public Layer
                       std::vector<float> *const *param_grads) override;
     void backmapImportant(
         const std::vector<const Tensor *> &ins, const Tensor &out,
-        const std::vector<std::size_t> &out_idx,
+        std::span<const std::size_t> out_idx,
         std::vector<std::vector<std::size_t>> &per_input) const override;
 };
 
@@ -158,7 +158,7 @@ class DownsamplePad : public Layer
                       std::vector<float> *const *param_grads) override;
     void backmapImportant(
         const std::vector<const Tensor *> &ins, const Tensor &out,
-        const std::vector<std::size_t> &out_idx,
+        std::span<const std::size_t> out_idx,
         std::vector<std::vector<std::size_t>> &per_input) const override;
 };
 

@@ -75,7 +75,7 @@ Layer::backward(const std::vector<const Tensor *> &ins,
 void
 Layer::backmapImportant(const std::vector<const Tensor *> &ins,
                         const Tensor &out,
-                        const std::vector<std::size_t> &out_idx,
+                        std::span<const std::size_t> out_idx,
                         std::vector<std::vector<std::size_t>> &per_input) const
 {
     // Default: element-wise unary layer; importance maps through

@@ -30,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -326,7 +327,7 @@ class Layer
      *
      * @param ins recorded inputs of the forward pass being analyzed.
      * @param out recorded output of that pass.
-     * @param out_idx sorted important output flat indices.
+     * @param out_idx important output flat indices, each once.
      * @param per_input slot i is filled with the important flat indices
      *        of input i. It holds at least one slot per input after the
      *        call; slots past the layer's inputs are left as they are,
@@ -335,7 +336,7 @@ class Layer
      */
     virtual void backmapImportant(
         const std::vector<const Tensor *> &ins, const Tensor &out,
-        const std::vector<std::size_t> &out_idx,
+        std::span<const std::size_t> out_idx,
         std::vector<std::vector<std::size_t>> &per_input) const;
 
   protected:

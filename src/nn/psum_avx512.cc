@@ -1,10 +1,12 @@
 /**
  * @file
- * AVX-512 conv lane kernel: ranked-prefix selection for 16 conv output
- * neurons at once, one neuron per zmm lane. Like gemm_avx512.cc this TU
- * is compiled with -mavx512f (on top of -mavx2 -mfma), reached only
- * through a runtime dispatch on SimdMode::Avx512, and defines nothing
- * with external linkage besides its one entry point.
+ * AVX-512 partial-sum kernels: the conv lane kernel, ranked-prefix
+ * selection for 16 conv output neurons at once, one neuron per zmm
+ * lane, and the 16-wide row sweeps of the pivot blocks. Like
+ * gemm_avx512.cc this TU is compiled with -mavx512f (on top of -mavx2
+ * -mfma), reached only through a runtime dispatch on SimdMode::Avx512,
+ * and defines nothing with external linkage besides the entry points
+ * psum_kernels.hh declares.
  *
  * Per lane the kernel is the per-row path's phase 1 (path/
  * prefix_select.cc, selectFinite), pick for pick: the same
@@ -29,54 +31,69 @@ namespace ptolemy::nn::detail
 namespace
 {
 
-/** Lane-wise maximum of rows[0, K), K >= 1. Max over a NaN-free set
- *  does not depend on order (only, for a zero maximum, the sign of the
- *  zero, which the caller compares with ==). */
-inline __m512
-columnMax(const float *rows, int K)
+/** Mask of the first @p rem (1..15) lanes. */
+inline __mmask16
+tailMask(std::size_t rem)
 {
-    const __m512 ninf = _mm512_set1_ps(-INFINITY);
-    __m512 m0 = ninf, m1 = ninf, m2 = ninf, m3 = ninf;
-    int t = 0;
-    for (; t + 4 <= K; t += 4) {
-        m0 = _mm512_max_ps(m0, _mm512_load_ps(rows + 16 * t));
-        m1 = _mm512_max_ps(m1, _mm512_load_ps(rows + 16 * (t + 1)));
-        m2 = _mm512_max_ps(m2, _mm512_load_ps(rows + 16 * (t + 2)));
-        m3 = _mm512_max_ps(m3, _mm512_load_ps(rows + 16 * (t + 3)));
-    }
-    for (; t < K; ++t)
-        m0 = _mm512_max_ps(m0, _mm512_load_ps(rows + 16 * t));
-    return _mm512_max_ps(_mm512_max_ps(m0, m1), _mm512_max_ps(m2, m3));
+    return static_cast<__mmask16>((1u << rem) - 1u);
+}
+
+/** Per lane, a maximum and the tap holding it. */
+struct LaneMax
+{
+    __m512 max;
+    __m512i pos;
+};
+
+/** Fold tap @p t's row @p v into @p a: a strictly greater value moves
+ *  the maximum and its tap, so the lower tap keeps a tie, -0.0 and
+ *  +0.0 included. */
+inline void
+foldTap(LaneMax &a, __m512 v, __m512i t)
+{
+    a.pos = _mm512_mask_mov_epi32(a.pos,
+                                  _mm512_cmp_ps_mask(v, a.max, _CMP_GT_OQ), t);
+    a.max = _mm512_max_ps(a.max, v);
+}
+
+/** @p lo, the maximum over lower taps, merged with @p hi: @p hi's tap
+ *  only where its maximum is strictly greater. */
+inline LaneMax
+mergeHigher(LaneMax lo, LaneMax hi)
+{
+    const __mmask16 up = _mm512_cmp_ps_mask(hi.max, lo.max, _CMP_GT_OQ);
+    return {_mm512_mask_mov_ps(lo.max, up, hi.max),
+            _mm512_mask_mov_epi32(lo.pos, up, hi.pos)};
 }
 
 /**
- * Per lane, the first tap t < K with rows[t] == m (so -0.0 matches
- * +0.0); junk in lanes without one. Two descending sweeps over the
- * halves, each keeping its last hit, so neither waits on the other;
- * a hit in the lower half wins (all-ones marks no hit).
+ * Per lane, the maximum of rows[0, K) and the first tap holding it
+ * (so -0.0 ties with +0.0), in one sweep. The taps split into four
+ * contiguous quarters swept side by side, so no quarter waits on
+ * another's max chain; the quarters merge in tap order with the lower
+ * one keeping ties. Rows are NaN-free. A lane whose rows are all -Inf
+ * comes out as (-Inf, junk tap); the caller never asks for one.
  */
-inline __m512i
-firstEqual(const float *rows, int K, __m512 m)
+inline LaneMax
+columnArgmax(const float *rows, int K)
 {
-    const __m512i one = _mm512_set1_epi32(1);
-    const int half = K / 2;
-    __m512i lo = _mm512_set1_epi32(-1), hi = lo;
-    __m512i tl = _mm512_set1_epi32(half - 1), th = _mm512_set1_epi32(K - 1);
-    for (int j = K - 1; j >= half; --j) {
-        if (j - half < half) {
-            lo = _mm512_mask_mov_epi32(
-                lo,
-                _mm512_cmp_ps_mask(_mm512_load_ps(rows + 16 * (j - half)),
-                                   m, _CMP_EQ_OQ),
-                tl);
-            tl = _mm512_sub_epi32(tl, one);
-        }
-        hi = _mm512_mask_mov_epi32(
-            hi, _mm512_cmp_ps_mask(_mm512_load_ps(rows + 16 * j), m, _CMP_EQ_OQ),
-            th);
-        th = _mm512_sub_epi32(th, one);
+    const int q = K / 4;
+    const float *r1 = rows + 16 * q, *r2 = r1 + 16 * q, *r3 = r2 + 16 * q;
+    const LaneMax none{_mm512_set1_ps(-INFINITY), _mm512_setzero_si512()};
+    LaneMax a0 = none, a1 = none, a2 = none, a3 = none;
+    for (int j = 0; j < q; ++j) {
+        const __m512i t = _mm512_set1_epi32(j);
+        foldTap(a0, _mm512_load_ps(rows + 16 * j), t);
+        foldTap(a1, _mm512_load_ps(r1 + 16 * j), t);
+        foldTap(a2, _mm512_load_ps(r2 + 16 * j), t);
+        foldTap(a3, _mm512_load_ps(r3 + 16 * j), t);
     }
-    return _mm512_min_epu32(lo, hi);
+    for (int j = q; j < K - 3 * q; ++j)
+        foldTap(a3, _mm512_load_ps(r3 + 16 * j), _mm512_set1_epi32(j));
+    a1.pos = _mm512_add_epi32(a1.pos, _mm512_set1_epi32(q));
+    a2.pos = _mm512_add_epi32(a2.pos, _mm512_set1_epi32(2 * q));
+    a3.pos = _mm512_add_epi32(a3.pos, _mm512_set1_epi32(3 * q));
+    return mergeHigher(mergeHigher(a0, a1), mergeHigher(a2, a3));
 }
 
 /** Quotient a / b of non-negative int32 lanes by b >= 1, through
@@ -137,7 +154,7 @@ struct Built
 {
     __m512i taps;  ///< real taps per lane
     __mmask16 bad; ///< lanes with a non-finite product
-    __m512 max;    ///< per-lane maximum over the rows
+    LaneMax first; ///< per-lane maximum over the rows and its first tap
 };
 
 /**
@@ -160,7 +177,7 @@ buildRows(const ConvLaneGroup &g, const Lanes &n, __m512i base, float *rows)
     const __m512i iw = _mm512_set1_epi32(g.iw);
     const __m512i wrow = _mm512_mullo_epi32(n.oc, _mm512_set1_epi32(K));
     const float *wt_hi = g.outC == 32 ? g.wt + 16 * K : g.wt;
-    Built b{zero, 0, ninf};
+    Built b{zero, 0, {ninf, zero}};
     int t = 0;
     for (int ic = 0; ic < g.inC; ++ic) {
         for (int ky = 0; ky < k; ++ky) {
@@ -192,7 +209,7 @@ buildRows(const ConvLaneGroup &g, const Lanes &n, __m512i base, float *rows)
                 b.bad |= _mm512_mask_cmp_ps_mask(ok, _mm512_abs_ps(p), fmax,
                                                  _CMP_NLE_UQ);
                 b.taps = _mm512_mask_add_epi32(b.taps, ok, b.taps, one);
-                b.max = _mm512_max_ps(b.max, p);
+                foldTap(b.first, p, _mm512_set1_epi32(t));
                 _mm512_store_ps(rows + 16 * t, p);
             }
         }
@@ -226,11 +243,14 @@ avx512ConvLaneSelect(ConvLaneGroup &g, float *rows)
                                               10, 11, 12, 13, 14, 15);
     __mmask16 active = n.live & ~b.bad & _mm512_cmpgt_epi32_mask(b.taps, zero);
     __mmask16 found = active;
-    __m512 m = b.max;
+    // Pass 1's argmax comes from the row build; each later pass's from
+    // one sweep over the rows.
+    LaneMax best = b.first;
     __m512d cum_lo = _mm512_setzero_pd(), cum_hi = _mm512_setzero_pd();
     __m512i count = zero;
     for (int pass = 0; active; ++pass) {
-        const __m512i pos = firstEqual(rows, K, m);
+        const __m512 m = best.max;
+        const __m512i pos = best.pos;
         _mm512_mask_i32scatter_ps(
             rows, active, _mm512_add_epi32(_mm512_slli_epi32(pos, 4), lane_id),
             ninf, 4);
@@ -256,11 +276,82 @@ avx512ConvLaneSelect(ConvLaneGroup &g, float *rows)
         found &= ~(ends & ~reached & long_row);
         active &= ~ends;
         if (active)
-            m = columnMax(rows, K);
+            best = columnArgmax(rows, K);
     }
     _mm512_storeu_si512(g.taps, b.taps);
     _mm512_storeu_si512(g.count, count);
     g.done = found;
+}
+
+float
+avx512RowMax(const float *v, std::size_t n)
+{
+    // Four accumulators hide the vmaxps latency; max over a NaN-free
+    // set is order-independent (up to the sign of a zero maximum).
+    const __m512 ninf = _mm512_set1_ps(-INFINITY);
+    __m512 m0 = ninf, m1 = ninf, m2 = ninf, m3 = ninf;
+    std::size_t i = 0;
+    for (; i + 64 <= n; i += 64) {
+        m0 = _mm512_max_ps(m0, _mm512_loadu_ps(v + i));
+        m1 = _mm512_max_ps(m1, _mm512_loadu_ps(v + i + 16));
+        m2 = _mm512_max_ps(m2, _mm512_loadu_ps(v + i + 32));
+        m3 = _mm512_max_ps(m3, _mm512_loadu_ps(v + i + 48));
+    }
+    for (; i + 16 <= n; i += 16)
+        m0 = _mm512_max_ps(m0, _mm512_loadu_ps(v + i));
+    if (i < n)
+        m1 = _mm512_max_ps(m1, _mm512_mask_loadu_ps(ninf, tailMask(n - i),
+                                                    v + i));
+    return _mm512_reduce_max_ps(
+        _mm512_max_ps(_mm512_max_ps(m0, m1), _mm512_max_ps(m2, m3)));
+}
+
+float
+avx512MassAtLeast(const float *v, std::size_t n, float p)
+{
+    const __m512 pv = _mm512_set1_ps(p);
+    __m512 s0 = _mm512_setzero_ps(), s1 = s0, s2 = s0, s3 = s0;
+    auto at_least = [&](__m512 x, __mmask16 k) {
+        return _mm512_maskz_mov_ps(
+            _mm512_mask_cmp_ps_mask(k, x, pv, _CMP_GE_OQ), x);
+    };
+    std::size_t i = 0;
+    for (; i + 64 <= n; i += 64) {
+        s0 = _mm512_add_ps(s0, at_least(_mm512_loadu_ps(v + i), 0xffff));
+        s1 = _mm512_add_ps(s1, at_least(_mm512_loadu_ps(v + i + 16), 0xffff));
+        s2 = _mm512_add_ps(s2, at_least(_mm512_loadu_ps(v + i + 32), 0xffff));
+        s3 = _mm512_add_ps(s3, at_least(_mm512_loadu_ps(v + i + 48), 0xffff));
+    }
+    for (; i + 16 <= n; i += 16)
+        s0 = _mm512_add_ps(s0, at_least(_mm512_loadu_ps(v + i), 0xffff));
+    if (i < n) {
+        const __mmask16 k = tailMask(n - i);
+        s1 = _mm512_add_ps(s1, at_least(_mm512_maskz_loadu_ps(k, v + i), k));
+    }
+    return _mm512_reduce_add_ps(
+        _mm512_add_ps(_mm512_add_ps(s0, s1), _mm512_add_ps(s2, s3)));
+}
+
+std::size_t
+avx512PositionsAtLeast(const float *v, std::size_t n, float p,
+                       std::uint32_t *pos)
+{
+    const __m512 pv = _mm512_set1_ps(p);
+    const __m512i step = _mm512_set1_epi32(16);
+    __m512i at = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                   13, 14, 15);
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < n; i += 16) {
+        const __mmask16 k = n - i >= 16 ? 0xffff : tailMask(n - i);
+        const __mmask16 hit = _mm512_mask_cmp_ps_mask(
+            k, _mm512_maskz_loadu_ps(k, v + i), pv, _CMP_GE_OQ);
+        if (hit) {
+            _mm512_mask_compressstoreu_epi32(pos + m, hit, at);
+            m += static_cast<std::size_t>(__builtin_popcount(hit));
+        }
+        at = _mm512_add_epi32(at, step);
+    }
+    return m;
 }
 
 } // namespace ptolemy::nn::detail

@@ -13,7 +13,9 @@
  * comparisons and max over NaN-free rows, which do not depend on lane
  * order. The lane kernel runs each neuron's argmax passes in its own
  * zmm lane, with its own double running sum, so a lane's picks are the
- * ones the per-row passes make.
+ * ones the per-row passes make. The one exception is avx2MassAtLeast /
+ * avx512MassAtLeast, a float estimate whose rounding follows the lane
+ * order: it only chooses a pivot-block bound, never what is picked.
  */
 
 #ifndef PTOLEMY_NN_PSUM_KERNELS_HH
@@ -114,14 +116,27 @@ std::size_t avx2FirstEqual(const float *v, std::size_t n, float m);
  * (psum_avx512.cc, built with -mavx512f). The rows are built
  * transposed into @p rows ([K][16] floats, 64-byte aligned):
  * rows[t][l] = w * x at lane l's real taps, -Inf at the taps its
- * window clips. Each pass takes every lane's maximum with one vertical
- * sweep, finds the first tap holding it by a descending sweep (taps
- * ascend in input index, so that is the lower-index tie-break), adds
- * it to the lane's double sum and writes -Inf over it. A lane stops
- * when its sum reaches its target, after all of its real taps, or
- * after cap passes (handed back if taps remain).
+ * window clips. Each pass takes every lane's maximum and the first tap
+ * holding it in one vertical sweep (pass 1 from the row build itself):
+ * a tap replaces the running one only when strictly greater, so the
+ * lower tap keeps a tie, -0.0 against +0.0 included, and taps ascend
+ * in input index, so that is the lower-index tie-break. The pass adds
+ * the maximum to the lane's double sum and writes -Inf over its tap. A
+ * lane stops when its sum reaches its target, after all of its real
+ * taps, or after cap passes (handed back if taps remain).
  */
 void avx512ConvLaneSelect(ConvLaneGroup &g, float *rows);
+
+/** Maximum of v[0, n); n >= 1 and no NaN in the row. */
+float avx512RowMax(const float *v, std::size_t n);
+
+/** avx2MassAtLeast 16 lanes wide: a pivot-choice estimate only. */
+float avx512MassAtLeast(const float *v, std::size_t n, float p);
+
+/** Write to @p pos, ascending, the positions i in [0, n) with
+ *  v[i] >= p, and return how many there are (@p pos holds n). */
+std::size_t avx512PositionsAtLeast(const float *v, std::size_t n, float p,
+                                   std::uint32_t *pos);
 
 #endif // PTOLEMY_HAVE_AVX512
 

@@ -1,6 +1,7 @@
 #include "tensor.hh"
 
 #include <algorithm>
+#include <cassert>
 
 namespace ptolemy::nn
 {

@@ -11,8 +11,8 @@
 #ifndef PTOLEMY_NN_TENSOR_HH
 #define PTOLEMY_NN_TENSOR_HH
 
-#include <cassert>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 namespace ptolemy::nn
@@ -65,10 +65,13 @@ class Tensor
     /** Zero-initialized tensor of the given shape. */
     explicit Tensor(Shape s) : shp(s), buf(s.numel(), 0.0f) {}
 
-    /** Tensor adopting existing data; size must match the shape. */
+    /** Tensor adopting existing data; std::invalid_argument unless its
+     *  size matches the shape. */
     Tensor(Shape s, std::vector<float> data) : shp(s), buf(std::move(data))
     {
-        assert(buf.size() == shp.numel());
+        if (buf.size() != shp.numel())
+            throw std::invalid_argument(
+                "Tensor: data size does not match the shape");
     }
 
     const Shape &shape() const { return shp; }

@@ -24,6 +24,27 @@ selectPrefix(ExtractionWorkspace &ws, double target, PrefixMass mass)
         prefixSelect(ws.row, target, mass, ws.select, ws.selected);
 }
 
+/**
+ * Run @p body with a mark(idx) that appends idx to node @p node's
+ * important list, once: the index is always written, and the count
+ * only advances past it when it was not seen yet, so a mark takes no
+ * branch. The count stays in a register until @p body returns.
+ */
+template <class Body>
+void
+appendMarks(ExtractionWorkspace &ws, int node, Body &&body)
+{
+    std::size_t *list = ws.important[node].data();
+    std::uint8_t *seen = ws.seen[node].data();
+    std::size_t count = ws.importantCount[node];
+    body([&](std::size_t idx) {
+        list[count] = idx;
+        count += !seen[idx];
+        seen[idx] = 1;
+    });
+    ws.importantCount[node] = count;
+}
+
 } // namespace
 
 PathExtractor::PathExtractor(const nn::Network &net_ref,
@@ -188,26 +209,31 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
                                ExtractionTrace *trace) const
 {
     const int n_nodes = net->numNodes();
-    // Important output-element sets per node, deduplicated via flags.
-    // The flag arrays persist in the workspace; only the bits dirtied by
-    // the previous extraction are cleared, keeping reuse O(path size).
-    if (ws.important.size() != static_cast<std::size_t>(n_nodes)) {
-        // Workspace last served a different network: start clean so the
-        // sparse-clear loop below never indexes stale node ids.
+    // Important output-element lists per node, deduplicated via flags.
+    // Both persist in the workspace, sized to the node's output at
+    // first bind (the list one slot more); only the flags the previous
+    // extraction set are cleared, keeping reuse O(path size).
+    bool bound = ws.important.size() == static_cast<std::size_t>(n_nodes);
+    for (int id = 0; bound && id < n_nodes; ++id)
+        bound = ws.seen[id].size() == rec.outputs[id].size();
+    if (!bound) {
+        // Workspace last served a different network (or record shapes):
+        // start clean. Size the input-dependent buffers to their bounds,
+        // so how far they grow never depends on which inputs this
+        // workspace extracts: after its first call it allocates
+        // nothing, however a pool spreads requests over workspaces.
+        // The backmap slots are kept for the widest node (Add, Concat),
+        // since a node fills only its own inputs' slots.
         ws.important.assign(n_nodes, {});
         ws.seen.assign(n_nodes, {});
-        ws.touched.clear();
-        // Reserve the input-dependent buffers to their bounds, so how
-        // far they grow never depends on which inputs this workspace
-        // extracts: after its first call it allocates nothing, however
-        // a pool spreads requests over workspaces. The backmap slots
-        // are kept for the widest node (Add, Concat), since a node
-        // fills only its own inputs' slots.
+        ws.importantCount.assign(n_nodes, 0);
         std::size_t max_numel = rec.input.size(), max_row = 0,
                     max_taps = 0, max_inputs = 1;
         for (int id = 0; id < n_nodes; ++id) {
             const auto &node = net->node(id);
-            ws.important[id].reserve(rec.outputs[id].size());
+            // One slot past the output: a mark of an index already
+            // listed still writes it, at the count, before dropping it.
+            ws.important[id].resize(rec.outputs[id].size() + 1);
             ws.seen[id].assign(rec.outputs[id].size(), 0);
             max_numel = std::max(max_numel, rec.outputs[id].size());
             max_row = std::max(max_row, node.layer->receptiveFieldSize());
@@ -216,41 +242,29 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
                                     node.layer->receptiveFieldSize());
             max_inputs = std::max(max_inputs, node.inputs.size());
         }
-        ws.touched.reserve(n_nodes);
         ws.selected.reserve(max_row);
         ws.select.block.reserve(max_row);
+        ws.select.order.reserve(max_row);
         ws.lanes.rows.reserve(max_taps * kConvLanes);
         ws.insScratch.reserve(max_inputs);
         ws.perInput.resize(max_inputs);
         for (auto &slot : ws.perInput)
             slot.reserve(max_numel);
     }
-    for (int id : ws.touched) {
-        for (std::size_t idx : ws.important[id])
-            ws.seen[id][idx] = 0;
-        ws.important[id].clear();
+    for (int id = 0; id < n_nodes; ++id) {
+        std::size_t &count = ws.importantCount[id];
+        for (std::size_t i = 0; i < count; ++i)
+            ws.seen[id][ws.important[id][i]] = 0;
+        count = 0;
     }
-    ws.touched.clear();
-
-    auto mark = [&](int node_id, std::size_t idx) {
-        if (node_id < 0)
-            return; // reached the network input
-        auto &flags = ws.seen[node_id];
-        if (flags.size() != rec.outputs[node_id].size())
-            flags.assign(rec.outputs[node_id].size(), 0);
-        if (!flags[idx]) {
-            if (ws.important[node_id].empty())
-                ws.touched.push_back(node_id);
-            flags[idx] = 1;
-            ws.important[node_id].push_back(idx);
-        }
-    };
 
     // Seed: the predicted class neuron of the last layer (paper Sec. III-A).
-    mark(n_nodes - 1, rec.predictedClass());
+    appendMarks(ws, n_nodes - 1,
+                [&](auto &&mark) { mark(rec.predictedClass()); });
 
     for (int id = n_nodes - 1; id >= 0; --id) {
-        if (ws.important[id].empty())
+        const std::size_t n_out = ws.importantCount[id];
+        if (n_out == 0)
             continue;
         const auto &node = net->node(id);
         const int w = weightedIndexOfNode[id];
@@ -272,7 +286,7 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
             lt.outputFmapSize = rec.outputs[id].size();
             lt.rfSize = node.layer->receptiveFieldSize();
             lt.macs = weightedLayerMacs(*net, id);
-            lt.importantOut = ws.important[id].size();
+            lt.importantOut = n_out;
 
             // The table holds for the shape it was built from; any other
             // input takes the table-free rows.
@@ -305,55 +319,68 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
                     lt.thresholdCmps += row_size;
                 }
             };
-            auto pick = [&](std::size_t in_idx) {
-                if (!bits.test(seg->bitOffset + in_idx)) {
-                    bits.set(seg->bitOffset + in_idx);
-                    ++lt.importantIn;
-                }
-                mark(in_id, in_idx);
-            };
             // Cumulative conv rows go 16 neurons at a time through the
-            // lane kernel where it runs; each lane it hands back, and
-            // every other row, takes the per-row path. Neurons are taken
-            // in list order either way, so the marks are too.
-            const auto &outs = ws.important[id];
+            // lane kernel where it runs; each lane it hands back, a last
+            // group under kMinConvLanes neurons, and every other row
+            // take the per-row path. Neurons are taken in list order
+            // either way, so the marks are too. A pick sets its path bit
+            // however often the input is picked (importantIn is the
+            // segment's popcount afterwards).
+            const std::size_t *outs = ws.important[id].data();
             const bool lanes = policy.kind == ThresholdKind::Cumulative &&
                                !ws.referenceSort && rf_offsets &&
                                node.layer->kind() == nn::LayerKind::Conv &&
                                simdMode() == SimdMode::Avx512;
-            for (std::size_t i = 0; i < outs.size();) {
-                const std::size_t n =
-                    lanes ? std::min(kConvLanes, outs.size() - i) : 1;
-                const std::uint32_t done =
-                    lanes ? selectConvLanes(
-                                static_cast<const nn::Conv2d &>(*node.layer),
-                                input, rf_offsets, &outs[i], n,
-                                rec.outputs[id], policy.theta, ws.lanes)
-                          : 0;
-                const auto &g = ws.lanes.group;
-                for (std::size_t l = 0; l < n; ++l, ++i) {
-                    if (done >> l & 1u) {
-                        const auto k = static_cast<std::size_t>(g.count[l]);
-                        account(static_cast<std::size_t>(g.taps[l]), k);
-                        for (std::size_t p = 0; p < k; ++p)
-                            pick(g.index[p][l]);
-                    } else {
-                        selectImportantInputs(*node.layer, input, outs[i],
-                                              rec.outputs[id][outs[i]],
-                                              policy, rf_offsets, ws);
-                        account(ws.row.size(), ws.selected.size());
-                        for (std::size_t in_idx : ws.selected)
-                            pick(in_idx);
+            auto select = [&](auto &&mark) {
+                auto pick = [&](std::size_t in_idx) {
+                    bits.set(seg->bitOffset + in_idx);
+                    mark(in_idx);
+                };
+                for (std::size_t i = 0; i < n_out;) {
+                    const bool group = lanes && n_out - i >= kMinConvLanes;
+                    const std::size_t n =
+                        group ? std::min(kConvLanes, n_out - i) : 1;
+                    const std::uint32_t done =
+                        group ? selectConvLanes(
+                                    static_cast<const nn::Conv2d &>(
+                                        *node.layer),
+                                    input, rf_offsets, &outs[i], n,
+                                    rec.outputs[id], policy.theta, ws.lanes)
+                              : 0;
+                    const auto &g = ws.lanes.group;
+                    for (std::size_t l = 0; l < n; ++l, ++i) {
+                        if (done >> l & 1u) {
+                            const auto k =
+                                static_cast<std::size_t>(g.count[l]);
+                            account(static_cast<std::size_t>(g.taps[l]), k);
+                            for (std::size_t p = 0; p < k; ++p)
+                                pick(g.index[p][l]);
+                        } else {
+                            selectImportantInputs(
+                                *node.layer, input, outs[i],
+                                rec.outputs[id][outs[i]], policy,
+                                rf_offsets, ws);
+                            account(ws.row.size(), ws.selected.size());
+                            for (std::size_t in_idx : ws.selected)
+                                pick(in_idx);
+                        }
                     }
                 }
-            }
+            };
+            if (in_id >= 0)
+                appendMarks(ws, in_id, select);
+            else
+                select([](std::size_t) {}); // the network input: no node
             // Absolute variants store one single-bit mask per partial sum
             // during inference (paper Sec. III-C); cumulative variants
             // store the partial sums themselves (costed by the hw model).
             lt.masksWritten =
                 policy.kind == ThresholdKind::Absolute ? lt.macs : 0;
-            if (trace)
+            if (trace) {
+                lt.importantIn = bits.popcountRange(
+                    seg->bitOffset, seg->bitOffset + seg->numBits);
                 trace->layers.push_back(lt);
+            }
         } else {
             // Route importance through the non-weighted layer.
             auto &ins = ws.insScratch;
@@ -361,11 +388,18 @@ PathExtractor::extractBackward(const nn::Network::Record &rec,
             for (int in_id : node.inputs)
                 ins.push_back(in_id < 0 ? &rec.input
                                         : &rec.outputs[in_id]);
-            node.layer->backmapImportant(ins, rec.outputs[id],
-                                         ws.important[id], ws.perInput);
-            for (std::size_t slot = 0; slot < node.inputs.size(); ++slot)
-                for (std::size_t idx : ws.perInput[slot])
-                    mark(node.inputs[slot], idx);
+            node.layer->backmapImportant(
+                ins, rec.outputs[id],
+                std::span<const std::size_t>(ws.important[id].data(), n_out),
+                ws.perInput);
+            for (std::size_t slot = 0; slot < node.inputs.size(); ++slot) {
+                if (node.inputs[slot] < 0)
+                    continue; // reached the network input
+                appendMarks(ws, node.inputs[slot], [&](auto &&mark) {
+                    for (std::size_t idx : ws.perInput[slot])
+                        mark(idx);
+                });
+            }
         }
     }
     if (trace)

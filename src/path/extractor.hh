@@ -39,8 +39,8 @@ namespace ptolemy::path
  * Reusable scratch for PathExtractor. One workspace per extraction
  * loop makes the steady state allocation-free: the per-node importance
  * lists, dedup flags, partial-sum scratch, selection buffers and
- * backmap slots are all reserved to their bounds at the first call and
- * reused, and the dedup flags are cleared sparsely (only the bits set
+ * backmap slots are all sized to their bounds at the first call and
+ * reused, and the dedup flags are cleared sparsely (only the flags set
  * by the previous call) instead of reallocated.
  */
 struct ExtractionWorkspace
@@ -57,9 +57,13 @@ struct ExtractionWorkspace
      *  sequences are identical. */
     bool referenceSort = false;
 
-    std::vector<std::vector<std::size_t>> important; ///< per node
+    /** Per node: its important output indices, in mark order, are
+     *  important[id][0, importantCount[id]). The list holds one slot
+     *  more than the node's output, so a mark writes its index at the
+     *  count without a capacity check, duplicate or not. */
+    std::vector<std::vector<std::size_t>> important;
+    std::vector<std::size_t> importantCount;
     std::vector<std::vector<std::uint8_t>> seen;     ///< per-node flags
-    std::vector<int> touched;              ///< nodes dirtied last call
     nn::PsumRow row;                       ///< partial sums of one neuron
     PrefixScratch select;                  ///< ranked-prefix scratch
     ConvLaneScratch lanes;                 ///< conv lane-group scratch

@@ -48,12 +48,15 @@ rankKey(float v, std::size_t pos)
 /** Row sweeps, dispatched once per selection on the SIMD mode. */
 struct RowOps
 {
-    bool avx2 = false;
+    bool avx2 = false, avx512 = false;
 
     RowOps()
     {
 #ifdef PTOLEMY_HAVE_AVX2
         avx2 = avx2Active();
+#endif
+#ifdef PTOLEMY_HAVE_AVX512
+        avx512 = simdMode() == SimdMode::Avx512;
 #endif
     }
 
@@ -73,6 +76,10 @@ struct RowOps
     float
     max(const float *v, std::size_t n) const
     {
+#ifdef PTOLEMY_HAVE_AVX512
+        if (avx512)
+            return nn::detail::avx512RowMax(v, n);
+#endif
 #ifdef PTOLEMY_HAVE_AVX2
         if (avx2)
             return nn::detail::avx2RowMax(v, n);
@@ -100,6 +107,10 @@ struct RowOps
     float
     massAtLeast(const float *v, std::size_t n, float p) const
     {
+#ifdef PTOLEMY_HAVE_AVX512
+        if (avx512)
+            return nn::detail::avx512MassAtLeast(v, n, p);
+#endif
 #ifdef PTOLEMY_HAVE_AVX2
         if (avx2)
             return nn::detail::avx2MassAtLeast(v, n, p);
@@ -108,6 +119,24 @@ struct RowOps
         for (std::size_t i = 0; i < n; ++i)
             sum += v[i] >= p ? v[i] : 0.0f;
         return sum;
+    }
+
+    /** Write the positions of the entries >= p to @p pos, ascending;
+     *  return how many. */
+    std::size_t
+    positionsAtLeast(const float *v, std::size_t n, float p,
+                     std::uint32_t *pos) const
+    {
+#ifdef PTOLEMY_HAVE_AVX512
+        if (avx512)
+            return nn::detail::avx512PositionsAtLeast(v, n, p, pos);
+#endif
+        std::size_t m = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+            pos[m] = static_cast<std::uint32_t>(j);
+            m += v[j] >= p;
+        }
+        return m;
     }
 
     /** Position of the rank-first entry of a finite row. */
@@ -123,27 +152,31 @@ struct RowOps
 constexpr int kPivotSteps = 8;
 
 /**
- * Finite rows. Phase 1: each pass picks the first position holding the
- * row maximum and marks it kPicked. Phase 2 (prefixes longer than
- * kMaxSelectScanPasses) works in pivot blocks: every unpicked value
- * >= p ranks ahead of every value below p, so that block is the next
- * ranked stretch of the prefix, and only the block is sorted. p comes
- * from bisecting (0, max] for the highest bound whose block still holds
- * the remaining mass (estimated in float — the choice of p never
+ * Finite rows. Phase 1 (rows of at most kPivotFirstRow entries): each
+ * pass picks the first position holding the row maximum and marks it
+ * kPicked. Phase 2 (prefixes longer than kMaxSelectScanPasses, and
+ * every prefix of a longer row) works in pivot blocks: every unpicked
+ * value >= p ranks ahead of every value below p, so that block is the
+ * next ranked stretch of the prefix, and only the block is sorted. p
+ * comes from bisecting (0, max] for the highest bound whose block still
+ * holds the remaining mass (estimated in float — the choice of p never
  * changes what is selected, only how many blocks it takes). A block
  * that falls short is consumed and the next one chosen; once nothing
  * positive is left, p drops to the lowest float and the block is the
- * whole remainder.
+ * whole remainder. Both phases pick in rank order, so where phase 2
+ * starts never changes the selection.
  */
 void
 selectFinite(float *v, const std::uint32_t *idx, std::size_t n,
              double target, PrefixMass mass, const RowOps &ops,
-             std::vector<std::uint64_t> &block,
-             std::vector<std::size_t> &selected)
+             PrefixScratch &scratch, std::vector<std::size_t> &selected)
 {
     double cum = 0.0;
     const std::size_t passes =
-        std::min<std::size_t>(n, static_cast<std::size_t>(kMaxSelectScanPasses));
+        n > kPivotFirstRow
+            ? 0
+            : std::min<std::size_t>(
+                  n, static_cast<std::size_t>(kMaxSelectScanPasses));
     for (std::size_t pass = 0; pass < passes; ++pass) {
         const std::size_t j = ops.argmax(v, n);
         selected.push_back(idx[j]);
@@ -153,7 +186,11 @@ selectFinite(float *v, const std::uint32_t *idx, std::size_t n,
             return;
     }
     std::size_t left = n - passes;
+    auto &block = scratch.block;
+    auto &pos = scratch.order;
     block.reserve(n);
+    if (pos.size() < n)
+        pos.resize(n);
     while (left > 0) {
         const float hi = ops.max(v, n);
         float p = std::numeric_limits<float>::lowest();
@@ -167,9 +204,9 @@ selectFinite(float *v, const std::uint32_t *idx, std::size_t n,
             p = lo; // 0 when even hi/2^8 falls short: all of the positives
         }
         block.clear();
-        for (std::size_t j = 0; j < n; ++j)
-            if (v[j] >= p)
-                block.push_back(rankKey(v[j], j));
+        const std::size_t m = ops.positionsAtLeast(v, n, p, pos.data());
+        for (std::size_t b = 0; b < m; ++b)
+            block.push_back(rankKey(v[pos[b]], pos[b]));
         std::sort(block.begin(), block.end());
         for (const std::uint64_t key : block) {
             const auto j = static_cast<std::uint32_t>(key);
@@ -226,7 +263,7 @@ prefixSelect(nn::PsumRow &row, double target, PrefixMass mass,
     const RowOps ops;
     if (ops.allFinite(row.value.data(), n))
         selectFinite(row.value.data(), row.index.data(), n, target, mass,
-                     ops, scratch.block, selected);
+                     ops, scratch, selected);
     else if (std::none_of(row.value.begin(), row.value.end(),
                           [](float v) { return std::isnan(v); }))
         // ±Inf keep the rank comparison a total order (and would collide

@@ -6,18 +6,22 @@
  * Entries rank by value descending, input index ascending on ties — a
  * total order on finite rows, so "the minimal ranked prefix whose sum
  * reaches the target" is one well-defined set. prefixSelect finds it
- * without sorting the row: up to kMaxSelectScanPasses passes of
- * (vector max, first position equal to it), then ranked pivot blocks
- * that sort only the entries the prefix can still reach. Because rows
- * are in ascending input-index order (nn::PsumRow invariant), the
- * first position holding the maximum is exactly the lower-index
- * tie-break. The running sum adds the same values in the same order as
- * a full sort, so the cut — and the emitted index sequence — are
- * identical to referencePrefixSelect's.
+ * without sorting the row: on rows of up to kPivotFirstRow entries, up
+ * to kMaxSelectScanPasses passes of (vector max, first position equal
+ * to it); then, and from the start on longer rows, ranked pivot blocks
+ * that sort only the entries the prefix can still reach (their sweeps
+ * run 16 wide under SimdMode::Avx512). Because rows are in ascending
+ * input-index order (nn::PsumRow invariant), the first position
+ * holding the maximum is exactly the lower-index tie-break, and a
+ * block's rank keys order ties the same way. The running sum adds the
+ * same values in the same order as a full sort, so the cut — and the
+ * emitted index sequence — are identical to referencePrefixSelect's,
+ * wherever phase 2 starts.
  *
  * selectConvLanes runs the same phase 1 for up to 16 neurons of one
  * conv layer at once, one per AVX-512 lane, over rows it builds
- * transposed; the lanes it cannot finish go back to prefixSelect.
+ * transposed, finding each pass's maximum and its first tap in one
+ * sweep; the lanes it cannot finish go back to prefixSelect.
  */
 
 #ifndef PTOLEMY_PATH_PREFIX_SELECT_HH
@@ -40,6 +44,21 @@ class Tensor;
 namespace ptolemy::path
 {
 
+/**
+ * Rows longer than this start in pivot blocks, with no argmax pass.
+ * BM_PrefixSelect, one thread, best of 3 on a 4-vCPU AVX-512 Xeon,
+ * pivot-first over passes-first at 1024 / 2048 entries: 2.75 / 3.13x
+ * the time at a 1-pick prefix, 1.09 / 1.54x at 4, 0.71 / 0.86x at 8,
+ * 0.47 / 0.42x at 16, 0.29 / 0.25x at 32 (the ratios at 144-576
+ * entries are alike). The crossover sits at 4-8 picks at every length,
+ * so the cut is a length: above the conv receptive fields of the
+ * benchmark nets (up to 576 = 64 channels x 3x3), whose prefixes run a
+ * few picks, and below their fc rows, whose prefixes at theta = 0.5
+ * run about 14 (1024 entries, detect_early) and 30 picks (2048,
+ * detect_full).
+ */
+inline constexpr std::size_t kPivotFirstRow = 576;
+
 /** How a picked entry adds to the running coverage sum. */
 enum class PrefixMass
 {
@@ -52,7 +71,9 @@ enum class PrefixMass
 struct PrefixScratch
 {
     std::vector<std::uint64_t> block; ///< pivot-block rank keys
-    std::vector<std::uint32_t> order; ///< reference-sort row positions
+    /** Row positions: the reference sort's order, a pivot block's
+     *  members. */
+    std::vector<std::uint32_t> order;
 };
 
 /**
@@ -89,6 +110,17 @@ struct ConvLaneScratch
 
 /** Neurons selectConvLanes takes at once. */
 inline constexpr std::size_t kConvLanes = nn::detail::kLaneGroup;
+
+/**
+ * Fewest neurons worth a lane group: a group costs about the same at
+ * any lane count (its row build is one gather per tap), so a layer's
+ * last group below this takes the per-row path. BM_ConvLaneSelect, one
+ * thread, best of 5 on a 4-vCPU AVX-512 Xeon, ns per neuron per-row /
+ * in groups of 4 / of 8: 83 / 76 / 42 at 27 taps, 226 / 292 / 155 at
+ * 144, 505 / 575 / 307 at 288 — a group breaks even at 3.7, 5.2 and
+ * 4.6 neurons.
+ */
+inline constexpr std::size_t kMinConvLanes = 5;
 
 /**
  * Cumulative-threshold selection for @p n <= kConvLanes output neurons

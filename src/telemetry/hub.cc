@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/thread_pool.hh"
 
@@ -52,8 +53,9 @@ WindowStats::memoryBytes() const
 
 TelemetryHub::TelemetryHub(TelemetryConfig c) : cfg(std::move(c))
 {
-    assert(cfg.numClasses > 0 &&
-           "TelemetryHub: numClasses must be configured");
+    if (cfg.numClasses == 0)
+        throw std::invalid_argument(
+            "TelemetryHub: numClasses must be configured");
     if (cfg.slots == 0)
         cfg.slots = globalPool().size();
     cfg.slots = std::max<std::size_t>(cfg.slots, 1);

@@ -167,6 +167,7 @@ struct ThresholdProposal
 class TelemetryHub
 {
   public:
+    /** std::invalid_argument when @p cfg leaves numClasses at 0. */
     explicit TelemetryHub(TelemetryConfig cfg);
 
     const TelemetryConfig &config() const { return cfg; }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 namespace ptolemy::telemetry
 {
@@ -37,10 +38,11 @@ mix64(std::uint64_t x)
 CountMinSketch::CountMinSketch(const ErrorBound &bound, std::uint64_t s)
     : cfg(bound), seed(s)
 {
-    assert(cfg.epsilon > 0.0 && cfg.epsilon <= 1.0 &&
-           "CountMinSketch: epsilon must be in (0, 1]");
-    assert(cfg.delta > 0.0 && cfg.delta < 1.0 &&
-           "CountMinSketch: delta must be in (0, 1)");
+    if (!(cfg.epsilon > 0.0 && cfg.epsilon <= 1.0))
+        throw std::invalid_argument(
+            "CountMinSketch: epsilon must be in (0, 1]");
+    if (!(cfg.delta > 0.0 && cfg.delta < 1.0))
+        throw std::invalid_argument("CountMinSketch: delta must be in (0, 1)");
     // w = ⌈e/ε⌉ gives E[overcount] ≤ ε·N/e per row; d = ⌈ln(1/δ)⌉
     // independent rows drive P[overcount > ε·N] below δ. Rounding w up
     // to a power of two only widens rows (tightens the bound) and turns

@@ -62,7 +62,9 @@ class CountMinSketch
     CountMinSketch() = default;
 
     /** Derive width/depth from @p bound (see file comment) and allocate
-     *  all counters up front; no allocation happens after this. */
+     *  all counters up front; no allocation happens after this.
+     *  std::invalid_argument unless epsilon is in (0, 1] and delta in
+     *  (0, 1). */
     explicit CountMinSketch(const ErrorBound &bound,
                             std::uint64_t seed = 0x7E1E3E7);
 

@@ -14,12 +14,14 @@
  * nn/gemm.hh re-exports the names for its historical callers.
  *
  * Dispatch rule: a TU consults simdMode() at each entry point and calls
- * its AVX2 kernel iff avx2Active() (mode Avx2 or Avx512). The two
- * AVX-512 kernels, the conv forward's 16-channel tile and the conv lane
- * selection of cumulative extraction, run iff the mode is Avx512; every
- * other entry point treats Avx512 exactly as Avx2. The tile replays the
- * AVX2 tile's per-element fold and the lane selection the per-row
- * argmax passes, so Avx512 and Avx2 produce the same bits everywhere
+ * its AVX2 kernel iff avx2Active() (mode Avx2 or Avx512). The AVX-512
+ * kernels, the conv forward's 16-channel tile, the conv lane selection
+ * of cumulative extraction and the pivot-block row sweeps of prefix
+ * selection, run iff the mode is Avx512; every other entry point treats
+ * Avx512 exactly as Avx2. The tile replays the AVX2 tile's per-element
+ * fold, the lane selection the per-row argmax passes, and the sweeps
+ * pick the same blocks' members (their float mass estimate only steers
+ * the block bound), so Avx512 and Avx2 produce the same bits everywhere
  * (and the same determinism pins). A mode is only reachable when the build compiled its kernels
  * AND the CPU supports them. Flipping the mode at runtime is supported
  * for tests and benches; it is not thread-safe against concurrent
@@ -38,8 +40,8 @@ enum class SimdMode
     Scalar, ///< portable reference kernels (exact historical numerics)
     Avx2,   ///< AVX2/FMA kernels (bit-identity contracts documented per
             ///< entry point)
-    Avx512, ///< Avx2 plus the AVX-512 conv forward tile and conv lane
-            ///< selection (bit-identical to Avx2)
+    Avx512, ///< Avx2 plus the AVX-512 conv forward tile, conv lane
+            ///< selection and pivot-block sweeps (bit-identical to Avx2)
 };
 
 /**

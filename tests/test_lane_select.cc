@@ -6,7 +6,8 @@
  * hands back must be one the per-row path has to take (an output <= 0,
  * a non-finite partial sum, a prefix past kMaxSelectScanPasses). Cases:
  * 1-16 live lanes, padding 0/1/2 and stride 2, long prefixes, ±Inf and
- * NaN rows, non-positive and NaN outputs, ties including ±0. Then the
+ * NaN rows, non-positive and NaN outputs, ties including ±0, and rows
+ * written tap by tap around the pass sweep's quarters. Then the
  * extractor end to end: the lane path leaves every bit and trace count
  * of the per-row path unchanged. The tests skip where SimdMode::Avx512
  * is not available.
@@ -292,6 +293,86 @@ TEST(LaneSelect, Avx512TiesIncludingSignedZeros)
             all.finished += counts.finished;
         }
         EXPECT_GT(all.finished, 0u);
+    }
+}
+
+TEST(LaneSelect, Avx512ArgmaxTapOrderAndSignedZeros)
+{
+    SKIP_WITHOUT_AVX512();
+    // One neuron per output channel on a 3x3 all-ones input (pad 0): a
+    // lane's row is its weight row, so each lane is written tap by tap.
+    // The pass sweep runs the taps in four quarters side by side (q =
+    // K/4 each, the last one longer): the rows put maxima at tap 0 and
+    // the last tap, equal maxima in both halves and at each quarter
+    // boundary, ties at every level, and -0 before +0 (and after).
+    Rng rng(0xA76);
+    for (int in_c : {3, 32}) {
+        const int K = 9 * in_c, q = K / 4;
+        for (int out_c : {16, 17}) {
+            ConvCase c(in_c, out_c, 3, 1, 0, 3, rng);
+            for (std::size_t i = 0; i < c.x.size(); ++i)
+                c.x[i] = 1.0f;
+            std::vector<float> w(c.conv.weights().size());
+            for (int l = 0; l < out_c; ++l) {
+                float *row = w.data() + static_cast<std::size_t>(l) * K;
+                for (int t = 0; t < K; ++t)
+                    row[t] = static_cast<float>(rng.uniform(0.01, 1.0));
+                switch (l % 8) {
+                case 0: // maximum at tap 0
+                    row[0] = 2.0f;
+                    break;
+                case 1: // maximum at the last tap
+                    row[K - 1] = 2.0f;
+                    break;
+                case 2: // equal maxima in both halves, and a second level
+                    row[1] = row[K / 2 + 1] = 2.0f;
+                    row[q + 2] = row[3 * q + 1] = 1.5f;
+                    break;
+                case 3: // the maximum on both sides of every boundary
+                    for (int t : {q - 1, q, 2 * q - 1, 2 * q, 3 * q - 1,
+                                  3 * q, K - 1})
+                        row[t] = 2.0f;
+                    break;
+                case 4: // ties at every level
+                    for (int t = 0; t < K; ++t)
+                        row[t] = 0.125f * static_cast<float>(1 + t % 9);
+                    break;
+                case 5: // -0 before +0, the rest negative
+                case 6: // +0 before -0
+                    for (int t = 0; t < K; ++t)
+                        row[t] = -row[t];
+                    for (int j = 0; j < 4; ++j)
+                        row[j * q + 2] =
+                            (j % 2 == 0) == (l % 8 == 5) ? -0.0f : 0.0f;
+                    break;
+                default: // zeros only, alternating signs
+                    for (int t = 0; t < K; ++t)
+                        row[t] = t % 2 ? 0.0f : -0.0f;
+                    break;
+                }
+            }
+            c.conv.setWeights(w);
+            c.conv.forwardInto({&c.x}, c.y, false);
+            // A positive base for every lane: theta 0 takes the first
+            // pick only, a huge theta the whole row (or hands it back
+            // past the cap).
+            for (std::size_t o = 0; o < c.y.size(); ++o)
+                c.y[o] = 1.0f;
+            const std::string what = "K=" + std::to_string(K) +
+                                     " out_c=" + std::to_string(out_c);
+            LaneCounts all;
+            for (double theta : {0.0, 0.5, 3.0, 1e9}) {
+                const LaneCounts counts = checkAllNeurons(
+                    c, kConvLanes, theta,
+                    what + " theta=" + std::to_string(theta));
+                all.finished += counts.finished;
+                all.handedBack += counts.handedBack;
+            }
+            EXPECT_GT(all.finished, 0u) << what;
+            if (K <= path::kMaxSelectScanPasses) {
+                EXPECT_EQ(all.handedBack, 0u) << what;
+            }
+        }
     }
 }
 

@@ -236,7 +236,7 @@ TEST(MaxPoolLayer, BackmapFindsWinner)
     Tensor x(mapShape(1, 2, 2), {1.0f, 4.0f, 3.0f, 2.0f});
     auto y = pool.forward({&x}, false);
     std::vector<std::vector<std::size_t>> per_input;
-    pool.backmapImportant({&x}, y, {0}, per_input);
+    pool.backmapImportant({&x}, y, std::vector<std::size_t>{0}, per_input);
     ASSERT_EQ(per_input.size(), 1u);
     ASSERT_EQ(per_input[0].size(), 1u);
     EXPECT_EQ(per_input[0][0], 1u);
@@ -277,7 +277,8 @@ TEST(MaxPoolLayer, SentinelFreeWindowsStayInside)
         EXPECT_EQ(gi[0][i], want[i]) << "input " << i;
 
     std::vector<std::vector<std::size_t>> per_input;
-    pool.backmapImportant({&x}, y, {0, 1, 2, 3}, per_input);
+    pool.backmapImportant({&x}, y, std::vector<std::size_t>{0, 1, 2, 3},
+                          per_input);
     ASSERT_EQ(per_input.size(), 1u);
     EXPECT_EQ(per_input[0], (std::vector<std::size_t>{1, 2, 8, 15}));
 }
@@ -408,7 +409,8 @@ TEST(ConcatLayer, SplitsImportanceByBranch)
     auto y = cat.forward({&a, &b}, false);
     EXPECT_EQ(y.shape().c, 5);
     std::vector<std::vector<std::size_t>> per_input;
-    cat.backmapImportant({&a, &b}, y, {0, 7, 8, 19}, per_input);
+    cat.backmapImportant({&a, &b}, y, std::vector<std::size_t>{0, 7, 8, 19},
+                         per_input);
     ASSERT_EQ(per_input.size(), 2u);
     EXPECT_EQ(per_input[0], (std::vector<std::size_t>{0, 7}));
     EXPECT_EQ(per_input[1], (std::vector<std::size_t>{0, 11}));
@@ -433,7 +435,7 @@ TEST(DownsamplePadLayer, BackmapSkipsPaddedChannels)
     auto y = ds.forward({&x}, false);
     std::vector<std::vector<std::size_t>> per_input;
     // Output idx 0 = (c0, 0, 0) maps to input (0,0,0); idx 4 = padded c1.
-    ds.backmapImportant({&x}, y, {0, 4}, per_input);
+    ds.backmapImportant({&x}, y, std::vector<std::size_t>{0, 4}, per_input);
     ASSERT_EQ(per_input[0].size(), 1u);
     EXPECT_EQ(per_input[0][0], 0u);
 }

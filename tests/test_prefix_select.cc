@@ -3,16 +3,20 @@
  * Row-level properties of ranked-prefix selection (path/prefix_select)
  * and of the partial-sum rows it consumes. prefixSelect must emit
  * exactly referencePrefixSelect's index sequence — the full ranked
- * sort — on every finite or ±Inf row, in scalar and AVX2 modes: ties
- * (±0.0 included), non-positive targets, prefixes past the
- * kMaxSelectScanPasses cap, row lengths below and off the 8-lane
- * width, and real conv rows at padded and strided borders.
+ * sort — on every finite or ±Inf row, in every SIMD mode: ties (±0.0
+ * included), non-positive targets, prefixes past the
+ * kMaxSelectScanPasses cap, rows around the kPivotFirstRow cut (long
+ * rows start in pivot blocks) with ties on a block's bound, row
+ * lengths below and off the 8-lane width, and real conv rows at padded
+ * and strided borders.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -181,6 +185,75 @@ TEST(PrefixSelect, WidePrefixesPastTheScanPassCap)
                 << "trial " << trial << " " << simdModeName();
         }
         expectMatchesReference(row, "fc row");
+    }
+}
+
+/** The double sum, in rank order, of the @p k highest entries of a
+ *  positive row: a target its ranked prefix reaches at pick k. */
+double
+topSum(const nn::PsumRow &row, std::size_t k)
+{
+    std::vector<float> v = row.value;
+    std::sort(v.begin(), v.end(), std::greater<float>());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < k; ++i)
+        sum += v[i];
+    return sum;
+}
+
+TEST(PrefixSelect, PivotFirstCutAndLongRowPrefixes)
+{
+    // Rows at the pivot-first cut and past it start in pivot blocks,
+    // rows below it in argmax passes; both must pick the reference
+    // sequence, for prefixes that end inside the passes (1, 31, 32
+    // picks) and one pick past them (33).
+    SimdModeGuard guard;
+    Rng rng(0xC07);
+    for (std::size_t n : {path::kPivotFirstRow - 1, path::kPivotFirstRow,
+                          path::kPivotFirstRow + 1, std::size_t{1024},
+                          std::size_t{2048}}) {
+        std::vector<float> v(n);
+        for (auto &x : v)
+            x = static_cast<float>(rng.uniform(0.01, 1.0));
+        const nn::PsumRow row = rowOf(v);
+        for (std::size_t k : {1, 31, 32, 33}) {
+            const double target = topSum(row, k);
+            const auto want = referenceSelect(row, target, PrefixMass::Signed);
+            ASSERT_EQ(want.size(), k) << "n=" << n;
+            for (SimdMode mode : modesToTest()) {
+                simdMode() = mode;
+                EXPECT_EQ(fastSelect(row, target, PrefixMass::Signed), want)
+                    << "n=" << n << " k=" << k << " " << simdModeName();
+            }
+        }
+        expectMatchesReference(row, "long row");
+    }
+}
+
+TEST(PrefixSelect, LongRowTiesAndSignedZerosAtThePivotBound)
+{
+    // Pivot bounds are bisection points max * j / 2^8. Values on that
+    // grid (and zeros of both signs, and negatives) put whole tie
+    // classes exactly at, just above and just below a block's bound,
+    // so a block must take every tied entry >= p and order it by
+    // index like the passes do.
+    Rng rng(0xB0B);
+    for (std::size_t n : {path::kPivotFirstRow + 1, std::size_t{1024},
+                          std::size_t{2048}}) {
+        std::vector<float> grid(n), levels(n), zeros(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto j = static_cast<int>(rng.below(260)) - 3;
+            grid[i] = j == 0 ? (rng.bernoulli(0.5) ? 0.0f : -0.0f)
+                             : static_cast<float>(j) / 256.0f;
+            const float lv[] = {1.0f, 0.5f, 0.25f, 0.0f, -0.0f, -0.5f};
+            levels[i] = lv[rng.below(std::size(lv))];
+            zeros[i] = rng.bernoulli(0.02) ? 0.75f
+                       : rng.bernoulli(0.5) ? 0.0f
+                                            : -0.0f;
+        }
+        expectMatchesReference(rowOf(grid), "grid");
+        expectMatchesReference(rowOf(levels), "levels");
+        expectMatchesReference(rowOf(zeros), "zeros");
     }
 }
 

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/alloc_probe.hh"
@@ -530,6 +531,33 @@ TEST(Telemetry, ConcurrentIngestDuringHotModelSwap)
               served.load(std::memory_order_relaxed));
     EXPECT_EQ(hub.pendingRecords(), 0u);
     std::remove(path.c_str());
+}
+
+TEST(Misuse, SketchRejectsErrorBoundOutOfRange)
+{
+    // epsilon in (0, 1] and delta in (0, 1), checked in Release too.
+    // Unchecked, a zero or negative bound sizes the rows from an
+    // infinite or negative count; the bounds that size them finitely
+    // come first, so an unchecked build fails here rather than there.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double eps : {1.5, 0.0, -0.1, nan})
+        ASSERT_THROW(CountMinSketch(ErrorBound{eps, 0.01}),
+                     std::invalid_argument)
+            << "epsilon " << eps;
+    for (double delta : {1.0, 0.0, -0.5, nan})
+        ASSERT_THROW(CountMinSketch(ErrorBound{0.01, delta}),
+                     std::invalid_argument)
+            << "delta " << delta;
+    EXPECT_NO_THROW(CountMinSketch(ErrorBound{1.0, 0.5}));
+}
+
+TEST(Misuse, TelemetryHubRejectsConfigWithoutClasses)
+{
+    TelemetryConfig cfg;
+    cfg.slots = 1;
+    EXPECT_THROW(TelemetryHub{cfg}, std::invalid_argument);
+    cfg.numClasses = 3;
+    EXPECT_NO_THROW(TelemetryHub{cfg});
 }
 
 } // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "nn/tensor.hh"
 
 namespace ptolemy::nn
@@ -61,6 +64,17 @@ TEST(Tensor, FillConstant)
     t.fill(2.5f);
     for (std::size_t i = 0; i < t.size(); ++i)
         EXPECT_FLOAT_EQ(t[i], 2.5f);
+}
+
+TEST(Misuse, TensorRejectsDataOfOtherSize)
+{
+    // The size check guards caller data, so it must hold in Release.
+    EXPECT_THROW(Tensor(mapShape(2, 3, 3), std::vector<float>(17)),
+                 std::invalid_argument);
+    EXPECT_THROW(Tensor(flatShape(4), std::vector<float>(5)),
+                 std::invalid_argument);
+    EXPECT_THROW(Tensor(flatShape(4), {}), std::invalid_argument);
+    EXPECT_EQ(Tensor(mapShape(2, 3, 3), std::vector<float>(18)).size(), 18u);
 }
 
 } // namespace
